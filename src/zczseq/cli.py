@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 certificate failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -235,15 +236,7 @@ def cmd_verify(args) -> int:
     loaded = construction.load_family(args.directory)
     Z = args.zcz if args.zcz is not None else loaded.Z
     Zc = args.zccz if args.zccz is not None else loaded.Zc
-    family = construction.MultipleZczFamily(
-        params=loaded.params,
-        sets=tuple(
-            construction.ZczSequenceSet(sequences=st, K=len(st), Z=Z, L=loaded.L, label=t1)
-            for t1, st in enumerate(loaded.sets)
-        ),
-        Z=Z,
-        Zc=Zc,
-    )
+    family = dataclasses.replace(loaded, Z=Z, Zc=Zc).as_family()
     report = _certify(family, deep=args.deep)
     report["claimed"] = {"Z": Z, "Zc": Zc}
     report["verified_utc"] = _utc_now()
@@ -369,6 +362,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(
+            f"error: out of memory{detail}; retry with smaller parameters"
+            " (m, k, s) or on a machine with more free memory",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
 

@@ -22,6 +22,7 @@ bits, t1 over the family bits, and row nu = d * 2^k + sum d_beta 2^beta.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -619,19 +620,32 @@ def _format_sequence_file(seq: UnimodularSequence, Z: int, Zc: int) -> str:
 
 
 def _parse_sequence_file(text: str, path) -> tuple[UnimodularSequence, dict]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 4:
+    head, body = [], text
+    while len(head) < 4 and body:
+        ln, _, body = body.partition("\n")
+        if ln.strip():
+            head.append(ln.strip())
+    if len(head) < 4:
         raise ValueError(f"{path}: truncated sequence file")
     header = {}
-    for key, ln in zip(_HEADER_KEYS, lines[:4]):
-        name, _, value = ln.partition("=")
-        if name != key:
-            raise ValueError(f"{path}: expected header '{key}=', got {ln!r}")
-        header[key] = int(value)
-    exps = np.array([int(ln) for ln in lines[4:]], dtype=np.int64)
-    if exps.size != header["L"]:
-        raise ValueError(f"{path}: header says L={header['L']} but {exps.size} entries")
-    return UnimodularSequence(header["q"], exps), header
+    try:
+        for key, ln in zip(_HEADER_KEYS, head):
+            name, _, value = ln.partition("=")
+            if name != key:
+                raise ValueError(f"expected header '{key}=', got {ln!r}")
+            header[key] = int(value)
+        # one exponent per line: a (lines, 1) table, or a parse error
+        exps = np.empty((0, 1), np.int64)
+        if body.strip():
+            exps = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+        if exps.shape[1] != 1:
+            raise ValueError(f"expected one exponent per line, got {exps.shape[1]}")
+        exps = exps[:, 0]
+        if exps.size != header["L"]:
+            raise ValueError(f"header says L={header['L']} but {exps.size} entries")
+        return UnimodularSequence(header["q"], exps), header
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sha256(data: bytes) -> str:

@@ -12,6 +12,17 @@ Periodic correlation is assembled from two aperiodic terms:
 For q in {1, 2, 4} every value is a Gaussian integer and all zone tests
 are exact; for other moduli values are complex doubles with an absolute
 zero tolerance of 1e-9 * L.
+
+Whole sets go through one batch kernel, ``_periodic_table``.  Each set is
+stacked as a float64 matrix (complex128 if any entry has a nonzero
+imaginary part) and the shifts are walked in blocks of cyclically shifted
+rows, ``_SHIFT_BLOCK_BYTES`` at a time, with one BLAS GEMM per block; so
+working memory is O(K * block * L) beyond the output table.  For q in
+{1, 2, 4} the GEMM is exact: every entry and every product is a Gaussian
+integer with components in {-1, 0, 1}, and every partial sum (and every
+real part the complex GEMM forms) is an integer of magnitude at most
+2L < 2**53, which float64 holds and adds without rounding in any order.
+Those tables are returned as int64.
 """
 
 from __future__ import annotations
@@ -150,8 +161,15 @@ def code_accf(code1, code2, u: int) -> CorrelationValue:
 # ---------------------------------------------------------------------------
 # batch engine: stacked periodic correlations for whole sets at once
 
+# Working-set target for one block of cyclically shifted rows.
+_SHIFT_BLOCK_BYTES = 4 << 20
+
+
 class _Block:
-    __slots__ = ("K", "L", "q", "exact", "re", "im", "tol")
+    """A sequence set stacked as one K x L matrix: float64 when every entry
+    is real, complex128 otherwise."""
+
+    __slots__ = ("K", "L", "q", "exact", "mat", "tol")
 
     def __init__(self, seqs):
         seqs = list(seqs)
@@ -168,49 +186,36 @@ class _Block:
         self.L = L
         self.q = q
         self.exact = all(z.exact for z in seqs)
-        if self.exact:
-            comps = [z.exact_components() for z in seqs]
-            self.re = np.stack([c[0] for c in comps])
-            self.im = np.stack([c[1] for c in comps])
-            if not self.im.any():
-                self.im = None
-            self.tol = 0.0
-        else:
-            self.re = np.stack([z.values() for z in seqs])
-            self.im = None
-            self.tol = FLOAT_ZERO_TOL_PER_CHIP * L
+        mat = np.stack([z.values() for z in seqs])
+        self.mat = mat if mat.imag.any() else np.ascontiguousarray(mat.real)
+        self.tol = 0.0 if self.exact else FLOAT_ZERO_TOL_PER_CHIP * L
 
 
-def _windows(mat: np.ndarray, shifts: np.ndarray, L: int) -> np.ndarray:
-    ext = np.concatenate([mat, mat[:, : max(int(shifts.max()), 1)]], axis=1)
-    view = np.lib.stride_tricks.sliding_window_view(ext, L, axis=1)
-    return view[:, shifts, :]
+def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L]) as (re, im).
 
-
-def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray | None]:
-    """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L])."""
+    Shifts are taken in blocks; each block stacks its cyclically shifted B
+    rows into one contiguous matrix and costs one GEMM.  Tables are int64
+    for exact blocks and float64 otherwise.
+    """
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.size == 0:
         raise ValueError("no shifts requested")
     if np.any((shifts < 0) | (shifts >= A.L)):
         raise ValueError("periodic shifts must lie in [0, L)")
-    if not A.exact:
-        win = _windows(B.re, shifts, A.L)
-        phi = np.einsum("it,jut->uij", A.re, np.conj(win))
-        return phi, None
-    win_re = _windows(B.re, shifts, A.L)
-    win_im = _windows(B.im, shifts, A.L) if B.im is not None else None
-    re = np.einsum("it,jut->uij", A.re, win_re)
-    im = None
-    if A.im is not None:
-        re = re + (np.einsum("it,jut->uij", A.im, win_im) if win_im is not None else 0)
-        im = np.einsum("it,jut->uij", A.im, win_re)
-    if win_im is not None:
-        part = np.einsum("it,jut->uij", A.re, win_im)
-        im = part * -1 if im is None else im - part
-    if im is None:
-        im = np.zeros_like(re)
-    return re, im
+    L = A.L
+    ext = np.concatenate([B.mat, B.mat[:, : int(shifts.max())]], axis=1).conj()
+    # rows[u, j] is B_j cyclically shifted left by u (a view, no copy)
+    rows = np.lib.stride_tricks.sliding_window_view(ext, L, axis=1).transpose(1, 0, 2)
+    phi = np.empty((shifts.size, A.K, B.K), dtype=np.result_type(A.mat, ext))
+    step = max(1, _SHIFT_BLOCK_BYTES // (B.K * L * ext.itemsize))
+    for lo in range(0, shifts.size, step):
+        part = shifts[lo : lo + step]
+        W = rows[part].reshape(-1, L)
+        phi[lo : lo + part.size] = (A.mat @ W.T).reshape(A.K, part.size, B.K).transpose(1, 0, 2)
+    if A.exact and B.exact:
+        return phi.real.astype(np.int64), phi.imag.astype(np.int64)
+    return phi.real.copy(), phi.imag.copy()
 
 
 @dataclass(frozen=True)
@@ -241,40 +246,34 @@ class Violation:
 def _scan_block(re, im, shifts, tol, expect_peak_at_zero, L):
     """Collect zone violations from one periodic-correlation table.
 
-    Returns the worst violation per ordered pair, scan-order first witness
-    included.  ``expect_peak_at_zero`` additionally demands phi(i,i)(0) = L.
+    Returns the worst violation per ordered pair (the first in scan order
+    wins ties), pairs sorted, and the first violation in scan order
+    (shift-major, then i, then j).  ``expect_peak_at_zero`` additionally
+    demands phi(i,i)(0) = L.
     """
-    violations: dict[tuple[int, int], Violation] = {}
-    witness = None
-    n_u, K1, K2 = re.shape
-    for u_idx in range(n_u):
-        u = int(shifts[u_idx])
-        tab_re = re[u_idx]
-        tab_im = im[u_idx] if im is not None else None
-        expected_re = np.zeros((K1, K2))
-        if u == 0 and expect_peak_at_zero:
-            np.fill_diagonal(expected_re, L)
-        dev = np.abs(tab_re - expected_re)
-        if tab_im is not None:
-            dev = dev + np.abs(tab_im)
-        bad = np.argwhere(dev > tol)
-        for i, j in bad:
-            v = Violation(
-                int(i), int(j), u,
-                _plain(tab_re[i, j]),
-                _plain(tab_im[i, j]) if tab_im is not None else 0,
+    dev = np.abs(re) + np.abs(im)
+    if expect_peak_at_zero:
+        diag = np.arange(re.shape[1])
+        for u_idx in np.flatnonzero(shifts == 0):
+            dev[u_idx, diag, diag] = (
+                np.abs(re[u_idx, diag, diag] - L) + np.abs(im[u_idx, diag, diag])
             )
-            if witness is None:
-                witness = v
-            prev = violations.get((v.i, v.j))
-            if prev is None or v.magnitude > prev.magnitude:
-                violations[(v.i, v.j)] = v
-    ordered = tuple(violations[k] for k in sorted(violations))
-    return ordered, witness
+    bad = np.argwhere(dev > tol)
+    if not bad.size:
+        return (), None
+    u_idx, i, j = bad.T
+    vals_re, vals_im = re[u_idx, i, j], im[u_idx, i, j]
+    pair = i * re.shape[2] + j
+    order = np.lexsort((-np.hypot(vals_re, vals_im), pair))  # stable: scan order breaks ties
+    first = order[np.r_[True, pair[order][1:] != pair[order][:-1]]]
 
+    def violation(n):
+        # .item() gives Python ints for exact tables, floats otherwise
+        return Violation(
+            int(i[n]), int(j[n]), int(shifts[u_idx[n]]), vals_re[n].item(), vals_im[n].item()
+        )
 
-def _plain(x):
-    return int(x) if isinstance(x, (int, np.integer)) else float(x)
+    return tuple(violation(n) for n in first), violation(0)
 
 
 def performance_parameter(K: int, Z: int, L: int, binary: bool = False):
@@ -343,9 +342,6 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
         raise ValueError(f"zone width {Z} outside [0, {block.L})")
     shifts = np.arange(Z + 1, dtype=np.int64)
     re, im = _periodic_table(block, block, shifts)
-    if not block.exact:
-        mag = re
-        re, im = mag.real, mag.imag
     violations, witness = _scan_block(
         re, im, shifts, block.tol, expect_peak_at_zero=True, L=block.L
     )
@@ -402,8 +398,6 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     collected = []
     for front, back, sign in ((A, B, 1), (B, A, -1)):
         re, im = _periodic_table(front, back, shifts)
-        if not front.exact:
-            re, im = re.real, re.imag
         vio, _ = _scan_block(
             re, im, shifts, front.tol, expect_peak_at_zero=False, L=front.L
         )
@@ -536,6 +530,4 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
         )
     shifts = np.arange(block.L, dtype=np.int64)
     re, im = _periodic_table(block, block, shifts)
-    if not block.exact:
-        re, im = re.real.copy(), re.imag.copy()
     return SpectrumTable(K=block.K, L=block.L, q=block.q, exact=block.exact, re=re, im=im)

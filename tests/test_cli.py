@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from zczseq import cli, format_gbf_text
+from zczseq import cli, correlation, format_gbf_text
 from zczseq.cli import EXIT_CERT_FAIL, EXIT_OK, EXIT_USAGE
 
 
@@ -117,6 +117,21 @@ def test_verify_deep(tmp_path, capsys):
 def test_verify_missing_directory(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "nope")) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "fam"
+    assert run_cli("construct", "--example1", "--no-certify", "-o", str(out)) == EXIT_OK
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(correlation, "verify_zcz", exhausted)
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (Unable to allocate 16.0 GiB);")
+    assert "smaller parameters" in err and "Traceback" not in err
 
 
 def test_spectrum_outputs_and_cap(tmp_path, capsys):

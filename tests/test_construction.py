@@ -287,6 +287,43 @@ def test_load_rejects_malformed(tmp_path):
         load_family(fam_dir)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:3], "truncated sequence file"),
+        (lambda lines: ["Q=2"] + lines[1:], "expected header 'q='"),
+        (lambda lines: lines[:-1], "header says L=64 but 63 entries"),
+        (lambda lines: lines[:6] + ["x"] + lines[7:], "could not convert string 'x'"),
+        (lambda lines: lines[:6] + ["0.5"] + lines[7:], "could not convert string '0.5'"),
+        (lambda lines: lines[:4] + [" ".join(lines[4:])], "one exponent per line"),
+        (lambda lines: lines[:6] + ["0 1"] + lines[7:], "number of columns changed"),
+        (lambda lines: lines[:6] + ["2"] + lines[7:], "exponents must lie in [0, 2)"),
+    ],
+    ids=["truncated", "header-key", "length", "word", "float", "one-line", "two-columns",
+         "range"],
+)
+def test_load_names_the_malformed_file(tmp_path, edit, message):
+    fam_dir = tmp_path / "fam"
+    export_family(build_multiple_zcz(default_params(2, 3, 1, 0)), fam_dir)
+    target = fam_dir / "0" / "1.seq"
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_family(fam_dir)
+    assert str(info.value).startswith(f"{target}: ")
+    assert message in str(info.value)
+
+
+def test_load_tolerates_blank_lines_and_crlf(tmp_path):
+    fam_dir = tmp_path / "fam"
+    fam = build_multiple_zcz(default_params(2, 3, 1, 0))
+    export_family(fam, fam_dir)
+    target = fam_dir / "0" / "1.seq"
+    lines = target.read_text().splitlines()
+    target.write_text("\n" + "\r\n".join(lines[:6] + ["", " "] + lines[6:]) + "\r\n")
+    loaded = load_family(fam_dir)
+    assert loaded.sets[0][1] == fam.sets[0].sequences[1]
+
+
 def test_inter_zone_reports_on_bundled_family():
     fam = build_multiple_zcz(example1_params())
     assert verify_inter_zccz(fam.sets[0].sequences, fam.sets[1].sequences, 7).passed

@@ -1,5 +1,8 @@
 """Correlation values, oracle cross-checks, and zone certificates."""
 
+import hashlib
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +16,10 @@ from zczseq import (
     build_ccc_family,
     build_multiple_zcz,
     code_accf,
+    correlation,
     correlation_spectrum,
     default_params,
+    example1_params,
     pccf,
     performance_parameter,
     verify_ccc,
@@ -225,3 +230,114 @@ def test_certificate_json_shapes():
     assert data["pass"] and data["parameters"]["K"] == 1
     rep = verify_inter_zccz([PERFECT4], [binary(1, 1, 1, 1)], 0)
     assert "witnesses" in rep.to_json_dict()
+
+
+def _assert_table_matches_pccf(set_a, set_b, shifts):
+    re, im = correlation._periodic_table(
+        correlation._Block(set_a), correlation._Block(set_b), shifts
+    )
+    assert re.shape == im.shape == (len(shifts), len(set_a), len(set_b))
+    exact = set_a[0].exact
+    assert re.dtype == (np.int64 if exact else np.float64)
+    for n, u in enumerate(shifts):
+        for i, a in enumerate(set_a):
+            for j, b in enumerate(set_b):
+                want = pccf(a, b, u)
+                if exact:
+                    assert (re[n, i, j], im[n, i, j]) == (want.re, want.im)
+                else:
+                    assert abs(complex(re[n, i, j], im[n, i, j]) - want.as_complex()) <= want.tol
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8])
+def test_periodic_table_matches_scalar_pccf(q):
+    rng = np.random.default_rng(20 + q)
+    L = 48
+    set_a = [random_sequence(rng, q, L, masked=(n == 0)) for n in range(3)]
+    set_b = [random_sequence(rng, q, L) for _ in range(5)]
+    _assert_table_matches_pccf(set_a, set_b, list(range(L)))
+    _assert_table_matches_pccf(set_b, set_a, [7, 0, L - 1, 3])
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_periodic_table_crosses_block_boundaries(q, monkeypatch):
+    rng = np.random.default_rng(30 + q)
+    L = 40
+    set_a = [random_sequence(rng, q, L) for _ in range(2)]
+    set_b = [random_sequence(rng, q, L) for _ in range(3)]
+    # three complex or six real shifts per block: 13 shifts cross block boundaries
+    monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 3 * 3 * L * 16 + 1)
+    _assert_table_matches_pccf(set_a, set_b, list(range(13)))
+    monkeypatch.undo()
+    # the default block size: 4 x 2048 float64 rows give 64 shifts per block
+    set_a = [random_sequence(rng, 2, 2048) for _ in range(2)]
+    set_b = [random_sequence(rng, 2, 2048) for _ in range(4)]
+    _assert_table_matches_pccf(set_a, set_b, list(range(0, 2048, 19)))
+
+
+def _flipped_example_set():
+    fam = build_multiple_zcz(example1_params())
+    seqs = list(fam.sets[0].sequences)
+    exps = seqs[3].exponents.copy()
+    exps[5] ^= 1
+    seqs[3] = UnimodularSequence(2, exps)
+    return fam, seqs
+
+
+def _tuples(vios):
+    return [(v.i, v.j, v.shift, v.re, v.im) for v in vios]
+
+
+def test_flipped_chip_witnesses_are_pinned():
+    # pinned from the int64 einsum kernel this one replaced
+    fam, seqs = _flipped_example_set()
+    cert = verify_zcz(seqs, fam.Z)
+    assert _tuples(cert.violations) == [
+        (0, 3, 0, 2, 0), (1, 3, 0, -2, 0), (2, 3, 0, 2, 0), (3, 0, 0, 2, 0),
+        (3, 1, 0, -2, 0), (3, 2, 0, 2, 0), (3, 3, 1, -4, 0), (3, 4, 0, 2, 0),
+        (3, 5, 0, -2, 0), (3, 6, 0, 2, 0), (3, 7, 0, -2, 0), (4, 3, 0, 2, 0),
+        (5, 3, 0, -2, 0), (6, 3, 0, 2, 0), (7, 3, 0, -2, 0),
+    ]
+    assert _tuples([cert.witness]) == [(0, 3, 0, 2, 0)]
+    rep = verify_inter_zccz(seqs, fam.sets[1].sequences, fam.Zc)
+    assert _tuples(rep.violations) == [(3, j, 0, 2 * (-1) ** j, 0) for j in range(8)]
+    assert _tuples([rep.witness]) == [(3, 0, 0, 2, 0)]
+
+
+def test_quaternary_witnesses_are_pinned():
+    # pinned from the int64 einsum kernel this one replaced
+    def digest(vios):
+        blob = json.dumps([v.to_json_dict() for v in vios]).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+    rng = np.random.default_rng(12)
+    set_a = [UnimodularSequence(4, rng.integers(0, 4, 32)) for _ in range(5)]
+    set_b = [UnimodularSequence(4, rng.integers(0, 4, 32)) for _ in range(3)]
+    cert = verify_zcz(set_a, 6)
+    assert len(cert.violations) == 25
+    assert _tuples([cert.witness]) == [(0, 1, 0, -3, -7)]
+    assert digest(cert.violations) == (
+        "08c43ff96767bcfa072fb549930bfb57c5c6e9aadf0e690ef51061e70ca88ee6"
+    )
+    rep = verify_inter_zccz(set_a, set_b, 6)
+    assert len(rep.violations) == 28
+    assert _tuples([rep.witness]) == [(0, 0, 2, -8, 2)]
+    assert digest(rep.violations) == (
+        "cca6262a142725daf14599fe5f59cd07e01f28303d2babcd8fb58094d1c7927a"
+    )
+
+
+def test_verify_zcz_memory_is_bounded_by_the_shift_block():
+    fam = build_multiple_zcz(default_params(2, 7, 3, 2))
+    seqs = fam.sets[0].sequences
+    assert (len(seqs), fam.Z, fam.L) == (16, 128, 4096)
+    verify_zcz(seqs[:2], 3)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        cert = verify_zcz(seqs, fam.Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    # a K x (Z+1) x L int64 window tensor alone would take 65 MiB
+    assert peak < 24 * 2**20
