@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the multi-cluster uplink Monte-Carlo")
     sim.add_argument("config", help="JSON simulation config")
     sim.add_argument("-o", "--out", required=True, help="output directory")
-    sim.add_argument("--workers", type=int, default=None,
-                     help=f"process count (default: ${qscdma.WORKERS_ENV_VAR} or 1)")
     sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -286,22 +284,41 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _construction_params(con) -> construction.ConstructionParams:
+    """Parameters from a simulate config's ``construction`` block:
+    q, m, k, s (ints) and optionally J, pi (lists of ints)."""
+    if not isinstance(con, dict):
+        raise ValueError(f"simulation config key 'construction' must be an object, got {con!r}")
+    unknown = set(con) - {"q", "m", "k", "s", "J", "pi"}
+    if unknown:
+        raise ValueError(f"unknown construction keys: {sorted(unknown)}")
+    missing = {"q", "m", "k", "s"} - set(con)
+    if missing:
+        raise ValueError(f"construction block lacks required keys: {sorted(missing)}")
+    for key, value in con.items():
+        if key in ("J", "pi"):
+            if not isinstance(value, list) or any(type(v) is not int for v in value):
+                raise ValueError(f"construction key {key!r} must be a list of ints, got {value!r}")
+        elif type(value) is not int:
+            raise ValueError(f"construction key {key!r} must be an int, got {value!r}")
+    return construction.default_params(
+        con["q"], con["m"], con["k"], con["s"], J=con.get("J"), pi=con.get("pi")
+    )
+
+
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     raw = json.loads(config_path.read_text())
+    if not isinstance(raw, dict):
+        raise CliUsageError("simulation config must be a JSON object")
     if "family_dir" in raw:
         family = construction.load_family(raw.pop("family_dir")).as_family()
     elif "construction" in raw:
-        con = raw.pop("construction")
-        params = construction.default_params(
-            con["q"], con["m"], con["k"], con["s"],
-            J=con.get("J"), pi=con.get("pi"),
-        )
-        family = construction.build_multiple_zcz(params)
+        family = construction.build_multiple_zcz(_construction_params(raw.pop("construction")))
     else:
         raise CliUsageError("simulation config needs 'family_dir' or 'construction'")
     config = qscdma.SimulationConfig.from_json_dict(raw)
-    result = qscdma.simulate_ber(family, config, workers=args.workers)
+    result = qscdma.simulate_ber(family, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

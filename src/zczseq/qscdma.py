@@ -6,8 +6,18 @@ sequence.  BPSK data bits are spread chip-by-chip; every user has a fixed
 integer chip delay drawn uniformly from [0, max_delay_chips].  Bit
 windows wrap cyclically (cyclic-prefix style), so the periodic
 correlation properties certified for the family govern all interference.
-The receiver correlates each observed user's delayed signature over the
-bit window.
+The receiver correlates each observed user's delayed signature (its
+template) over the bit window and decides on the sign of the real part.
+Those matched-filter statistics are drawn directly (Verdu, *Multiuser
+Detection*, 1998, ch. 2-3).  With the delayed signatures as the rows of
+sig and the templates as the rows of T, one bit window yields
+
+    stats = bits^T G + n,   G = Re(sig T^H),   n ~ N(0, sigma^2 Re(T T^H)),
+
+the law of white chip noise of amplitude sigma (per component for complex
+chips) seen through the templates, at n_obs normals per bit instead of L.
+G is the multi-access-interference (MAI) matrix; for q in {1, 2, 4} it is
+integer and float64 forms it exactly (the argument in ``correlation``).
 
 SNR semantics: ``snr_axis="bit"`` treats the axis as Eb/N0 with the
 processing gain L absorbed (noise per chip has sigma^2 = L / (2 Eb/N0));
@@ -15,20 +25,20 @@ processing gain L absorbed (noise per chip has sigma^2 = L / (2 Eb/N0));
 because reported curves in the literature rarely say which one they use.
 
 All randomness is derived from the mandatory seed: delays from spawn key
-(0,), iteration streams from spawn key (1, point_index, iteration), so
-results are bit-identical no matter how many workers share the load.
+(0,), iteration streams from spawn key (1, point_index, iteration), each
+drawing its bits before its noise, so results depend on the seed alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import MultipleZczFamily
+from .correlation import verify_inter_zccz
 
 __all__ = [
     "SimulationConfig",
@@ -43,7 +53,19 @@ __all__ = [
     "InterferenceWitness",
 ]
 
-WORKERS_ENV_VAR = "ZCZSEQ_WORKERS"
+# JSON type of every config key; a bool is not a count
+_CONFIG_TYPES = {
+    "clusters": int,
+    "users_per_cluster": int,
+    "max_delay_chips": int,
+    "snr_db": list,
+    "seed": int,
+    "snr_axis": str,
+    "bits_per_iteration": int,
+    "iterations": int,
+    "noiseless": bool,
+    "observed_per_cluster": int,
+}
 
 
 @dataclass(frozen=True)
@@ -76,24 +98,21 @@ class SimulationConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimulationConfig":
-        known = {
-            "clusters",
-            "users_per_cluster",
-            "max_delay_chips",
-            "snr_db",
-            "seed",
-            "snr_axis",
-            "bits_per_iteration",
-            "iterations",
-            "noiseless",
-            "observed_per_cluster",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown simulation config keys: {sorted(unknown)}")
         missing = {"clusters", "users_per_cluster", "max_delay_chips", "seed"} - set(data)
         if missing:
             raise ValueError(f"simulation config lacks required keys: {sorted(missing)}")
+        for key, value in data.items():
+            if type(value) is not _CONFIG_TYPES[key]:
+                raise ValueError(
+                    f"simulation config key {key!r} must be of type "
+                    f"{_CONFIG_TYPES[key].__name__}, got {value!r}"
+                )
+        snr = data.get("snr_db", [])
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in snr):
+            raise ValueError(f"simulation config key 'snr_db' must list finite numbers, got {snr!r}")
         kwargs = dict(data)
         kwargs["snr_db"] = tuple(kwargs.get("snr_db", ()))
         return cls(**kwargs)
@@ -160,91 +179,42 @@ def theoretical_bpsk_ber(ebn0_db: float) -> float:
     return 0.5 * math.erfc(math.sqrt(2.0 * ebn0) / math.sqrt(2.0))
 
 
-def _ebn0_db(snr_db: float, axis: str, L: int) -> float:
-    return snr_db if axis == "bit" else snr_db + 10.0 * math.log10(L)
-
-
-def _signature_matrix(family, clusters, users_per_cluster, delays, integer: bool):
+def _signature_matrix(family, clusters, users_per_cluster, delays):
     """Stack every user's cyclically delayed signature as matrix rows."""
     assignment = assign_signatures(family, clusters, users_per_cluster)
-    rows = []
-    for c in range(clusters):
-        for u in range(users_per_cluster):
-            seq = assignment[c][u]
-            if integer:
-                comp = seq.exact_components()
-                if comp is None or comp[1].any():
-                    raise ValueError("integer chip model requires q in {1, 2}")
-                vals = comp[0]
-            else:
-                vals = seq.values()
-                if family.q == 2:
-                    vals = vals.real
-            rows.append(np.roll(vals, int(delays[c, u])))
-    return np.stack(rows)
+    return np.stack(
+        [
+            np.roll(assignment[c][u].values(), int(delays[c, u]))
+            for c in range(clusters)
+            for u in range(users_per_cluster)
+        ]
+    )
 
 
-def _draw_delays(config: SimulationConfig) -> np.ndarray:
+def _mai_matrix(sig: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """G = Re(sig sig[rows]^H): G[v, o] is what a +1 bit of user v adds to
+    the statistic of template o."""
+    return np.ascontiguousarray((sig @ sig[rows].conj().T).real)
+
+
+def _noise_factor(gram: np.ndarray) -> np.ndarray:
+    """The symmetric PSD square root F of a Gram matrix: N(0, I) F has
+    covariance gram.  Not Cholesky, which fails on the singular Gram
+    matrix of linearly dependent templates; not V sqrt(w), whose basis is
+    arbitrary inside a degenerate eigenspace, unlike the unique root."""
+    w, V = np.linalg.eigh(gram)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> SimulationResult:
+    """Estimate BER curves for the observed users (the first
+    ``observed_per_cluster`` of every cluster) from the config's seed."""
+    L = family.L
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    return rng.integers(
+    delays = rng.integers(
         0, config.max_delay_chips + 1, size=(config.clusters, config.users_per_cluster)
     )
-
-
-# worker-side state for multiprocess iteration fan-out
-_SIM_STATE: dict | None = None
-
-
-def _init_sim_worker(state):
-    global _SIM_STATE
-    _SIM_STATE = state
-
-
-def _run_iteration(task):
-    point_idx, iter_idx, sigma = task
-    st = _SIM_STATE
-    rng = np.random.default_rng(
-        np.random.SeedSequence(st["seed"], spawn_key=(1, point_idx, iter_idx))
-    )
-    n_bits = st["n_bits"]
-    sig = st["sig"]
-    bits = rng.integers(0, 2, size=(sig.shape[0], n_bits)) * 2 - 1
-    rx = bits.T.astype(sig.dtype) @ sig
-    if sigma > 0.0:
-        if np.iscomplexobj(sig):
-            rx = rx + sigma * (
-                rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape)
-            )
-        else:
-            rx = rx + sigma * rng.standard_normal(rx.shape)
-    stats = rx @ st["templates"].conj().T if np.iscomplexobj(sig) else rx @ st["templates"].T
-    stats = stats.real
-    decisions = np.where(stats > 0, 1, -1)
-    truth = bits[st["observed_rows"], :].T
-    return point_idx, (decisions != truth).sum(axis=0)
-
-
-def simulate_ber(
-    family: MultipleZczFamily, config: SimulationConfig, workers: int | None = None
-) -> SimulationResult:
-    """Estimate BER curves for the observed users (the first
-    ``observed_per_cluster`` of every cluster).
-
-    ``workers`` > 1 fans iterations out over processes; results are
-    identical for any worker count because every iteration owns a seeded
-    stream.  Defaults to the ZCZSEQ_WORKERS environment variable, else 1.
-    """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-
-    L = family.L
-    delays = _draw_delays(config)
-    integer = config.noiseless and family.q == 2
-    sig = _signature_matrix(
-        family, config.clusters, config.users_per_cluster, delays, integer=integer
-    )
+    sig = _signature_matrix(family, config.clusters, config.users_per_cluster, delays)
     observed = [
         (c, u)
         for c in range(config.clusters)
@@ -253,52 +223,41 @@ def simulate_ber(
     observed_rows = np.array(
         [c * config.users_per_cluster + u for c, u in observed], dtype=np.intp
     )
-    templates = sig[observed_rows]
+    G = _mai_matrix(sig, observed_rows)
+    F = _noise_factor(G[observed_rows])
 
+    # (noise amplitude per chip, SNR label) per point
     if config.noiseless:
-        points = [(0, 0.0, None)]
+        points = [(0.0, math.inf)]
         ebn0 = ()
     else:
-        ebn0 = tuple(_ebn0_db(x, config.snr_axis, L) for x in config.snr_db)
+        ebn0 = tuple(
+            x if config.snr_axis == "bit" else x + 10.0 * math.log10(L) for x in config.snr_db
+        )
         points = [
-            (idx, math.sqrt(L / (2.0 * 10.0 ** (e / 10.0))), db)
-            for idx, (db, e) in enumerate(zip(config.snr_db, ebn0))
+            (math.sqrt(L / (2.0 * 10.0 ** (e / 10.0))), db) for db, e in zip(config.snr_db, ebn0)
         ]
 
-    state = {
-        "seed": config.seed,
-        "n_bits": config.bits_per_iteration,
-        "sig": sig,
-        "templates": templates,
-        "observed_rows": observed_rows,
-    }
-    tasks = [
-        (idx, it, sigma)
-        for idx, sigma, _ in points
-        for it in range(config.iterations)
-    ]
-    if workers == 1 or len(tasks) == 1:
-        _init_sim_worker(state)
-        outcomes = [_run_iteration(t) for t in tasks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_init_sim_worker, initargs=(state,)) as pool:
-            outcomes = pool.map(_run_iteration, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-
     errors = np.zeros((len(points), len(observed)), dtype=np.int64)
-    for point_idx, errs in outcomes:
-        errors[point_idx] += errs
+    for point_idx, (sigma, _) in enumerate(points):
+        for iter_idx in range(config.iterations):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(1, point_idx, iter_idx))
+            )
+            bits = rng.integers(0, 2, size=(sig.shape[0], config.bits_per_iteration)) * 2 - 1
+            stats = bits.T @ G
+            if sigma > 0.0:
+                stats += sigma * (rng.standard_normal(stats.shape) @ F)
+            errors[point_idx] += ((stats > 0) != (bits[observed_rows].T > 0)).sum(axis=0)
     bits_per_point = config.bits_per_iteration * config.iterations
 
     curves = []
     for o_idx, (c, u) in enumerate(observed):
-        pts = []
-        for p_idx, _, db in points:
-            label = math.inf if db is None else db
-            pts.append(
-                BerPoint(snr_db=label, errors=int(errors[p_idx, o_idx]), bits=bits_per_point)
-            )
-        curves.append(UserBerCurve(cluster=c, user=u, points=tuple(pts)))
+        pts = tuple(
+            BerPoint(snr_db=db, errors=int(errors[p_idx, o_idx]), bits=bits_per_point)
+            for p_idx, (_, db) in enumerate(points)
+        )
+        curves.append(UserBerCurve(cluster=c, user=u, points=pts))
     return SimulationResult(
         config=config, delays=delays, curves=tuple(curves), ebn0_db=ebn0
     )
@@ -311,21 +270,19 @@ def noiseless_statistics(
     delays: np.ndarray,
     bits: np.ndarray,
 ) -> np.ndarray:
-    """Exact integer decision statistics for every user and bit window.
+    """Noise-free decision statistics bits^T G for every user and bit window.
 
-    ``bits`` has shape (users, n_bits) with entries +-1; the returned array
-    has shape (n_bits, users).  Interference-free operation means every
-    entry equals +-L.  Only defined for q = 2 chips.
+    ``bits`` has shape (users, n_bits) with entries +-1; the returned
+    float64 array has shape (n_bits, users); its entries are exact
+    integers for q in {1, 2, 4}, and +-L when nothing interferes.
     """
-    delays = np.asarray(delays)
-    sig = _signature_matrix(family, clusters, users_per_cluster, delays, integer=True)
+    sig = _signature_matrix(family, clusters, users_per_cluster, np.asarray(delays))
     bits = np.asarray(bits, dtype=np.int64)
     if bits.ndim != 2 or bits.shape[0] != sig.shape[0]:
         raise ValueError(f"bits must have shape (users={sig.shape[0]}, n_bits)")
     if not np.all(np.abs(bits) == 1):
         raise ValueError("bits must be +-1")
-    rx = bits.T @ sig
-    return rx @ sig.T
+    return bits.T @ _mai_matrix(sig, np.arange(sig.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -342,44 +299,21 @@ class InterferenceWitness:
 
 
 def find_interference_witness(
-    family: MultipleZczFamily,
-    max_delay_chips: int,
-    seed: int,
-    max_trials: int = 2000,
+    family: MultipleZczFamily, max_delay_chips: int
 ) -> InterferenceWitness | None:
-    """Randomized search for a user pair whose periodic correlation is
-    nonzero at a delay difference reachable under ``max_delay_chips``.
+    """The first cross-cluster user pair whose periodic correlation
+    (``value``, pccf at ``shift`` mod L) is nonzero at a delay difference
+    reachable under ``max_delay_chips``, or None when there is none.
 
-    Only shifts beyond the certified inter-set zone can qualify, so None
-    is the expected outcome whenever max_delay_chips <= Zc.
+    Every set pair is certified at zone min(max_delay_chips, L - 1).  Only
+    shifts beyond the inter-set zone can qualify, so None is returned at
+    once whenever max_delay_chips <= Zc.
     """
-    if len(family.sets) < 2:
-        return None
     if max_delay_chips <= family.Zc:
         return None
-    rng = np.random.default_rng(seed)
-    L = family.L
-    n_sets = len(family.sets)
-    K = family.sets[0].K
-    vals = [
-        [z.values() for z in st.sequences] for st in family.sets
-    ]
-    for _ in range(max_trials):
-        ca, cb = rng.choice(n_sets, size=2, replace=False)
-        i = int(rng.integers(K))
-        j = int(rng.integers(K))
-        shift = int(rng.integers(family.Zc + 1, max_delay_chips + 1))
-        if rng.integers(2):
-            shift = -shift
-        a, b = vals[ca][i], vals[cb][j]
-        phi = complex(np.dot(a, np.conj(np.roll(b, -shift))))
-        if abs(phi) > 1e-9 * L:
-            return InterferenceWitness(
-                cluster_a=int(ca),
-                user_a=i,
-                cluster_b=int(cb),
-                user_b=j,
-                shift=shift,
-                value=phi,
-            )
+    zone = min(max_delay_chips, family.L - 1)
+    for a, b in itertools.combinations(range(len(family.sets)), 2):
+        w = verify_inter_zccz(family.sets[a].sequences, family.sets[b].sequences, zone).witness
+        if w is not None:
+            return InterferenceWitness(a, w.i, b, w.j, w.shift, complex(w.re, w.im))
     return None

@@ -11,7 +11,13 @@ import time
 
 import numpy as np
 
-from conftest import naive_accf, naive_circular, random_sequence, random_valid_params
+from conftest import (
+    naive_accf,
+    naive_circular,
+    random_sequence,
+    random_valid_params,
+    two_proportion_z,
+)
 from zczseq import (
     accf,
     build_ccc_family,
@@ -215,12 +221,6 @@ def test_acceptance_correlation_oracle_equivalence():
     _report("correlation oracle equivalence", "1000 pairs")
 
 
-def _two_proportion_z(e1, n1, e2, n2):
-    p1, p2 = e1 / n1, e2 / n2
-    pooled = (e1 + e2) / (n1 + n2)
-    return (p1 - p2) / math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
-
-
 def test_acceptance_simulation_properties():
     """(a) noiseless 4x8-user run with delays <= 3 chips: exactly 0 bit
     errors over >= 1e5 bits; (b) single-user BER at {0,2,4} dB within 3
@@ -249,7 +249,6 @@ def test_acceptance_simulation_properties():
             clusters=1, users_per_cluster=1, max_delay_chips=0, snr_db=snrs,
             seed=SIM_SEED, bits_per_iteration=10_000, iterations=100,
         ),
-        workers=2,
     )
     for pt in single.curves[0].points:
         theory = theoretical_bpsk_ber(pt.snr_db)
@@ -262,13 +261,12 @@ def test_acceptance_simulation_properties():
             clusters=4, users_per_cluster=8, max_delay_chips=3, snr_db=snrs,
             seed=SIM_SEED, bits_per_iteration=10_000, iterations=100,
         ),
-        workers=2,
     )
     for curve in multi.curves:
         for idx in range(len(snrs)):
             s_pt = single.curves[0].points[idx]
             m_pt = curve.points[idx]
-            z = _two_proportion_z(s_pt.errors, s_pt.bits, m_pt.errors, m_pt.bits)
+            z = two_proportion_z(s_pt.errors, s_pt.bits, m_pt.errors, m_pt.bits)
             assert abs(z) < 2.576  # alpha = 0.01, two-sided
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
@@ -334,7 +332,7 @@ def test_acceptance_negative_controls():
         assert broken
 
     witness = find_interference_witness(
-        build_multiple_zcz(default_params(2, 4, 2, 2)), 4, seed=SIM_SEED
+        build_multiple_zcz(default_params(2, 4, 2, 2)), 4
     )
     assert witness is not None and abs(witness.shift) == 4 and abs(witness.value) > 0
     _report("negative controls", f"4096 flips + witness, {time.monotonic() - t0:.1f}s")

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, file outputs, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from zczseq import cli, correlation, format_gbf_text
 from zczseq.cli import EXIT_CERT_FAIL, EXIT_OK, EXIT_USAGE
@@ -204,6 +207,75 @@ def test_simulate_config_schema_violation(tmp_path, capsys):
     assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "o")) == EXIT_USAGE
     cfg_path.write_text("{not json")
     assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "o")) == EXIT_USAGE
+
+
+SMALL_SIM = {
+    "construction": {"q": 2, "m": 4, "k": 2, "s": 2},
+    "clusters": 1,
+    "users_per_cluster": 1,
+    "max_delay_chips": 0,
+    "snr_db": [0.0],
+    "bits_per_iteration": 10,
+    "iterations": 1,
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "config, needles",
+    [
+        (dict(SMALL_SIM, snr_db=0), ["'snr_db'"]),
+        (dict(SMALL_SIM, snr_db=[0, "2"]), ["'snr_db'", "finite numbers"]),
+        (dict(SMALL_SIM, snr_db=[float("nan")]), ["'snr_db'", "finite numbers"]),
+        (dict(SMALL_SIM, clusters="1"), ["'clusters'", "int"]),
+        (dict(SMALL_SIM, iterations=True), ["'iterations'", "int"]),
+        (dict(SMALL_SIM, construction={"q": 2, "m": 4, "k": 2, "s": 2, "typo": 1}),
+         ["construction", "'typo'"]),
+        (dict(SMALL_SIM, construction={"q": 2, "m": 4, "k": 2}), ["construction", "'s'"]),
+        (dict(SMALL_SIM, construction={"q": 2, "m": 4, "k": 2, "s": 2, "J": 0}),
+         ["construction", "'J'"]),
+        (5, ["JSON object"]),
+    ],
+    ids=["snr-scalar", "snr-string", "snr-nan", "count-string", "count-bool", "construction-typo",
+         "construction-missing", "construction-J-scalar", "not-an-object"],
+)
+def test_simulate_config_errors_name_the_key(tmp_path, capsys, config, needles):
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "o")) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for needle in needles:
+        assert needle in err
+
+
+def test_simulate_has_no_workers_option(tmp_path, capsys):
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(SMALL_SIM))
+    argv = ("simulate", str(cfg_path), "--workers", "2", "-o", str(tmp_path / "o"))
+    assert run_cli(*argv) == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_simulate_noiseless_outputs_are_byte_stable(tmp_path):
+    """A noiseless run with delays up to 40 chips, where interference
+    causes some errors, reproduces the bytes the chip-level simulator
+    wrote before the statistics were drawn directly."""
+    cfg = dict(SMALL_SIM, clusters=4, users_per_cluster=8, observed_per_cluster=8,
+               max_delay_chips=40, noiseless=True, bits_per_iteration=2000,
+               iterations=2, seed=34)
+    del cfg["snr_db"]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run_cli("simulate", str(cfg_path), "-o", str(out)) == EXIT_OK
+    assert any(ln.split(",")[2] != "0.0" for ln in (out / "ber.csv").read_text().splitlines()[1:])
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in ("ber.csv", "summary.json")}
+    assert digest == {
+        "ber.csv": "2a62c3006262130eafa78a49cc6a90a34b1fd312bcad23c6214fbf02a3684afd",
+        "summary.json": "a8fce5acf8cfffb8e2700e633a56939095141c426d2381a80c17ef6b346ecaf8",
+    }
 
 
 def test_usage_errors_exit_one(capsys):
