@@ -11,7 +11,6 @@ from .gbf import (
     PathFormReport,
     binvec,
     psi,
-    psi_restricted,
     quadratic_graph,
     validate_restricted_path_form,
     parse_gbf_text,

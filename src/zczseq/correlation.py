@@ -17,12 +17,18 @@ Whole sets go through one batch kernel, ``_periodic_table``.  Each set is
 stacked as a float64 matrix (complex128 if any entry has a nonzero
 imaginary part) and the shifts are walked in blocks of cyclically shifted
 rows, ``_SHIFT_BLOCK_BYTES`` at a time, with one BLAS GEMM per block; so
-working memory is O(K * block * L) beyond the output table.  For q in
-{1, 2, 4} the GEMM is exact: every entry and every product is a Gaussian
-integer with components in {-1, 0, 1}, and every partial sum (and every
-real part the complex GEMM forms) is an integer of magnitude at most
-2L < 2**53, which float64 holds and adds without rounding in any order.
-Those tables are returned as int64.
+working memory is O(K * block * L) beyond the output table.  Aperiodic
+code tables are periodic tables too: ``verify_ccc`` lays each code's rows
+end to end, every row followed by L zeros, so shifts below L never carry
+one row into the next.
+
+Every float64 dot product here, the scalar ``accf`` included, is exact for
+q in {1, 2, 4}: every entry and every product is a Gaussian integer with
+components in {-1, 0, 1}, and every partial sum (and every real part the
+complex products form) is an integer of magnitude at most twice the row
+length N, below 2**53, which float64 holds and adds without rounding in
+any order.  Exact tables are returned as int64 and exact ``accf`` values
+as Python ints.
 """
 
 from __future__ import annotations
@@ -115,20 +121,13 @@ def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> CorrelationVal
     L = _check_pair(a, b)
     if abs(u) > L:
         raise ValueError(f"shift {u} outside [-{L}, {L}]")
-    exact = a.exact and b.exact
-    if abs(u) == L:
-        return CorrelationValue(0, 0, exact, 0.0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L)
     if u >= 0:
         sa, sb = slice(0, L - u), slice(u, L)
     else:
         sa, sb = slice(-u, L), slice(0, L + u)
-    if exact:
-        ar, ai = a.exact_components()
-        br, bi = b.exact_components()
-        re = int(np.dot(ar[sa], br[sb]) + np.dot(ai[sa], bi[sb]))
-        im = int(np.dot(ai[sa], br[sb]) - np.dot(ar[sa], bi[sb]))
-        return CorrelationValue(re, im, True)
     val = np.dot(a.values()[sa], np.conj(b.values()[sb]))
+    if a.exact and b.exact:
+        return CorrelationValue(int(val.real), int(val.imag), True)
     return CorrelationValue(float(val.real), float(val.imag), False, FLOAT_ZERO_TOL_PER_CHIP * L)
 
 
@@ -166,29 +165,34 @@ _SHIFT_BLOCK_BYTES = 4 << 20
 
 
 class _Block:
-    """A sequence set stacked as one K x L matrix: float64 when every entry
+    """K rows of period L stacked as one matrix: float64 when every entry
     is real, complex128 otherwise."""
 
     __slots__ = ("K", "L", "q", "exact", "mat", "tol")
 
-    def __init__(self, seqs):
-        seqs = list(seqs)
-        if not seqs:
-            raise ValueError("empty sequence set")
-        q = seqs[0].q
-        L = len(seqs[0])
-        for z in seqs:
-            if z.q != q:
-                raise ValueError("sequences must share one modulus")
-            if len(z) != L:
-                raise ValueError("sequences must share one length")
-        self.K = len(seqs)
-        self.L = L
+    def __init__(self, mat, q, exact, tol):
+        self.K, self.L = mat.shape
         self.q = q
-        self.exact = all(z.exact for z in seqs)
-        mat = np.stack([z.values() for z in seqs])
+        self.exact = exact
         self.mat = mat if mat.imag.any() else np.ascontiguousarray(mat.real)
-        self.tol = 0.0 if self.exact else FLOAT_ZERO_TOL_PER_CHIP * L
+        self.tol = tol
+
+
+def _stack(seqs) -> _Block:
+    """A sequence set as one block; the sequences must share q and L."""
+    seqs = list(seqs)
+    if not seqs:
+        raise ValueError("empty sequence set")
+    q = seqs[0].q
+    L = len(seqs[0])
+    for z in seqs:
+        if z.q != q:
+            raise ValueError("sequences must share one modulus")
+        if len(z) != L:
+            raise ValueError("sequences must share one length")
+    exact = seqs[0].exact
+    tol = 0.0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L
+    return _Block(np.stack([z.values() for z in seqs]), q, exact, tol)
 
 
 def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -243,20 +247,21 @@ class Violation:
         }
 
 
-def _scan_block(re, im, shifts, tol, expect_peak_at_zero, L):
+def _scan_block(re, im, shifts, tol, peak, pair_major=False):
     """Collect zone violations from one periodic-correlation table.
 
-    Returns the worst violation per ordered pair (the first in scan order
-    wins ties), pairs sorted, and the first violation in scan order
-    (shift-major, then i, then j).  ``expect_peak_at_zero`` additionally
-    demands phi(i,i)(0) = L.
+    Every entry must be zero except phi(i,i)(0), which must equal ``peak``
+    (a ``peak`` of 0 demands zero there too).  Returns the worst violation
+    per ordered pair (the first in scan order wins ties), pairs sorted, and
+    the first violation in scan order: shift-major, then i, then j; or,
+    with ``pair_major``, i, then j, then shift.
     """
     dev = np.abs(re) + np.abs(im)
-    if expect_peak_at_zero:
+    if peak:
         diag = np.arange(re.shape[1])
         for u_idx in np.flatnonzero(shifts == 0):
             dev[u_idx, diag, diag] = (
-                np.abs(re[u_idx, diag, diag] - L) + np.abs(im[u_idx, diag, diag])
+                np.abs(re[u_idx, diag, diag] - peak) + np.abs(im[u_idx, diag, diag])
             )
     bad = np.argwhere(dev > tol)
     if not bad.size:
@@ -273,7 +278,8 @@ def _scan_block(re, im, shifts, tol, expect_peak_at_zero, L):
             int(i[n]), int(j[n]), int(shifts[u_idx[n]]), vals_re[n].item(), vals_im[n].item()
         )
 
-    return tuple(violation(n) for n in first), violation(0)
+    # argwhere is shift-major, so the first entry of the lowest pair has its lowest shift
+    return tuple(violation(n) for n in first), violation(np.argmin(pair) if pair_major else 0)
 
 
 def performance_parameter(K: int, Z: int, L: int, binary: bool = False):
@@ -337,14 +343,12 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
     phi(i, j)(u) = 0 for i != j, 0 <= u <= Z, over all ordered pairs;
     negative shifts follow from conjugate symmetry.
     """
-    block = _Block(seqs)
+    block = _stack(seqs)
     if not 0 <= Z < block.L:
         raise ValueError(f"zone width {Z} outside [0, {block.L})")
     shifts = np.arange(Z + 1, dtype=np.int64)
     re, im = _periodic_table(block, block, shifts)
-    violations, witness = _scan_block(
-        re, im, shifts, block.tol, expect_peak_at_zero=True, L=block.L
-    )
+    violations, witness = _scan_block(re, im, shifts, block.tol, peak=block.L)
     rho, classification = performance_parameter(
         block.K, Z, block.L, binary=(block.q == 2)
     )
@@ -389,7 +393,7 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     the reversed orientation is reported with a negative shift (conjugate
     symmetry maps it back to the forward pair).
     """
-    A, B = _Block(set_a), _Block(set_b)
+    A, B = _stack(set_a), _stack(set_b)
     if A.L != B.L or A.q != B.q:
         raise ValueError("sets must share length and modulus")
     if not 0 <= Zc < A.L:
@@ -398,9 +402,7 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     collected = []
     for front, back, sign in ((A, B, 1), (B, A, -1)):
         re, im = _periodic_table(front, back, shifts)
-        vio, _ = _scan_block(
-            re, im, shifts, front.tol, expect_peak_at_zero=False, L=front.L
-        )
+        vio, _ = _scan_block(re, im, shifts, front.tol, peak=0)
         if sign < 0:
             # shift-0 entries mirror the forward orientation; drop duplicates
             vio = tuple(
@@ -442,41 +444,37 @@ class CccReport:
 
 def verify_ccc(codes) -> CccReport:
     """Check the complete-complementary conditions over all ordered code
-    pairs and all shifts |u| < L: row-summed ACCF equals L*M only for a
+    pairs and all shifts 0 <= u < L: row-summed ACCF equals L*M only for a
     code against itself at zero shift.  Negative shifts follow from
-    conjugate symmetry of the row sums."""
+    conjugate symmetry of the row sums.
+
+    Each code becomes one row of length 2ML: its M rows end to end, every
+    row followed by L zeros.  No shift below L then carries a row into its
+    neighbour or wraps around, so the periodic table at shifts 0..L-1 is
+    exactly the row-summed ACCF.  The witness is the first violation in
+    (e1, e2, u) order.
+    """
     codes = [_rows_of(c) for c in codes]
     if not codes:
         raise ValueError("empty code collection")
-    M = len(codes[0])
-    L = len(codes[0][0])
-    for rows in codes:
-        if len(rows) != M or any(len(r) != L for r in rows):
-            raise ValueError("codes must share one (rows, length) shape")
-    P = len(codes)
-    violations: dict[tuple[int, int], Violation] = {}
-    witness = None
-    for e1 in range(P):
-        for e2 in range(P):
-            for u in range(L):
-                val = code_accf(codes[e1], codes[e2], u)
-                want = L * M if (e1 == e2 and u == 0) else 0
-                dev = abs(val.as_complex() - want)
-                if dev > (0 if val.exact else val.tol):
-                    v = Violation(e1, e2, u, val.re, val.im)
-                    if witness is None:
-                        witness = v
-                    prev = violations.get((e1, e2))
-                    if prev is None or v.magnitude > prev.magnitude:
-                        violations[(e1, e2)] = v
-    ordered = tuple(violations[k] for k in sorted(violations))
+    P, M = len(codes), len(codes[0])
+    if any(len(rows) != M for rows in codes):
+        raise ValueError("codes must share one row count")
+    rows = _stack(r for code in codes for r in code)
+    L = rows.L
+    padded = np.zeros((P * M, 2 * L), dtype=rows.mat.dtype)
+    padded[:, :L] = rows.mat
+    block = _Block(padded.reshape(P, 2 * M * L), rows.q, rows.exact, rows.tol)
+    shifts = np.arange(L, dtype=np.int64)
+    re, im = _periodic_table(block, block, shifts)
+    violations, witness = _scan_block(re, im, shifts, block.tol, peak=L * M, pair_major=True)
     return CccReport(
         P=P,
         M=M,
         L=L,
-        passed=not ordered and P == M,
+        passed=not violations and P == M,
         is_complete=P == M,
-        violations=ordered,
+        violations=violations,
         witness=witness,
     )
 
@@ -504,17 +502,15 @@ class SpectrumTable:
         return float(np.abs(self.re[sl] + 1j * self.im[sl]).max())
 
     def write_csv(self, path) -> None:
+        """One row per (i, j, u), i slowest.  int64 tables write ints and
+        float64 tables write ``repr`` floats (``str(float) == repr(float)``)."""
+        i, j, u = np.indices((self.K, self.K, self.L)).reshape(3, -1).tolist()
+        re = self.re.transpose(1, 2, 0).ravel().tolist()
+        im = self.im.transpose(1, 2, 0).ravel().tolist()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["pair_i", "pair_j", "shift", "re", "im"])
-            for i in range(self.K):
-                for j in range(self.K):
-                    for u in range(self.L):
-                        re, im = self.re[u, i, j], self.im[u, i, j]
-                        if self.exact:
-                            w.writerow([i, j, u, int(re), int(im)])
-                        else:
-                            w.writerow([i, j, u, repr(float(re)), repr(float(im))])
+            w.writerows(zip(i, j, u, re, im))
 
 
 def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> SpectrumTable:
@@ -522,7 +518,7 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
 
     Refuses to allocate more than ``max_cells`` table entries (K * K * L).
     """
-    block = _Block(seqs)
+    block = _stack(seqs)
     cells = block.K * block.K * block.L
     if cells > max_cells:
         raise SpectrumCapError(

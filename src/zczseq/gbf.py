@@ -22,7 +22,6 @@ __all__ = [
     "PathFormReport",
     "binvec",
     "psi",
-    "psi_restricted",
     "quadratic_graph",
     "validate_restricted_path_form",
     "parse_gbf_text",
@@ -182,15 +181,10 @@ class GeneralizedBooleanFunction:
 
 @dataclass(frozen=True, eq=False)
 class UnimodularSequence:
-    """Length-L sequence of q-th roots of unity stored as exponents.
-
-    ``zero_mask`` (optional) marks entries that are literally 0 rather
-    than a root of unity, as produced by restricted functions.
-    """
+    """Length-L sequence of q-th roots of unity stored as exponents."""
 
     q: int
     exponents: np.ndarray
-    zero_mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.q < 1:
@@ -203,13 +197,6 @@ class UnimodularSequence:
         exps = exps.copy()
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
-        if self.zero_mask is not None:
-            mask = np.asarray(self.zero_mask, dtype=bool)
-            if mask.shape != exps.shape:
-                raise ValueError("zero_mask must match exponents in shape")
-            mask = mask.copy()
-            mask.setflags(write=False)
-            object.__setattr__(self, "zero_mask", mask)
 
     def __len__(self) -> int:
         return int(self.exponents.size)
@@ -217,11 +204,7 @@ class UnimodularSequence:
     def __eq__(self, other):
         if not isinstance(other, UnimodularSequence):
             return NotImplemented
-        if self.q != other.q or not np.array_equal(self.exponents, other.exponents):
-            return False
-        a = self.zero_mask if self.zero_mask is not None else np.zeros(len(self), bool)
-        b = other.zero_mask if other.zero_mask is not None else np.zeros(len(other), bool)
-        return np.array_equal(a, b)
+        return self.q == other.q and np.array_equal(self.exponents, other.exponents)
 
     @property
     def exact(self) -> bool:
@@ -229,35 +212,16 @@ class UnimodularSequence:
         return self.q in (1, 2, 4)
 
     def values(self) -> np.ndarray:
-        """Complex entries; masked positions are 0."""
+        """Complex entries."""
         if self.q == 1:
-            vals = np.ones(len(self), dtype=np.complex128)
-        elif self.q == 2:
-            vals = (1.0 - 2.0 * self.exponents).astype(np.complex128)
-        elif self.q == 4:
+            return np.ones(len(self), dtype=np.complex128)
+        if self.q == 2:
+            return (1.0 - 2.0 * self.exponents).astype(np.complex128)
+        if self.q == 4:
             re = np.array([1, 0, -1, 0], dtype=np.float64)[self.exponents]
             im = np.array([0, 1, 0, -1], dtype=np.float64)[self.exponents]
-            vals = re + 1j * im
-        else:
-            vals = np.exp(2j * np.pi * self.exponents / self.q)
-        if self.zero_mask is not None:
-            vals = np.where(self.zero_mask, 0.0, vals)
-        return vals
-
-    def exact_components(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Integer (re, im) entry arrays, or None when q does not divide 4."""
-        if not self.exact:
-            return None
-        if self.q == 4:
-            re = np.array([1, 0, -1, 0], dtype=np.int64)[self.exponents]
-            im = np.array([0, 1, 0, -1], dtype=np.int64)[self.exponents]
-        else:
-            re = 1 - 2 * self.exponents if self.q == 2 else np.ones(len(self), np.int64)
-            im = np.zeros(len(self), dtype=np.int64)
-        if self.zero_mask is not None:
-            re = np.where(self.zero_mask, 0, re)
-            im = np.where(self.zero_mask, 0, im)
-        return re, im
+            return re + 1j * im
+        return np.exp(2j * np.pi * self.exponents / self.q)
 
 
 @dataclass(frozen=True)
@@ -287,19 +251,6 @@ class QuadraticGraph:
 def psi(f: GeneralizedBooleanFunction) -> UnimodularSequence:
     """Unimodular sequence of f: entry j carries exponent f(j_0,...,j_{m-1})."""
     return UnimodularSequence(f.q, f.truth_table())
-
-
-def psi_restricted(f: GeneralizedBooleanFunction, J, e) -> UnimodularSequence:
-    """Sequence of a restriction: equal to psi(f) where the index bits agree
-    with ``e`` on ``J``, literally zero elsewhere (recorded in the mask)."""
-    J = tuple(J)
-    e = tuple(int(b) for b in e)
-    f.restrict(J, e)  # reuse argument validation
-    j = np.arange(1 << f.m, dtype=np.int64)
-    agree = np.ones(j.size, dtype=bool)
-    for idx, bit in zip(J, e):
-        agree &= ((j >> idx) & 1) == bit
-    return UnimodularSequence(f.q, f.truth_table(), zero_mask=~agree)
 
 
 def quadratic_graph(f: GeneralizedBooleanFunction) -> QuadraticGraph:

@@ -19,9 +19,6 @@ from zczseq.gbf import GeneralizedBooleanFunction, UnimodularSequence
 def seq_values_list(seq: UnimodularSequence) -> list[complex]:
     vals = []
     for idx in range(len(seq)):
-        if seq.zero_mask is not None and seq.zero_mask[idx]:
-            vals.append(0j)
-            continue
         e = int(seq.exponents[idx])
         if seq.q == 1:
             vals.append(1 + 0j)
@@ -48,14 +45,8 @@ def naive_circular(a: UnimodularSequence, b: UnimodularSequence, u: int) -> comp
     return sum((va[i] * vb[(i + u) % L].conjugate() for i in range(L)), 0j)
 
 
-def random_sequence(rng, q: int, L: int, masked: bool = False) -> UnimodularSequence:
-    exps = rng.integers(0, q, size=L)
-    mask = None
-    if masked:
-        mask = rng.integers(0, 2, size=L).astype(bool)
-        if mask.all():
-            mask[0] = False
-    return UnimodularSequence(q, exps, zero_mask=mask)
+def random_sequence(rng, q: int, L: int) -> UnimodularSequence:
+    return UnimodularSequence(q, rng.integers(0, q, size=L))
 
 
 def random_gbf(rng, q: int, m: int, n_terms: int = 6) -> GeneralizedBooleanFunction:

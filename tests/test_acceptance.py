@@ -199,7 +199,7 @@ def test_acceptance_correlation_oracle_equivalence():
     while pairs < 1000:
         q = int(rng.choice([2, 4, 6]))
         L = int(rng.integers(1, 65))
-        a = random_sequence(rng, q, L, masked=bool(rng.integers(4) == 0))
+        a = random_sequence(rng, q, L)
         b = random_sequence(rng, q, L)
         shifts = {0, 1 % L, L - 1, L, -L}
         shifts.update(int(x) for x in rng.integers(-L, L + 1, size=8))

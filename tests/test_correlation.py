@@ -70,7 +70,7 @@ def test_accf_conjugate_symmetry():
     for _ in range(40):
         q = int(rng.choice([2, 4]))
         L = int(rng.integers(2, 33))
-        a = random_sequence(rng, q, L, masked=bool(rng.integers(2)))
+        a = random_sequence(rng, q, L)
         b = random_sequence(rng, q, L)
         u = int(rng.integers(-L, L + 1))
         lhs = accf(a, b, u)
@@ -139,16 +139,91 @@ def test_verify_ccc_smallest_construction():
 
 
 def test_verify_ccc_repeated_code_fails_at_zero_shift():
-    fams = build_ccc_family(default_params(2, 2, 0, 0))
-    rep = verify_ccc([fams[0][0], fams[0][0]])
-    assert not rep.passed
-    assert rep.witness.shift == 0 and rep.witness.i != rep.witness.j
+    for q in (2, 4):
+        fams = build_ccc_family(default_params(q, 2, 0, 0))
+        rep = verify_ccc([fams[0][0], fams[0][0]])
+        assert not rep.passed
+        assert rep.witness.shift == 0 and rep.witness.i != rep.witness.j
 
 
 def test_verify_ccc_incomplete_collection_flagged():
     fams = build_ccc_family(default_params(2, 2, 0, 0))
     rep = verify_ccc([fams[0][0]])
     assert not rep.is_complete and not rep.passed and not rep.violations
+    # P < M: the codes of a complete collection still pass every row-sum test
+    rep = verify_ccc(build_ccc_family(example1_params())[0][:3])
+    assert (rep.P, rep.M, rep.L) == (3, 8, 16)
+    assert not rep.is_complete and not rep.passed and not rep.violations
+
+
+def test_verify_ccc_rejects_mixed_shapes():
+    rng = np.random.default_rng(40)
+    code = [random_sequence(rng, 2, 8) for _ in range(2)]
+    for other in (
+        [random_sequence(rng, 4, 8) for _ in range(2)],  # modulus
+        [random_sequence(rng, 2, 9) for _ in range(2)],  # length
+        [random_sequence(rng, 2, 8) for _ in range(3)],  # row count
+    ):
+        with pytest.raises(ValueError):
+            verify_ccc([code, other])
+    with pytest.raises(ValueError):
+        verify_ccc([])
+
+
+def _ccc_oracle(codes):
+    """Every violation by direct row sums through code_accf, in (e1, e2, u)
+    order, and the worst violation per pair (the first wins ties)."""
+    M, L = len(codes[0]), len(codes[0][0])
+    found, worst = [], {}
+    for e1, code1 in enumerate(codes):
+        for e2, code2 in enumerate(codes):
+            for u in range(L):
+                val = code_accf(code1, code2, u)
+                want = L * M if e1 == e2 and u == 0 else 0
+                if abs(val.as_complex() - want) > val.tol:
+                    v = (e1, e2, u, val.re, val.im)
+                    found.append(v)
+                    prev = worst.get((e1, e2))
+                    if prev is None or abs(val.as_complex()) > abs(complex(*prev[3:])):
+                        worst[e1, e2] = v
+    return found, [worst[k] for k in sorted(worst)]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("P,M,L", [(3, 3, 8), (2, 4, 5), (4, 2, 6), (5, 1, 7)])
+def test_verify_ccc_matches_code_accf_oracle(q, P, M, L):
+    rng = np.random.default_rng(100 * q + 10 * P + M)
+    codes = [[random_sequence(rng, q, L) for _ in range(M)] for _ in range(P)]
+    rep = verify_ccc(codes)
+    found, worst = _ccc_oracle(codes)
+    # the witness is the first violation in (e1, e2, u) order, not in shift order
+    assert found[0] != min(found, key=lambda v: (v[2], v[0], v[1]))
+    got = _tuples(rep.violations)
+    assert len(got) == len(worst)
+    for g, w in zip(got + _tuples([rep.witness]), worst + found[:1]):
+        assert g[:3] == w[:3]
+        if q == 8:
+            assert abs(complex(*g[3:]) - complex(*w[3:])) <= 1e-9 * L
+        else:
+            assert g == w and all(type(x) is int for x in g)
+    assert (rep.P, rep.M, rep.L, rep.passed) == (P, M, L, False)
+
+
+def test_verify_ccc_flipped_chip_report_is_pinned():
+    # pinned from the per-(e1, e2, u) code_accf loop this kernel replaced
+    codes = list(build_ccc_family(example1_params())[0])
+    rows = list(codes[0].rows)
+    exps = rows[0].exponents.copy()
+    exps[0] ^= 1
+    rows[0] = UnimodularSequence(2, exps)
+    codes[0] = rows
+    rep = verify_ccc(codes)
+    assert rep.is_complete and not rep.passed
+    assert _tuples(rep.violations) == [(0, 0, 1, -2, 0)] + [
+        (0, j, 0, -2, 0) for j in range(1, 8)
+    ] + [(i, 0, 0, -2, 0) for i in range(1, 8)]
+    # pair-major order: shift-major would report (0, 1, 0) first
+    assert _tuples([rep.witness]) == [(0, 0, 1, -2, 0)]
 
 
 def test_verify_zcz_singleton_trivial():
@@ -222,6 +297,15 @@ def test_spectrum_csv_round_trip(tmp_path):
     i, j, u, re, im = lines[1 + 8].split(",")
     assert (int(i), int(j), int(u)) == (0, 1, 0)
     assert complex(int(re), int(im)) == table.value(0, 1, 0)
+    # the row format: ints for exact tables, repr() of every float otherwise
+    for q in (2, 6):
+        table = correlation_spectrum([random_sequence(rng, q, 8) for _ in range(2)])
+        table.write_csv(path)
+        fmt = int if table.exact else (lambda x: repr(float(x)))
+        assert path.read_text().splitlines()[1:] == [
+            f"{i},{j},{u},{fmt(table.re[u, i, j])},{fmt(table.im[u, i, j])}"
+            for i in range(2) for j in range(2) for u in range(8)
+        ]
 
 
 def test_certificate_json_shapes():
@@ -234,7 +318,7 @@ def test_certificate_json_shapes():
 
 def _assert_table_matches_pccf(set_a, set_b, shifts):
     re, im = correlation._periodic_table(
-        correlation._Block(set_a), correlation._Block(set_b), shifts
+        correlation._stack(set_a), correlation._stack(set_b), shifts
     )
     assert re.shape == im.shape == (len(shifts), len(set_a), len(set_b))
     exact = set_a[0].exact
@@ -253,7 +337,7 @@ def _assert_table_matches_pccf(set_a, set_b, shifts):
 def test_periodic_table_matches_scalar_pccf(q):
     rng = np.random.default_rng(20 + q)
     L = 48
-    set_a = [random_sequence(rng, q, L, masked=(n == 0)) for n in range(3)]
+    set_a = [random_sequence(rng, q, L) for _ in range(3)]
     set_b = [random_sequence(rng, q, L) for _ in range(5)]
     _assert_table_matches_pccf(set_a, set_b, list(range(L)))
     _assert_table_matches_pccf(set_b, set_a, [7, 0, L - 1, 3])

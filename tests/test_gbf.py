@@ -13,7 +13,6 @@ from zczseq import (
     format_gbf_text,
     parse_gbf_text,
     psi,
-    psi_restricted,
     quadratic_graph,
     validate_restricted_path_form,
 )
@@ -112,41 +111,6 @@ def test_restrict_is_additive():
         assert (f + g).restrict(J, e) == f.restrict(J, e) + g.restrict(J, e)
 
 
-def test_psi_restricted_empty_restriction_is_psi():
-    f = example1_f()
-    assert psi_restricted(f, [], []) == psi(f)
-
-
-def test_psi_restricted_hand_positions():
-    f = G(2, 2, {(0, 1): 1})
-    seq = psi_restricted(f, [0], [1])
-    assert list(seq.exponents) == [0, 0, 0, 1]
-    assert list(seq.zero_mask) == [True, False, True, False]
-    vals = seq.values()
-    assert list(vals) == [0, 1, 0, -1]
-
-
-def test_psi_restricted_mask_counts_and_partition():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(2, 7))
-        f = random_gbf(rng, 2, m)
-        n_j = int(rng.integers(1, m + 1))
-        J = tuple(int(x) for x in rng.choice(m, size=n_j, replace=False))
-        coverage = np.zeros(1 << m, dtype=int)
-        for bits in range(1 << n_j):
-            e = [(bits >> b) & 1 for b in range(n_j)]
-            seq = psi_restricted(f, J, e)
-            unmasked = ~seq.zero_mask
-            assert unmasked.sum() == 1 << (m - n_j)
-            # unmasked entries agree with psi(f); masked are the disagreeing indices
-            assert np.array_equal(seq.exponents[unmasked], psi(f).exponents[unmasked])
-            for j in np.flatnonzero(unmasked):
-                assert all(((int(j) >> J[b]) & 1) == e[b] for b in range(n_j))
-            coverage += unmasked
-        assert np.all(coverage == 1)
-
-
 def test_quadratic_graph_linear_and_example():
     assert quadratic_graph(G(2, 3, {(0,): 1, (): 1})).edges == frozenset()
     g = quadratic_graph(example1_f())
@@ -230,9 +194,4 @@ def test_text_format_malformed():
 def test_sequence_invariants():
     with pytest.raises(ValueError):
         UnimodularSequence(2, np.array([0, 2]))
-    with pytest.raises(ValueError):
-        UnimodularSequence(2, np.array([0, 1]), zero_mask=np.array([True]))
-    seq = UnimodularSequence(4, np.array([0, 1, 2, 3]))
-    re, im = seq.exact_components()
-    assert list(re) == [1, 0, -1, 0] and list(im) == [0, 1, 0, -1]
     assert not UnimodularSequence(6, np.array([0, 1])).exact
