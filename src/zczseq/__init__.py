@@ -30,6 +30,7 @@ from .correlation import (
     verify_ccc,
     verify_zcz,
     verify_inter_zccz,
+    certify_family,
     performance_parameter,
     correlation_spectrum,
 )

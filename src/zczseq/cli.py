@@ -121,25 +121,16 @@ def _params_from_args(args) -> construction.ConstructionParams:
 
 def _certify(family: construction.MultipleZczFamily, deep: bool = False) -> dict:
     """Run every certificate for a family; returns a JSON-ready summary."""
-    report: dict = {"sets": [], "inter": [], "deep": None}
-    ok = True
-    for t1, st in enumerate(family.sets):
-        cert = correlation.verify_zcz(st.sequences, family.Z)
-        ok &= cert.passed
-        report["sets"].append(cert.to_json_dict())
-    for a in range(len(family.sets)):
-        for b in range(a + 1, len(family.sets)):
-            inter = correlation.verify_inter_zccz(
-                family.sets[a].sequences, family.sets[b].sequences, family.Zc
-            )
-            ok &= inter.passed
-            entry = inter.to_json_dict()
-            entry["pair"] = [a, b]
-            report["inter"].append(entry)
-    union = construction.union_family(family)
-    union_cert = correlation.verify_zcz(union.sequences, union.Z)
-    ok &= union_cert.passed
-    report["union"] = union_cert.to_json_dict()
+    set_certs, inter, union_cert = correlation.certify_family(
+        [st.sequences for st in family.sets], family.Z, family.Zc
+    )
+    report: dict = {
+        "sets": [cert.to_json_dict() for cert in set_certs],
+        "inter": [{**rep.to_json_dict(), "pair": [a, b]} for (a, b), rep in inter.items()],
+        "union": union_cert.to_json_dict(),
+        "deep": None,
+    }
+    ok = all(c.passed for c in (*set_certs, *inter.values(), union_cert))
     if deep:
         report["deep"] = _deep_checks(family)
         ok &= report["deep"]["pass"]

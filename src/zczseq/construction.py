@@ -615,7 +615,7 @@ _HEADER_KEYS = ("q", "L", "Z", "Zc")
 
 def _format_sequence_file(seq: UnimodularSequence, Z: int, Zc: int) -> str:
     lines = [f"q={seq.q}", f"L={len(seq)}", f"Z={Z}", f"Zc={Zc}"]
-    lines.extend(str(int(e)) for e in seq.exponents)
+    lines.extend(map(str, seq.exponents.tolist()))
     return "\n".join(lines) + "\n"
 
 

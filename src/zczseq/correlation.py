@@ -14,26 +14,33 @@ are exact; for other moduli values are complex doubles with an absolute
 zero tolerance of 1e-9 * L.
 
 Whole sets go through one batch kernel, ``_periodic_table``.  Each set is
-stacked as a float64 matrix (complex128 if any entry has a nonzero
-imaginary part) and the shifts are walked in blocks of cyclically shifted
-rows, ``_SHIFT_BLOCK_BYTES`` at a time, with one BLAS GEMM per block; so
-working memory is O(K * block * L) beyond the output table.  Aperiodic
-code tables are periodic tables too: ``verify_ccc`` lays each code's rows
-end to end, every row followed by L zeros, so shifts below L never carry
-one row into the next.
+stacked as one matrix, real unless an entry has a nonzero imaginary part,
+by gathering from the table of the q roots of unity; the shifts are walked
+in blocks of cyclically shifted rows, ``_SHIFT_BLOCK_BYTES`` at a time,
+with one BLAS GEMM per block; so working memory is O(K * block * L) beyond
+the output table.  Aperiodic code tables are periodic tables too:
+``verify_ccc`` lays each code's rows end to end, every row followed by L
+zeros, so shifts below L never carry one row into the next.
+``certify_family`` serves a whole family from the union's table at shifts
+0..Zc, where every inter-set correlation (both orientations) and every
+per-set one up to shift min(Z, Zc) is a slice; only each set's shifts
+Zc+1..Z take one more call.
 
-Every float64 dot product here, the scalar ``accf`` included, is exact for
-q in {1, 2, 4}: every entry and every product is a Gaussian integer with
-components in {-1, 0, 1}, and every partial sum (and every real part the
-complex products form) is an integer of magnitude at most twice the row
-length N, below 2**53, which float64 holds and adds without rounding in
-any order.  Exact tables are returned as int64 and exact ``accf`` values
-as Python ints.
+Every floating-point dot product here, the scalar ``accf`` included, is
+exact for q in {1, 2, 4}: every entry and every product is a Gaussian
+integer with components in {-1, 0, 1}, and every partial sum (and every
+real part the complex products form) is an integer of magnitude at most
+twice the row length N.  float32 holds and adds every integer below 2**24
+without rounding in any order, float64 every one below 2**53; so exact
+blocks are float32/complex64 while 2N < 2**24 and float64/complex128
+beyond, and blocks of other moduli are always float64/complex128.  Exact
+tables are returned as int64 and exact ``accf`` values as Python ints.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +62,7 @@ __all__ = [
     "verify_ccc",
     "verify_zcz",
     "verify_inter_zccz",
+    "certify_family",
     "performance_parameter",
     "correlation_spectrum",
 ]
@@ -162,11 +170,22 @@ def code_accf(code1, code2, u: int) -> CorrelationValue:
 
 # Working-set target for one block of cyclically shifted rows.
 _SHIFT_BLOCK_BYTES = 4 << 20
+# float32 holds every integer of magnitude up to 2**24 exactly.
+_SINGLE_EXACT_LIMIT = 1 << 24
+
+
+def _kernel_dtype(is_complex, exact, N):
+    """Storage for rows of length N: single precision when the rows are
+    exact and every partial sum (|s| <= 2N) stays below 2**24."""
+    single = exact and 2 * N < _SINGLE_EXACT_LIMIT
+    if is_complex:
+        return np.dtype(np.complex64 if single else np.complex128)
+    return np.dtype(np.float32 if single else np.float64)
 
 
 class _Block:
-    """K rows of period L stacked as one matrix: float64 when every entry
-    is real, complex128 otherwise."""
+    """K rows of length L stacked as one matrix: real when every entry is
+    real, complex otherwise; see ``_kernel_dtype`` for the precision."""
 
     __slots__ = ("K", "L", "q", "exact", "mat", "tol")
 
@@ -174,12 +193,18 @@ class _Block:
         self.K, self.L = mat.shape
         self.q = q
         self.exact = exact
-        self.mat = mat if mat.imag.any() else np.ascontiguousarray(mat.real)
+        dtype = _kernel_dtype(np.iscomplexobj(mat), exact, self.L)
+        self.mat = np.ascontiguousarray(mat, dtype=dtype)
         self.tol = tol
 
 
 def _stack(seqs) -> _Block:
-    """A sequence set as one block; the sequences must share q and L."""
+    """A sequence set as one block; the sequences must share q and L.
+
+    Entries are gathered from the q roots of unity, so no per-sequence
+    complex vector is built; the block is real when every root the set
+    uses is real.
+    """
     seqs = list(seqs)
     if not seqs:
         raise ValueError("empty sequence set")
@@ -192,7 +217,12 @@ def _stack(seqs) -> _Block:
             raise ValueError("sequences must share one length")
     exact = seqs[0].exact
     tol = 0.0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L
-    return _Block(np.stack([z.values() for z in seqs]), q, exact, tol)
+    exps = np.stack([z.exponents for z in seqs])
+    roots = UnimodularSequence(q, np.arange(q)).values()
+    if not roots.imag[np.bincount(exps.ravel(), minlength=q) > 0].any():
+        roots = roots.real
+    roots = roots.astype(_kernel_dtype(np.iscomplexobj(roots), exact, L))
+    return _Block(roots[exps], q, exact, tol)
 
 
 def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray]:
@@ -335,19 +365,14 @@ class ZczCertificate:
         }
 
 
-def verify_zcz(seqs, Z: int) -> ZczCertificate:
-    """Certify the zone property of Definition-style ZCZ sets by direct
-    computation of every in-zone periodic correlation.
+def _check_zone(width: int, L: int) -> None:
+    if not 0 <= width < L:
+        raise ValueError(f"zone width {width} outside [0, {L})")
 
-    Checks phi(i, i)(0) = L, phi(i, i)(u) = 0 for 1 <= u <= Z and
-    phi(i, j)(u) = 0 for i != j, 0 <= u <= Z, over all ordered pairs;
-    negative shifts follow from conjugate symmetry.
-    """
-    block = _stack(seqs)
-    if not 0 <= Z < block.L:
-        raise ValueError(f"zone width {Z} outside [0, {block.L})")
+
+def _zcz_certificate(block: _Block, Z: int, re, im) -> ZczCertificate:
+    """Scan the self table of ``block`` at shifts 0..Z into a certificate."""
     shifts = np.arange(Z + 1, dtype=np.int64)
-    re, im = _periodic_table(block, block, shifts)
     violations, witness = _scan_block(re, im, shifts, block.tol, peak=block.L)
     rho, classification = performance_parameter(
         block.K, Z, block.L, binary=(block.q == 2)
@@ -364,6 +389,20 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
         violations=violations,
         witness=witness,
     )
+
+
+def verify_zcz(seqs, Z: int) -> ZczCertificate:
+    """Certify the zone property of Definition-style ZCZ sets by direct
+    computation of every in-zone periodic correlation.
+
+    Checks phi(i, i)(0) = L, phi(i, i)(u) = 0 for 1 <= u <= Z and
+    phi(i, j)(u) = 0 for i != j, 0 <= u <= Z, over all ordered pairs;
+    negative shifts follow from conjugate symmetry.
+    """
+    block = _stack(seqs)
+    _check_zone(Z, block.L)
+    shifts = np.arange(Z + 1, dtype=np.int64)
+    return _zcz_certificate(block, Z, *_periodic_table(block, block, shifts))
 
 
 @dataclass(frozen=True)
@@ -386,6 +425,31 @@ class InterSetReport:
         }
 
 
+def _inter_report(block: _Block, Zc: int, forward, reverse) -> InterSetReport:
+    """Scan the (re, im) tables of A against B (``forward``) and of B
+    against A (``reverse``) at shifts 0..Zc into one report; ``block``
+    supplies L, q and the tolerance."""
+    shifts = np.arange(Zc + 1, dtype=np.int64)
+    collected = []
+    for (re, im), sign in ((forward, 1), (reverse, -1)):
+        vio, _ = _scan_block(re, im, shifts, block.tol, peak=0)
+        if sign < 0:
+            # shift-0 entries mirror the forward orientation; drop duplicates
+            vio = tuple(
+                Violation(v.j, v.i, -v.shift, v.re, -v.im) for v in vio if v.shift != 0
+            )
+        collected.extend(vio)
+    witness = collected[0] if collected else None
+    return InterSetReport(
+        Zc=Zc,
+        L=block.L,
+        q=block.q,
+        passed=not collected,
+        violations=tuple(collected),
+        witness=witness,
+    )
+
+
 def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     """Certify a zero cross-correlation zone between two sequence sets.
 
@@ -396,28 +460,53 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     A, B = _stack(set_a), _stack(set_b)
     if A.L != B.L or A.q != B.q:
         raise ValueError("sets must share length and modulus")
-    if not 0 <= Zc < A.L:
-        raise ValueError(f"zone width {Zc} outside [0, {A.L})")
+    _check_zone(Zc, A.L)
     shifts = np.arange(Zc + 1, dtype=np.int64)
-    collected = []
-    for front, back, sign in ((A, B, 1), (B, A, -1)):
-        re, im = _periodic_table(front, back, shifts)
-        vio, _ = _scan_block(re, im, shifts, front.tol, peak=0)
-        if sign < 0:
-            # shift-0 entries mirror the forward orientation; drop duplicates
-            vio = tuple(
-                Violation(v.j, v.i, -v.shift, v.re, -v.im) for v in vio if v.shift != 0
-            )
-        collected.extend(vio)
-    witness = collected[0] if collected else None
-    return InterSetReport(
-        Zc=Zc,
-        L=A.L,
-        q=A.q,
-        passed=not collected,
-        violations=tuple(collected),
-        witness=witness,
+    return _inter_report(
+        A, Zc, _periodic_table(A, B, shifts), _periodic_table(B, A, shifts)
     )
+
+
+def certify_family(sets, Z: int, Zc: int):
+    """Every certificate of a multiple-ZCZ family from one union table.
+
+    Returns ``(set_certs, inter, union_cert)``: ``verify_zcz(set, Z)`` for
+    each set, a dict mapping each pair (a, b) with a < b to
+    ``verify_inter_zccz(sets[a], sets[b], Zc)``, and ``verify_zcz`` of all
+    sequences at zone Zc, equal to those calls in every field.
+
+    The union's table at shifts 0..Zc holds every inter-set correlation (in
+    both orientations) and every per-set one up to shift min(Z, Zc) as a
+    slice; only shifts Zc+1..Z of each set need one more kernel call.
+    """
+    sets = [list(st) for st in sets]
+    union = _stack(z for st in sets for z in st)
+    L = union.L
+    _check_zone(Z, L)
+    _check_zone(Zc, L)
+    bounds = np.cumsum([0] + [len(st) for st in sets])
+    rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks = [_Block(union.mat[sl], union.q, union.exact, union.tol) for sl in rows]
+    # each set's shifts Zc+1..Z before the union table, so that the table
+    # is never held while these calls run: this keeps the peak memory low
+    high = np.arange(Zc + 1, Z + 1, dtype=np.int64)
+    extra = [_periodic_table(block, block, high) for block in blocks] if Z > Zc else []
+    re, im = _periodic_table(union, union, np.arange(Zc + 1, dtype=np.int64))
+
+    set_certs = []
+    for n, (sl, block) in enumerate(zip(rows, blocks)):
+        set_re, set_im = re[: min(Z, Zc) + 1, sl, sl], im[: min(Z, Zc) + 1, sl, sl]
+        if extra:
+            set_re = np.concatenate([set_re, extra[n][0]])
+            set_im = np.concatenate([set_im, extra[n][1]])
+        set_certs.append(_zcz_certificate(block, Z, set_re, set_im))
+    inter = {}
+    for a, b in itertools.combinations(range(len(sets)), 2):
+        sa, sb = rows[a], rows[b]
+        inter[a, b] = _inter_report(
+            union, Zc, (re[:, sa, sb], im[:, sa, sb]), (re[:, sb, sa], im[:, sb, sa])
+        )
+    return set_certs, inter, _zcz_certificate(union, Zc, re, im)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,8 @@ def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 16.0 GiB")
 
-    monkeypatch.setattr(correlation, "verify_zcz", exhausted)
+    # the kernel's table allocation is where an oversized family fails
+    monkeypatch.setattr(correlation, "_periodic_table", exhausted)
     capsys.readouterr()
     assert run_cli("verify", str(out)) == EXIT_USAGE
     err = capsys.readouterr().err

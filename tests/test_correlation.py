@@ -1,5 +1,6 @@
 """Correlation values, oracle cross-checks, and zone certificates."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -15,6 +16,7 @@ from zczseq import (
     accf,
     build_ccc_family,
     build_multiple_zcz,
+    certify_family,
     code_accf,
     correlation,
     correlation_spectrum,
@@ -349,14 +351,18 @@ def test_periodic_table_crosses_block_boundaries(q, monkeypatch):
     L = 40
     set_a = [random_sequence(rng, q, L) for _ in range(2)]
     set_b = [random_sequence(rng, q, L) for _ in range(3)]
-    # three complex or six real shifts per block: 13 shifts cross block boundaries
+    # 3 complex128 (q = 8), 6 complex64 (q = 4) or 12 float32 (q = 2) shifts
+    # per block: 13 shifts cross block boundaries
     monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 3 * 3 * L * 16 + 1)
     _assert_table_matches_pccf(set_a, set_b, list(range(13)))
     monkeypatch.undo()
-    # the default block size: 4 x 2048 float64 rows give 64 shifts per block
+    # the default block size: 4 x 2048 float32 rows give 128 shifts per block
     set_a = [random_sequence(rng, 2, 2048) for _ in range(2)]
     set_b = [random_sequence(rng, 2, 2048) for _ in range(4)]
-    _assert_table_matches_pccf(set_a, set_b, list(range(0, 2048, 19)))
+    shifts = list(range(0, 2048, 11))
+    block = correlation._stack(set_b)
+    assert len(shifts) > correlation._SHIFT_BLOCK_BYTES // block.mat.nbytes
+    _assert_table_matches_pccf(set_a, set_b, shifts)
 
 
 def _flipped_example_set():
@@ -409,6 +415,89 @@ def test_quaternary_witnesses_are_pinned():
     assert digest(rep.violations) == (
         "cca6262a142725daf14599fe5f59cd07e01f28303d2babcd8fb58094d1c7927a"
     )
+
+
+def _corrupted_sets(params, t1, t2, chip):
+    """The family's sets with one chip of sequence (t1, t2) moved by q/2;
+    returns (sets, Z, Zc)."""
+    fam = build_multiple_zcz(params)
+    sets = [list(st.sequences) for st in fam.sets]
+    seq = sets[t1][t2]
+    exps = seq.exponents.copy()
+    exps[chip] = (exps[chip] + seq.q // 2) % seq.q
+    sets[t1][t2] = UnimodularSequence(seq.q, exps)
+    return sets, fam.Z, fam.Zc
+
+
+def _rounded(report):
+    """A report with values rounded to 9 places.  Non-exact values come
+    from GEMMs of other shapes, whose summation order BLAS may pick
+    differently; exact values still have to match bit for bit."""
+    def r(v):
+        return v if v is None else dataclasses.replace(v, re=round(v.re, 9), im=round(v.im, 9))
+
+    return dataclasses.replace(
+        report, violations=tuple(map(r, report.violations)), witness=r(report.witness)
+    )
+
+
+@pytest.mark.parametrize("q, zones, covers", [
+    pytest.param(2, None, "", id="flipped-example"),
+    pytest.param(4, None, "", id="q4"),
+    pytest.param(6, None, "", id="q6"),
+    pytest.param(4, (24, 3), "extension", id="q4-Zc<Z"),
+    pytest.param(4, (5, 11), "reversed", id="q4-Zc>Z"),
+    pytest.param(6, (11, 11), "reversed", id="q6-Zc=Z"),
+])
+def test_certify_family_matches_separate_certificates(q, zones, covers):
+    # one chip corrupted in every case, at the family's zones or overrides
+    if q == 2:
+        fam, seqs = _flipped_example_set()
+        sets, Z, Zc = [seqs, list(fam.sets[1].sequences)], fam.Z, fam.Zc
+    else:
+        params = default_params(4, 4, 2, 2) if q == 4 else default_params(6, 3, 1, 1)
+        sets, Z, Zc = _corrupted_sets(params, 1, 2, 9)
+    Z, Zc = zones or (Z, Zc)
+    set_certs, inter, union_cert = certify_family(sets, Z, Zc)
+    assert [_rounded(c) for c in set_certs] == [_rounded(verify_zcz(st, Z)) for st in sets]
+    pairs = [(a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))]
+    assert list(inter) == pairs
+    for a, b in pairs:
+        assert _rounded(inter[a, b]) == _rounded(verify_inter_zccz(sets[a], sets[b], Zc))
+    union = [z for st in sets for z in st]
+    assert _rounded(union_cert) == _rounded(verify_zcz(union, Zc))
+    assert not union_cert.passed
+    if covers == "reversed":
+        # some worst inter-set values lie in the reversed orientation only
+        assert any(v.shift < 0 for rep in inter.values() for v in rep.violations)
+    if covers == "extension":
+        # worst per-set values past the union's zone come from the extra kernel call
+        assert any(v.shift > Zc for c in set_certs for v in c.violations)
+
+
+def test_certify_family_rejects_zones_like_the_separate_calls():
+    fam = build_multiple_zcz(example1_params())
+    sets = [st.sequences for st in fam.sets]
+    with pytest.raises(ValueError, match=r"zone width 256 outside \[0, 256\)"):
+        certify_family(sets, 256, 7)
+    with pytest.raises(ValueError, match=r"zone width -1 outside \[0, 256\)"):
+        certify_family(sets, 16, -1)
+
+
+def test_exact_blocks_are_single_precision_below_two_to_the_24():
+    # every partial sum of a length-N row is an integer of magnitude <= 2N
+    limit = 2**23  # 2N = 2**24
+    for is_complex, single, double in ((False, np.float32, np.float64),
+                                       (True, np.complex64, np.complex128)):
+        assert correlation._kernel_dtype(is_complex, True, limit - 1) == single
+        assert correlation._kernel_dtype(is_complex, True, limit) == double
+        assert correlation._kernel_dtype(is_complex, False, 8) == double
+    # blocks pick their precision from the rows' modulus and the roots they use
+    for q, exps, dtype in ((1, [0, 0], np.float32), (2, [0, 1], np.float32),
+                           (4, [0, 2], np.float32), (4, [0, 1], np.complex64),
+                           (6, [0, 3], np.complex128), (8, [0, 0], np.float64)):
+        seqs = [UnimodularSequence(q, exps), UnimodularSequence(q, exps[::-1])]
+        assert correlation._stack(seqs).mat.dtype == dtype, (q, exps)
 
 
 def test_verify_zcz_memory_is_bounded_by_the_shift_block():
