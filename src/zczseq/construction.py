@@ -21,6 +21,7 @@ bits, t1 over the family bits, and row nu = d * 2^k + sum d_beta 2^beta.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -142,6 +143,15 @@ def seed_polynomial(coeffs: HCoeffs) -> GeneralizedBooleanFunction:
     if coeffs.e_prime:
         terms[()] = 1
     return GeneralizedBooleanFunction(2, k + 2, terms)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_signs(coeffs: HCoeffs) -> np.ndarray:
+    """(-1)^{h_c} over the 2^{k+2} chunks, computed once per seed; the
+    array is shared between callers, so it is read-only."""
+    sign = 1 - 2 * seed_polynomial(coeffs).truth_table()
+    sign.flags.writeable = False
+    return sign
 
 
 def build_seed_function(coeffs: HCoeffs, m: int, q: int) -> GeneralizedBooleanFunction:
@@ -577,8 +587,7 @@ def check_chunk_decomposition(
         codes = build_ccc_family(params)
     rows_a = codes[t1][i].rows
     rows_b = codes[t1_other][j].rows
-    hv = seed_polynomial(params.h).truth_table()
-    sign = 1 - 2 * hv
+    sign = _seed_signs(params.h)
 
     za = family.sets[t1].sequences[i]
     zb = family.sets[t1_other].sequences[j]

@@ -26,6 +26,17 @@ zeros, so shifts below L never carry one row into the next.
 per-set one up to shift min(Z, Zc) is a slice; only each set's shifts
 Zc+1..Z take one more call.
 
+Those calls take a cheaper exact kernel when the family splits into the
+construction's two layers.  With S sets of K sequences, C = 2K chunks of
+P = L / C positions and t = c * P + p, union row (t1, t2) splits when it
+is z0[t] * X[t1][c] * Y[t2][p]: the chunk terms pick the set, the
+within-chunk terms the sequence.  ``_split`` checks that on every entry in
+O(K_u * L), and ``_folded_table`` then sums over the chunks first and the
+positions second: S^2 L + S^2 K^2 P multiply-adds per shift instead of
+S^2 K^2 L.  Path rule: q in {1, 2, 4} and the split holds, folded;
+anything else (q = 6 or 8, a corrupted chip, any family that does not
+split), GEMM.  Both paths feed the same scans.
+
 Every floating-point dot product here, the scalar ``accf`` included, is
 exact for q in {1, 2, 4}: every entry and every product is a Gaussian
 integer with components in {-1, 0, 1}, and every partial sum (and every
@@ -33,8 +44,13 @@ real part the complex products form) is an integer of magnitude at most
 twice the row length N.  float32 holds and adds every integer below 2**24
 without rounding in any order, float64 every one below 2**53; so exact
 blocks are float32/complex64 while 2N < 2**24 and float64/complex128
-beyond, and blocks of other moduli are always float64/complex128.  Exact
-tables are returned as int64 and exact ``accf`` values as Python ints.
+beyond, and blocks of other moduli are always float64/complex128.  The
+fold is exact by the same argument: its factors are roots of unity, so
+every partial sum over the chunks has components of magnitude at most C,
+and every partial sum over the positions (with every real part its
+products form) at most 2L; it runs in the union's dtype, picked with
+N = L.  Exact tables are returned as int64 and exact ``accf`` values as
+Python ints; a real table comes without its all-zero imaginary part.
 """
 
 from __future__ import annotations
@@ -43,6 +59,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,12 +242,12 @@ def _stack(seqs) -> _Block:
     return _Block(roots[exps], q, exact, tol)
 
 
-def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray]:
+def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray | None]:
     """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L]) as (re, im).
 
     Shifts are taken in blocks; each block stacks its cyclically shifted B
-    rows into one contiguous matrix and costs one GEMM.  Tables are int64
-    for exact blocks and float64 otherwise.
+    rows into one contiguous matrix and costs one GEMM.  Tables are as
+    ``_parts`` returns them.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.size == 0:
@@ -247,9 +264,96 @@ def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarra
         part = shifts[lo : lo + step]
         W = rows[part].reshape(-1, L)
         phi[lo : lo + part.size] = (A.mat @ W.T).reshape(A.K, part.size, B.K).transpose(1, 0, 2)
-    if A.exact and B.exact:
-        return phi.real.astype(np.int64), phi.imag.astype(np.int64)
-    return phi.real.copy(), phi.imag.copy()
+    return _parts(phi, A.exact and B.exact)
+
+
+def _parts(phi, exact):
+    """(re, im) of a kernel table: int64 when exact, float64 otherwise; im
+    is None for a real table, whose imaginary part is zero."""
+    dtype = np.int64 if exact else np.float64
+    if not np.iscomplexobj(phi):
+        return phi.astype(dtype, copy=False), None
+    return phi.real.astype(dtype), phi.imag.astype(dtype)
+
+
+class _Fold(NamedTuple):
+    """A family whose union row (t1, t2) is z0 * X[t1] * Y[t2]: with
+    t = c * P + p, z0[c, p] is common to every row, X[t1, c] depends on the
+    chunk c only and Y[t2, p] on the position p within the chunk only."""
+
+    z0: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+
+
+def _split(union: _Block, sizes) -> _Fold | None:
+    """The chunk fold of a stacked family when its rows split exactly.
+
+    The chunk length P = L / (2K) follows from the shapes alone: S sets of
+    K sequences each.  The split is checked on every entry, in O(K_u * L):
+    for q in {1, 2, 4} the roots are exactly +-1 and +-i, distinct, and
+    closed under products, so comparing entries compares exponents mod q.
+    Returns None for other moduli, unequal set sizes, a length that is not
+    a multiple of 2K, or any entry off the split.
+    """
+    K = sizes[0]
+    if union.q not in (1, 2, 4) or any(n != K for n in sizes) or union.L % (2 * K):
+        return None
+    rows = union.mat.reshape(len(sizes), K, 2 * K, union.L // (2 * K))
+    z0 = rows[0, 0]
+    # normalised so that X[0] and Y[0] are all ones; conj is the inverse of a root
+    Y = rows[0, :, 0, :] * z0[0].conj()
+    X = rows[:, 0, :, 0] * z0[:, 0].conj()
+    common = z0 * Y[:, None, :]
+    if all(np.array_equal(common * X[n][:, None], rows[n]) for n in range(len(sizes))):
+        return _Fold(z0, X, Y)
+    return None
+
+
+def _folded_table(fold: _Fold, shifts) -> tuple[np.ndarray, np.ndarray | None]:
+    """The union table of a split family, as ``_periodic_table`` returns it.
+
+    For a shift u = uc * P + up, with carry(p) = [p + up >= P]:
+
+        V[c, p]       = z0[c, p] * conj(z0 at t + u)
+        G[a1, b1, p]  = sum_c X[a1, c] * V[c, p] * conj(X[b1, c + uc + carry(p)])
+        phi(u)[(a1, a2), (b1, b2)]
+                      = sum_p Y[a2, p] * G[a1, b1, p] * conj(Y[b2, (p + up) mod P])
+
+    G is one small GEMM per carry value, and phi one GEMM of S^2 K x P x K,
+    so a shift costs S^2 L + S^2 K^2 P multiply-adds instead of
+    S^2 K^2 L.  Shifts are walked in blocks as in ``_periodic_table``.
+    """
+    shifts = np.asarray(shifts, dtype=np.int64)
+    z0, X, Y = fold
+    S, C = X.shape
+    K, P = Y.shape
+    L = C * P
+    z0 = z0.ravel()
+    ext = np.concatenate([z0, z0[: int(shifts.max())]]).conj()
+    rows = np.lib.stride_tricks.sliding_window_view(ext, L)  # rows[u] = z0 shifted by u
+    # conj(X) over chunk indices c + uc + carry, wrapped, for uc < C
+    Xc = np.concatenate([X, X], axis=1).conj()
+    a1, b1 = np.divmod(np.arange(S * S), S)
+    Xa, Xb = X[a1], Xc[b1]
+    c, p = np.arange(C), np.arange(P)
+    phi = np.empty((shifts.size, S * K, S * K), dtype=z0.dtype)
+    # the largest temporaries of a shift: two rows of V and S^2 K P of Y * G
+    step = max(1, _SHIFT_BLOCK_BYTES // (z0.itemsize * (2 * L + S * S * K * P)))
+    for lo in range(0, shifts.size, step):
+        part = shifts[lo : lo + step]
+        uc, up = np.divmod(part, P)
+        V = (z0 * rows[part]).reshape(-1, C, P)
+        chunk = c + uc[:, None]
+        W0 = Xa * Xb[:, chunk].transpose(1, 0, 2)
+        W1 = Xa * Xb[:, chunk + 1].transpose(1, 0, 2)
+        G = np.where(p < (P - up)[:, None, None], W0 @ V, W1 @ V)
+        M = (G[:, :, None, :] * Y).reshape(part.size, S * S * K, P)
+        Yr = Y.conj()[:, (p + up[:, None]) % P].transpose(1, 2, 0)
+        phi[lo : lo + part.size] = (
+            (M @ Yr).reshape(-1, S, S, K, K).transpose(0, 1, 3, 2, 4).reshape(-1, S * K, S * K)
+        )
+    return _parts(phi, True)
 
 
 @dataclass(frozen=True)
@@ -278,7 +382,8 @@ class Violation:
 
 
 def _scan_block(re, im, shifts, tol, peak, pair_major=False):
-    """Collect zone violations from one periodic-correlation table.
+    """Collect zone violations from one periodic-correlation table; ``im``
+    is None for a real table.
 
     Every entry must be zero except phi(i,i)(0), which must equal ``peak``
     (a ``peak`` of 0 demands zero there too).  Returns the worst violation
@@ -286,18 +391,21 @@ def _scan_block(re, im, shifts, tol, peak, pair_major=False):
     the first violation in scan order: shift-major, then i, then j; or,
     with ``pair_major``, i, then j, then shift.
     """
-    dev = np.abs(re) + np.abs(im)
+    dev = np.abs(re)
+    if im is not None:
+        dev += np.abs(im)
     if peak:
         diag = np.arange(re.shape[1])
         for u_idx in np.flatnonzero(shifts == 0):
-            dev[u_idx, diag, diag] = (
-                np.abs(re[u_idx, diag, diag] - peak) + np.abs(im[u_idx, diag, diag])
-            )
+            dev[u_idx, diag, diag] = np.abs(re[u_idx, diag, diag] - peak)
+            if im is not None:
+                dev[u_idx, diag, diag] += np.abs(im[u_idx, diag, diag])
     bad = np.argwhere(dev > tol)
     if not bad.size:
         return (), None
     u_idx, i, j = bad.T
-    vals_re, vals_im = re[u_idx, i, j], im[u_idx, i, j]
+    vals_re = re[u_idx, i, j]
+    vals_im = np.zeros_like(vals_re) if im is None else im[u_idx, i, j]
     pair = i * re.shape[2] + j
     order = np.lexsort((-np.hypot(vals_re, vals_im), pair))  # stable: scan order breaks ties
     first = order[np.r_[True, pair[order][1:] != pair[order][:-1]]]
@@ -487,24 +595,36 @@ def certify_family(sets, Z: int, Zc: int):
     bounds = np.cumsum([0] + [len(st) for st in sets])
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     blocks = [_Block(union.mat[sl], union.q, union.exact, union.tol) for sl in rows]
+    fold = _split(union, [len(st) for st in sets])
+
+    def table(n, shifts):
+        """The table of set n, or of the union when n is None."""
+        if fold is not None:
+            return _folded_table(fold if n is None else fold._replace(X=fold.X[n : n + 1]), shifts)
+        block = union if n is None else blocks[n]
+        return _periodic_table(block, block, shifts)
+
     # each set's shifts Zc+1..Z before the union table, so that the table
     # is never held while these calls run: this keeps the peak memory low
     high = np.arange(Zc + 1, Z + 1, dtype=np.int64)
-    extra = [_periodic_table(block, block, high) for block in blocks] if Z > Zc else []
-    re, im = _periodic_table(union, union, np.arange(Zc + 1, dtype=np.int64))
+    extra = [table(n, high) for n in range(len(sets))] if Z > Zc else []
+    re, im = table(None, np.arange(Zc + 1, dtype=np.int64))
+
+    def cut(key):
+        return re[key], None if im is None else im[key]
 
     set_certs = []
     for n, (sl, block) in enumerate(zip(rows, blocks)):
-        set_re, set_im = re[: min(Z, Zc) + 1, sl, sl], im[: min(Z, Zc) + 1, sl, sl]
+        set_re, set_im = cut((slice(min(Z, Zc) + 1), sl, sl))
         if extra:
             set_re = np.concatenate([set_re, extra[n][0]])
-            set_im = np.concatenate([set_im, extra[n][1]])
+            set_im = None if set_im is None else np.concatenate([set_im, extra[n][1]])
         set_certs.append(_zcz_certificate(block, Z, set_re, set_im))
     inter = {}
     for a, b in itertools.combinations(range(len(sets)), 2):
         sa, sb = rows[a], rows[b]
         inter[a, b] = _inter_report(
-            union, Zc, (re[:, sa, sb], im[:, sa, sb]), (re[:, sb, sa], im[:, sb, sa])
+            union, Zc, cut((slice(None), sa, sb)), cut((slice(None), sb, sa))
         )
     return set_certs, inter, _zcz_certificate(union, Zc, re, im)
 
@@ -615,4 +735,6 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
         )
     shifts = np.arange(block.L, dtype=np.int64)
     re, im = _periodic_table(block, block, shifts)
+    if im is None:
+        im = np.zeros_like(re)
     return SpectrumTable(K=block.K, L=block.L, q=block.q, exact=block.exact, re=re, im=im)

@@ -125,17 +125,35 @@ def test_verify_missing_directory(tmp_path, capsys):
 def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     out = tmp_path / "fam"
     assert run_cli("construct", "--example1", "--no-certify", "-o", str(out)) == EXIT_OK
+    fired = []
 
-    def exhausted(*args, **kwargs):
-        raise MemoryError("Unable to allocate 16.0 GiB")
+    def exhausted(name):
+        def table(*args, **kwargs):
+            fired.append(name)
+            raise MemoryError("Unable to allocate 16.0 GiB")
 
-    # the kernel's table allocation is where an oversized family fails
-    monkeypatch.setattr(correlation, "_periodic_table", exhausted)
-    capsys.readouterr()
-    assert run_cli("verify", str(out)) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory (Unable to allocate 16.0 GiB);")
-    assert "smaller parameters" in err and "Traceback" not in err
+        return table
+
+    # the kernels' table allocations are where an oversized family fails
+    for name in ("_folded_table", "_periodic_table"):
+        monkeypatch.setattr(correlation, name, exhausted(name))
+
+    def verify_runs_out_of_memory_in(kernel):
+        fired.clear()
+        capsys.readouterr()
+        assert run_cli("verify", str(out)) == EXIT_USAGE
+        assert fired == [kernel]
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (Unable to allocate 16.0 GiB);")
+        assert "smaller parameters" in err and "Traceback" not in err
+
+    # a clean family splits into chunks; one flipped chip breaks the split
+    verify_runs_out_of_memory_in("_folded_table")
+    target = out / "0" / "3.seq"
+    lines = target.read_text().splitlines()
+    lines[9] = "1" if lines[9] == "0" else "0"
+    target.write_text("\n".join(lines) + "\n")
+    verify_runs_out_of_memory_in("_periodic_table")
 
 
 def test_spectrum_outputs_and_cap(tmp_path, capsys):

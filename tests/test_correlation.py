@@ -8,9 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_circular, random_sequence
 from zczseq import (
+    GeneralizedBooleanFunction,
+    HCoeffs,
     SpectrumCapError,
     UnimodularSequence,
     accf,
@@ -22,6 +26,7 @@ from zczseq import (
     correlation_spectrum,
     default_params,
     example1_params,
+    path_gbf,
     pccf,
     performance_parameter,
     verify_ccc,
@@ -319,9 +324,11 @@ def test_certificate_json_shapes():
 
 
 def _assert_table_matches_pccf(set_a, set_b, shifts):
-    re, im = correlation._periodic_table(
-        correlation._stack(set_a), correlation._stack(set_b), shifts
-    )
+    A, B = correlation._stack(set_a), correlation._stack(set_b)
+    re, im = correlation._periodic_table(A, B, shifts)
+    # a real table comes without its all-zero imaginary part
+    assert (im is None) == (A.mat.dtype.kind == B.mat.dtype.kind == "f")
+    im = np.zeros_like(re) if im is None else im
     assert re.shape == im.shape == (len(shifts), len(set_a), len(set_b))
     exact = set_a[0].exact
     assert re.dtype == (np.int64 if exact else np.float64)
@@ -514,3 +521,130 @@ def test_verify_zcz_memory_is_bounded_by_the_shift_block():
     assert cert.passed
     # a K x (Z+1) x L int64 window tensor alone would take 65 MiB
     assert peak < 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the chunk-folded kernel of certify_family
+
+
+def _complex_q4_params():
+    f = path_gbf(4, 4, 2, 2, (), (0, 1)) + GeneralizedBooleanFunction(4, 4, {(0,): 1, (1,): 3})
+    return default_params(4, 4, 2, 2, f=f)
+
+
+def _spy_kernels(monkeypatch):
+    """Record, in call order, which kernel each table comes from."""
+    calls = []
+    for name in ("_folded_table", "_periodic_table"):
+        def spy(*args, _name=name, _kernel=getattr(correlation, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(correlation, name, spy)
+    return calls
+
+
+def _assert_fold_matches_gemm(sets, union_shifts, set_shifts):
+    """The folded union and per-set tables equal ``_periodic_table``'s bit
+    for bit, real tables without an imaginary part on both paths."""
+    union = correlation._stack(z for st in sets for z in st)
+    fold = correlation._split(union, [len(st) for st in sets])
+    assert fold is not None
+    cases = [(fold, union, union_shifts)]
+    lo = 0
+    for n, st in enumerate(sets):
+        block = correlation._Block(union.mat[lo : lo + len(st)], union.q, True, 0.0)
+        cases.append((fold._replace(X=fold.X[n : n + 1]), block, set_shifts))
+        lo += len(st)
+    for part, block, shifts in cases:
+        got = correlation._folded_table(part, shifts)
+        want = correlation._periodic_table(block, block, shifts)
+        assert got[0].dtype == want[0].dtype == np.int64
+        assert np.array_equal(got[0], want[0])
+        assert (got[1] is None) == (want[1] is None) == (block.mat.dtype.kind == "f")
+        assert got[1] is None or np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+@pytest.mark.parametrize("params", [example1_params, _complex_q4_params])
+def test_folded_table_matches_gemm_at_every_shift(params, block_bytes, monkeypatch):
+    # every chunk offset and carry, in one block or one shift per block
+    if block_bytes:
+        monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", block_bytes)
+    fam = build_multiple_zcz(params())
+    sets = [st.sequences for st in fam.sets]
+    every = np.arange(fam.L)
+    _assert_fold_matches_gemm(sets, every, every[::-1])
+
+
+def test_one_chip_corruption_takes_the_gemm_path(monkeypatch):
+    fam, seqs = _flipped_example_set()
+    sets = [seqs, list(fam.sets[1].sequences)]
+    union = correlation._stack(z for st in sets for z in st)
+    assert correlation._split(union, [8, 8]) is None
+    calls = _spy_kernels(monkeypatch)
+    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    assert set(calls) == {"_periodic_table"}
+    assert union_cert == verify_zcz(seqs + sets[1], fam.Zc) and not union_cert.passed
+    assert set_certs[0] == verify_zcz(seqs, fam.Z) and not set_certs[0].passed
+
+
+@pytest.mark.parametrize("params", [example1_params, _complex_q4_params])
+def test_separable_corruption_takes_the_folded_path(params, monkeypatch):
+    fam = build_multiple_zcz(params())
+    q = fam.q
+    # chip 37 of every sequence moves by the same root: a family that still
+    # splits, but whose zones break
+    sets = []
+    for st in fam.sets:
+        sets.append([])
+        for z in st.sequences:
+            exps = z.exponents.copy()
+            exps[37] = (exps[37] + 1) % q
+            sets[-1].append(UnimodularSequence(q, exps))
+    calls = _spy_kernels(monkeypatch)
+    folded = certify_family(sets, fam.Z, fam.Zc)
+    assert set(calls) == {"_folded_table"}
+    monkeypatch.setattr(correlation, "_split", lambda union, sizes: None)
+    calls.clear()
+    gemm = certify_family(sets, fam.Z, fam.Zc)
+    assert set(calls) == {"_periodic_table"}
+    assert folded == gemm
+    set_certs, inter, union_cert = folded
+    assert not union_cert.passed and not any(c.passed for c in set_certs)
+    assert not all(rep.passed for rep in inter.values())
+
+
+@st.composite
+def _constructions(draw):
+    """Valid construction inputs of length at most 2^9 over q in {2, 4}:
+    random J, path order, linear terms of f and seed coefficients."""
+    q = draw(st.sampled_from([2, 4]))
+    k = draw(st.integers(0, 2))
+    s = draw(st.integers(0, k))
+    m = draw(st.integers(k + 2, 7 - k))
+    J = tuple(draw(st.permutations(range(m - s)))[: k - s])
+    pi = tuple(draw(st.permutations(range(m - k))))
+    bits = st.integers(0, 1)
+    linear = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    f = path_gbf(q, m, k, s, J, pi) + GeneralizedBooleanFunction(
+        q, m, {(v,): c for v, c in enumerate(linear) if c}
+    )
+    h = HCoeffs(
+        c=tuple(draw(st.lists(bits, min_size=k, max_size=k))) + (1,),
+        e=tuple(draw(st.lists(bits, min_size=k + 2, max_size=k + 2))),
+        e_prime=draw(bits),
+    )
+    return default_params(q, m, k, s, J, pi, f=f, h=h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_constructions())
+def test_constructions_split_fold_exactly_and_certify(params):
+    fam = build_multiple_zcz(params)
+    sets = [st.sequences for st in fam.sets]
+    _assert_fold_matches_gemm(
+        sets, np.arange(fam.Zc + 1), np.arange(fam.Zc + 1, fam.Z + 1)
+    )
+    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
