@@ -622,18 +622,51 @@ def check_chunk_decomposition(
 _HEADER_KEYS = ("q", "L", "Z", "Zc")
 
 
-def _format_sequence_file(seq: UnimodularSequence, Z: int, Zc: int) -> str:
-    lines = [f"q={seq.q}", f"L={len(seq)}", f"Z={Z}", f"Zc={Zc}"]
-    lines.extend(map(str, seq.exponents.tolist()))
-    return "\n".join(lines) + "\n"
+def _format_sequence_file(seq: UnimodularSequence, Z: int, Zc: int) -> bytes:
+    """The file bytes: the header, then one ASCII decimal exponent per
+    LF-ended line.  Each exponent indexes a fixed-width table of the q
+    records ``b"<e>\\n"``; dropping the NUL padding of the shorter records
+    leaves the same bytes as formatting each exponent in turn."""
+    header = f"q={seq.q}\nL={len(seq)}\nZ={Z}\nZc={Zc}\n".encode()
+    records = np.array([b"%d\n" % e for e in range(seq.q)])
+    body = records[seq.exponents].view(np.uint8)
+    return header + body[body != 0].tobytes()
 
 
-def _parse_sequence_file(text: str, path) -> tuple[UnimodularSequence, dict]:
-    head, body = [], text
+def _decode_exponents(body: bytes, L: int) -> np.ndarray:
+    """The exponents of a sequence-file body, which must hold L of them.
+
+    The body ``_format_sequence_file`` writes for q <= 10, L records of one
+    digit and an LF, is decoded directly; every other layout goes to the
+    text parser, which alone reports malformed bodies.
+    """
+    if len(body) == 2 * L:
+        records = np.frombuffer(body, dtype=np.uint8).reshape(L, 2)
+        digits = records[:, 0] - np.uint8(ord("0"))  # bytes below '0' wrap past 9
+        if np.all(records[:, 1] == ord("\n")) and np.all(digits <= 9):
+            return digits.astype(np.int64)
+    text = body.decode()
+    # one exponent per line: a (lines, 1) table, or a parse error
+    exps = np.empty((0, 1), np.int64)
+    if text.strip():
+        exps = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    if exps.shape[1] != 1:
+        raise ValueError(f"expected one exponent per line, got {exps.shape[1]}")
+    exps = exps[:, 0]
+    if exps.size != L:
+        raise ValueError(f"header says L={L} but {exps.size} entries")
+    return exps
+
+
+def _parse_sequence_file(data: bytes, path) -> tuple[UnimodularSequence, dict]:
+    # line ends as text-mode reading gives them: CRLF and a lone CR become LF
+    body = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head = []
     while len(head) < 4 and body:
-        ln, _, body = body.partition("\n")
-        if ln.strip():
-            head.append(ln.strip())
+        ln, _, body = body.partition(b"\n")
+        ln = ln.decode().strip()
+        if ln:
+            head.append(ln)
     if len(head) < 4:
         raise ValueError(f"{path}: truncated sequence file")
     header = {}
@@ -643,15 +676,7 @@ def _parse_sequence_file(text: str, path) -> tuple[UnimodularSequence, dict]:
             if name != key:
                 raise ValueError(f"expected header '{key}=', got {ln!r}")
             header[key] = int(value)
-        # one exponent per line: a (lines, 1) table, or a parse error
-        exps = np.empty((0, 1), np.int64)
-        if body.strip():
-            exps = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
-        if exps.shape[1] != 1:
-            raise ValueError(f"expected one exponent per line, got {exps.shape[1]}")
-        exps = exps[:, 0]
-        if exps.size != header["L"]:
-            raise ValueError(f"header says L={header['L']} but {exps.size} entries")
+        exps = _decode_exponents(body, header["L"])
         return UnimodularSequence(header["q"], exps), header
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -668,15 +693,21 @@ def export_family(
     command: str | None = None,
     extra: dict | None = None,
 ) -> dict:
-    """Write the family directory and its manifest; returns the manifest."""
+    """Write the family directory and its manifest; returns the manifest.
+
+    Refuses, before writing anything, a directory holding a numbered set
+    directory or sequence file that this family would not overwrite:
+    :func:`load_family` would read it back as part of the family.
+    """
     root = Path(directory)
+    _refuse_stale_files(root, [len(st.sequences) for st in family.sets])
     root.mkdir(parents=True, exist_ok=True)
     digests = {}
     for t1, st in enumerate(family.sets):
         sub = root / str(t1)
         sub.mkdir(exist_ok=True)
         for t2, seq in enumerate(st.sequences):
-            payload = _format_sequence_file(seq, family.Z, family.Zc).encode()
+            payload = _format_sequence_file(seq, family.Z, family.Zc)
             (sub / f"{t2}.seq").write_bytes(payload)
             digests[f"{t1}/{t2}.seq"] = _sha256(payload)
     manifest = {
@@ -699,6 +730,29 @@ def export_family(
         manifest.update(extra)
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
+
+
+def _refuse_stale_files(root: Path, sizes) -> None:
+    """Raise if ``root`` holds set directories or ``.seq`` files, as
+    :func:`load_family` picks them, that a family of ``sizes`` (sequences
+    per set) would not overwrite."""
+    if not root.is_dir():
+        return
+    sizes = {str(t1): size for t1, size in enumerate(sizes)}
+    stale = []
+    for sub in sorted(p for p in root.iterdir() if p.is_dir() and p.name.isdigit()):
+        if sub.name not in sizes:
+            stale.append(sub)
+            continue
+        written = {f"{t2}.seq" for t2 in range(sizes[sub.name])}
+        stale.extend(
+            sorted(p for p in sub.glob("*.seq") if p.stem.isdigit() and p.name not in written)
+        )
+    if stale:
+        raise ValueError(
+            f"{stale[0]} is left from another family and would not be overwritten"
+            f" ({len(stale)} such path(s) in {root}); remove them or choose another directory"
+        )
 
 
 def _tool_version() -> str:
@@ -756,7 +810,7 @@ def load_family(directory) -> LoadedFamily:
             raise ValueError(f"{sub} holds no .seq files")
         seqs = []
         for path in files:
-            seq, hdr = _parse_sequence_file(path.read_text(), path)
+            seq, hdr = _parse_sequence_file(path.read_bytes(), path)
             if header is None:
                 header = hdr
             elif hdr != header:

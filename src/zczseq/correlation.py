@@ -24,7 +24,7 @@ zeros, so shifts below L never carry one row into the next.
 ``certify_family`` serves a whole family from the union's table at shifts
 0..Zc, where every inter-set correlation (both orientations) and every
 per-set one up to shift min(Z, Zc) is a slice; only each set's shifts
-Zc+1..Z take one more call.
+Zc+1..Z take one more call (one call for all sets when folded).
 
 Those calls take a cheaper exact kernel when the family splits into the
 construction's two layers.  With S sets of K sequences, C = 2K chunks of
@@ -310,7 +310,9 @@ def _split(union: _Block, sizes) -> _Fold | None:
     return None
 
 
-def _folded_table(fold: _Fold, shifts) -> tuple[np.ndarray, np.ndarray | None]:
+def _folded_table(
+    fold: _Fold, shifts, diagonal: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The union table of a split family, as ``_periodic_table`` returns it.
 
     For a shift u = uc * P + up, with carry(p) = [p + up >= P]:
@@ -323,6 +325,10 @@ def _folded_table(fold: _Fold, shifts) -> tuple[np.ndarray, np.ndarray | None]:
     G is one small GEMM per carry value, and phi one GEMM of S^2 K x P x K,
     so a shift costs S^2 L + S^2 K^2 P multiply-adds instead of
     S^2 K^2 L.  Shifts are walked in blocks as in ``_periodic_table``.
+
+    With ``diagonal``, only the set pairs a1 = b1 are formed: the tables
+    come as (shifts, S, K, K), set n's own table at ``[:, n]``, from one
+    V and one rolled Y per shift block for all S sets.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
     z0, X, Y = fold
@@ -334,12 +340,13 @@ def _folded_table(fold: _Fold, shifts) -> tuple[np.ndarray, np.ndarray | None]:
     rows = np.lib.stride_tricks.sliding_window_view(ext, L)  # rows[u] = z0 shifted by u
     # conj(X) over chunk indices c + uc + carry, wrapped, for uc < C
     Xc = np.concatenate([X, X], axis=1).conj()
-    a1, b1 = np.divmod(np.arange(S * S), S)
+    a1, b1 = (np.arange(S),) * 2 if diagonal else np.divmod(np.arange(S * S), S)
     Xa, Xb = X[a1], Xc[b1]
     c, p = np.arange(C), np.arange(P)
-    phi = np.empty((shifts.size, S * K, S * K), dtype=z0.dtype)
-    # the largest temporaries of a shift: two rows of V and S^2 K P of Y * G
-    step = max(1, _SHIFT_BLOCK_BYTES // (z0.itemsize * (2 * L + S * S * K * P)))
+    shape = (S, K, K) if diagonal else (S * K, S * K)
+    phi = np.empty((shifts.size, *shape), dtype=z0.dtype)
+    # the largest temporaries of a shift: two rows of V and a1.size K P of Y * G
+    step = max(1, _SHIFT_BLOCK_BYTES // (z0.itemsize * (2 * L + a1.size * K * P)))
     for lo in range(0, shifts.size, step):
         part = shifts[lo : lo + step]
         uc, up = np.divmod(part, P)
@@ -348,11 +355,12 @@ def _folded_table(fold: _Fold, shifts) -> tuple[np.ndarray, np.ndarray | None]:
         W0 = Xa * Xb[:, chunk].transpose(1, 0, 2)
         W1 = Xa * Xb[:, chunk + 1].transpose(1, 0, 2)
         G = np.where(p < (P - up)[:, None, None], W0 @ V, W1 @ V)
-        M = (G[:, :, None, :] * Y).reshape(part.size, S * S * K, P)
+        M = (G[:, :, None, :] * Y).reshape(part.size, a1.size * K, P)
         Yr = Y.conj()[:, (p + up[:, None]) % P].transpose(1, 2, 0)
-        phi[lo : lo + part.size] = (
-            (M @ Yr).reshape(-1, S, S, K, K).transpose(0, 1, 3, 2, 4).reshape(-1, S * K, S * K)
-        )
+        block = (M @ Yr).reshape(-1, a1.size, K, K)
+        if not diagonal:
+            block = block.reshape(-1, S, S, K, K).transpose(0, 1, 3, 2, 4)
+        phi[lo : lo + part.size] = block.reshape(-1, *shape)
     return _parts(phi, True)
 
 
@@ -585,7 +593,8 @@ def certify_family(sets, Z: int, Zc: int):
 
     The union's table at shifts 0..Zc holds every inter-set correlation (in
     both orientations) and every per-set one up to shift min(Z, Zc) as a
-    slice; only shifts Zc+1..Z of each set need one more kernel call.
+    slice; only shifts Zc+1..Z of each set need one more kernel call, or
+    one diagonal call for all sets when the family splits.
     """
     sets = [list(st) for st in sets]
     union = _stack(z for st in sets for z in st)
@@ -597,18 +606,18 @@ def certify_family(sets, Z: int, Zc: int):
     blocks = [_Block(union.mat[sl], union.q, union.exact, union.tol) for sl in rows]
     fold = _split(union, [len(st) for st in sets])
 
-    def table(n, shifts):
-        """The table of set n, or of the union when n is None."""
-        if fold is not None:
-            return _folded_table(fold if n is None else fold._replace(X=fold.X[n : n + 1]), shifts)
-        block = union if n is None else blocks[n]
-        return _periodic_table(block, block, shifts)
+    def own_tables(shifts):
+        """Each set's table against itself, in set order."""
+        if fold is None:
+            return [_periodic_table(block, block, shifts) for block in blocks]
+        re, im = _folded_table(fold, shifts, diagonal=True)
+        return [(re[:, n], None if im is None else im[:, n]) for n in range(len(sets))]
 
     # each set's shifts Zc+1..Z before the union table, so that the table
     # is never held while these calls run: this keeps the peak memory low
-    high = np.arange(Zc + 1, Z + 1, dtype=np.int64)
-    extra = [table(n, high) for n in range(len(sets))] if Z > Zc else []
-    re, im = table(None, np.arange(Zc + 1, dtype=np.int64))
+    extra = own_tables(np.arange(Zc + 1, Z + 1, dtype=np.int64)) if Z > Zc else []
+    low = np.arange(Zc + 1, dtype=np.int64)
+    re, im = _periodic_table(union, union, low) if fold is None else _folded_table(fold, low)
 
     def cut(key):
         return re[key], None if im is None else im[key]

@@ -98,6 +98,46 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert report["sets"][0]["witnesses"]
 
 
+def _tree_digests(root):
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second, stale",
+    [(("-k", "2", "-s", "2"), ("-k", "2", "-s", "1"), "2"),
+     (("-k", "2", "-s", "0"), ("-k", "1", "-s", "0"), "0/4.seq")],
+    ids=["fewer-sets", "fewer-sequences"],
+)
+def test_construct_refuses_a_directory_with_stale_family_files(
+    tmp_path, capsys, first, second, stale
+):
+    out = tmp_path / "fam"
+    assert run_cli("construct", "-q", "2", "-m", "4", *first, "-o", str(out)) == EXIT_OK
+    before = _tree_digests(out)
+    capsys.readouterr()
+    assert run_cli("construct", "-q", "2", "-m", "4", *second, "-o", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / stale} is left from another family")
+    assert _tree_digests(out) == before  # nothing deleted, nothing written
+    assert run_cli("verify", str(out)) == EXIT_OK
+
+
+def test_construct_overwrites_a_family_of_the_same_shape(tmp_path):
+    out = tmp_path / "fam"
+    argv = ("construct", "-q", "2", "-m", "4", "-k", "2", "-s", "1", "-o", str(out))
+    assert run_cli(*argv) == EXIT_OK
+    seq_files = {k: v for k, v in _tree_digests(out).items() if k.endswith(".seq")}
+    (out / "notes.txt").write_text("kept\n")
+    assert run_cli(*argv) == EXIT_OK
+    after = _tree_digests(out)
+    assert {k: v for k, v in after.items() if k.endswith(".seq")} == seq_files
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert run_cli("verify", str(out)) == EXIT_OK
+
+
 def test_verify_claim_overrides(tmp_path):
     out = tmp_path / "fam"
     run_cli("construct", "--example1", "-o", str(out), "--no-certify")

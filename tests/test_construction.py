@@ -8,6 +8,7 @@ import pytest
 
 from conftest import certify_family, random_valid_params
 from zczseq import (
+    UnimodularSequence,
     ConstructionParams,
     GeneralizedBooleanFunction,
     HCoeffs,
@@ -29,6 +30,7 @@ from zczseq import (
     verify_inter_zccz,
     verify_zcz,
 )
+from zczseq import construction
 
 G = GeneralizedBooleanFunction
 
@@ -298,9 +300,11 @@ def test_load_rejects_malformed(tmp_path):
         (lambda lines: lines[:4] + [" ".join(lines[4:])], "one exponent per line"),
         (lambda lines: lines[:6] + ["0 1"] + lines[7:], "number of columns changed"),
         (lambda lines: lines[:6] + ["2"] + lines[7:], "exponents must lie in [0, 2)"),
+        # 2L bytes with a digit at every even offset, but a space where an LF belongs
+        (lambda lines: [lines[0], "L=2", *lines[2:4], "0 1"], "expected one exponent per line, got 2"),
     ],
     ids=["truncated", "header-key", "length", "word", "float", "one-line", "two-columns",
-         "range"],
+         "range", "digit-pairs"],
 )
 def test_load_names_the_malformed_file(tmp_path, edit, message):
     fam_dir = tmp_path / "fam"
@@ -322,6 +326,69 @@ def test_load_tolerates_blank_lines_and_crlf(tmp_path):
     target.write_text("\n" + "\r\n".join(lines[:6] + ["", " "] + lines[6:]) + "\r\n")
     loaded = load_family(fam_dir)
     assert loaded.sets[0][1] == fam.sets[0].sequences[1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 10, 11, 16, 257])
+def test_sequence_file_bytes_match_the_line_by_line_format(q):
+    rng = np.random.default_rng(q)
+    exps = rng.integers(0, q, size=600)
+    seq = UnimodularSequence(q, exps)
+    data = construction._format_sequence_file(seq, 16, 7)
+    lines = [f"q={q}", "L=600", "Z=16", "Zc=7", *map(str, exps.tolist())]
+    assert data == ("\n".join(lines) + "\n").encode()
+    assert construction._parse_sequence_file(data, "x.seq") == (
+        seq, {"q": q, "L": 600, "Z": 16, "Zc": 7}
+    )
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+        lambda text: text.replace("\n", "\n\n") + "\n \n",
+    ],
+    ids=["crlf", "cr", "blank-lines"],
+)
+def test_rewritten_line_ends_load_to_equal_sequences(tmp_path, rewrite):
+    fam_dir = tmp_path / "fam"
+    fam = build_multiple_zcz(default_params(2, 3, 1, 1))
+    export_family(fam, fam_dir)
+    for path in (fam_dir / "0" / "1.seq", fam_dir / "1" / "3.seq"):
+        path.write_bytes(rewrite(path.read_text()).encode())
+    loaded = load_family(fam_dir)
+    assert [list(st) for st in loaded.sets] == [list(st.sequences) for st in fam.sets]
+
+
+def _two_digit_q16_params():
+    f = G(16, 3, {(1, 2): 8, (0,): 11, (2,): 5})  # the path x1x2 and odd linear terms
+    return default_params(16, 3, 1, 0, f=f)
+
+
+@pytest.mark.parametrize(
+    "params, parsed_as_text",
+    [(example1_params, False), (_two_digit_q16_params, True)],
+    ids=["one-digit", "two-digit"],
+)
+def test_written_bodies_decode_directly_unless_exponents_have_two_digits(
+    tmp_path, monkeypatch, params, parsed_as_text
+):
+    fam = build_multiple_zcz(params())
+    export_family(fam, tmp_path / "fam")
+    body = (tmp_path / "fam" / "0" / "0.seq").read_text().split("\n")[4:]
+    assert any(len(ln) == 2 for ln in body) == parsed_as_text
+    calls = []
+
+    def loadtxt(*args, **kwargs):
+        calls.append(1)
+        return real_loadtxt(*args, **kwargs)
+
+    real_loadtxt = np.loadtxt
+    monkeypatch.setattr(construction.np, "loadtxt", loadtxt)
+    loaded = load_family(tmp_path / "fam")
+    assert [list(st) for st in loaded.sets] == [list(st.sequences) for st in fam.sets]
+    n_files = sum(len(st.sequences) for st in fam.sets)
+    assert len(calls) == (n_files if parsed_as_text else 0)
 
 
 def test_inter_zone_reports_on_bundled_family():

@@ -536,28 +536,33 @@ def _spy_kernels(monkeypatch):
     """Record, in call order, which kernel each table comes from."""
     calls = []
     for name in ("_folded_table", "_periodic_table"):
-        def spy(*args, _name=name, _kernel=getattr(correlation, name)):
+        def spy(*args, _name=name, _kernel=getattr(correlation, name), **kwargs):
             calls.append(_name)
-            return _kernel(*args)
+            return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(correlation, name, spy)
     return calls
 
 
 def _assert_fold_matches_gemm(sets, union_shifts, set_shifts):
-    """The folded union and per-set tables equal ``_periodic_table``'s bit
-    for bit, real tables without an imaginary part on both paths."""
+    """The folded union and per-set tables, the latter both from a one-set
+    fold and from the diagonal call over all sets, equal
+    ``_periodic_table``'s bit for bit, real tables without an imaginary
+    part on both paths."""
     union = correlation._stack(z for st in sets for z in st)
     fold = correlation._split(union, [len(st) for st in sets])
     assert fold is not None
-    cases = [(fold, union, union_shifts)]
+    cases = [(correlation._folded_table(fold, union_shifts), union, union_shifts)]
+    diag_re, diag_im = correlation._folded_table(fold, set_shifts, diagonal=True)
+    assert diag_re.shape == (len(set_shifts), len(sets), len(sets[0]), len(sets[0]))
     lo = 0
     for n, st in enumerate(sets):
         block = correlation._Block(union.mat[lo : lo + len(st)], union.q, True, 0.0)
-        cases.append((fold._replace(X=fold.X[n : n + 1]), block, set_shifts))
+        own = correlation._folded_table(fold._replace(X=fold.X[n : n + 1]), set_shifts)
+        diag = (diag_re[:, n], None if diag_im is None else diag_im[:, n])
+        cases += [(own, block, set_shifts), (diag, block, set_shifts)]
         lo += len(st)
-    for part, block, shifts in cases:
-        got = correlation._folded_table(part, shifts)
+    for got, block, shifts in cases:
         want = correlation._periodic_table(block, block, shifts)
         assert got[0].dtype == want[0].dtype == np.int64
         assert np.array_equal(got[0], want[0])
