@@ -203,6 +203,8 @@ def _utc_now() -> str:
 
 def cmd_construct(args) -> int:
     params = _params_from_args(args)
+    # refuse a directory export_family would refuse before building anything
+    construction._refuse_stale_files(Path(args.out), [params.set_size] * params.num_sets)
     family = construction.build_multiple_zcz(params)
     certificates = None if args.no_certify else _certify(family)
     construction.export_family(

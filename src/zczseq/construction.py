@@ -154,6 +154,22 @@ def _seed_signs(coeffs: HCoeffs) -> np.ndarray:
     return sign
 
 
+@functools.lru_cache(maxsize=16)
+def _boundary_weights(coeffs: HCoeffs) -> tuple[tuple[int, int], ...]:
+    """The nonzero boundary weights (nu, w_nu) of the chunk decomposition,
+    w_nu = s_nu s_{nu+1} + s_{nu+l} s_{nu+1+l} with s = :func:`_seed_signs`,
+    l = 2^{k+1} and subscripts mod 2^{k+2}; computed once per seed."""
+    sign = _seed_signs(coeffs)
+    n_chunks = len(sign)
+    l = n_chunks // 2
+    weights = (
+        (nu, int(sign[nu] * sign[(nu + 1) % n_chunks]
+                 + sign[(nu + l) % n_chunks] * sign[(nu + 1 + l) % n_chunks]))
+        for nu in range(l)
+    )
+    return tuple((nu, w) for nu, w in weights if w)
+
+
 def build_seed_function(coeffs: HCoeffs, m: int, q: int) -> GeneralizedBooleanFunction:
     """Seed function lifted onto variables x_m .. x_{m+k+1} of the full
     m+k+2 variable space, scaled by q/2 so its values act as sign flips."""
@@ -580,30 +596,34 @@ def check_chunk_decomposition(
     if not 0 <= tau <= (1 << params.m):
         raise ValueError(f"tau must lie in [0, {1 << params.m}], got {tau}")
     l = 1 << (params.k + 1)
-    n_chunks = 1 << (params.k + 2)
     chunk_len = 1 << params.m
 
     if codes is None:
         codes = build_ccc_family(params)
     rows_a = codes[t1][i].rows
     rows_b = codes[t1_other][j].rows
-    sign = _seed_signs(params.h)
 
     za = family.sets[t1].sequences[i]
     zb = family.sets[t1_other].sequences[j]
     lhs = correlation.pccf(za, zb, tau)
 
-    rhs = correlation.CorrelationValue(0, 0, True)
+    # Sum the terms as plain numbers, in the order and with the exact/tol
+    # rules of CorrelationValue's scaled, conjugate and + (so the floats
+    # are the same), and build one value at the end.
+    re, im, exact, tol = 0, 0, True, 0.0
     for nu in range(l):
-        rhs = rhs + correlation.accf(rows_a[nu], rows_b[nu], tau).scaled(2)
-    for nu in range(l):
-        weight = int(
-            sign[nu] * sign[(nu + 1) % n_chunks]
-            + sign[(nu + l) % n_chunks] * sign[(nu + 1 + l) % n_chunks]
-        )
-        if weight:
-            cross = correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], chunk_len - tau)
-            rhs = rhs + cross.conjugate().scaled(weight)
+        term = correlation.accf(rows_a[nu], rows_b[nu], tau)
+        re += 2 * term.re
+        im += 2 * term.im
+        exact = exact and term.exact
+        tol = max(tol, 2 * term.tol)
+    for nu, weight in _boundary_weights(params.h):
+        cross = correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], chunk_len - tau)
+        re += weight * cross.re
+        im += weight * -cross.im
+        exact = exact and cross.exact
+        tol = max(tol, abs(weight) * cross.tol)
+    rhs = correlation.CorrelationValue(re, im, exact, tol)
     return ChunkDecompositionReport(
         t1=t1,
         t1_other=t1_other,

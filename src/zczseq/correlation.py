@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gbf import UnimodularSequence
+from .gbf import UnimodularSequence, roots_of_unity
 
 __all__ = [
     "CorrelationValue",
@@ -134,11 +134,12 @@ class CorrelationValue:
 
 
 def _check_pair(a: UnimodularSequence, b: UnimodularSequence) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    L = len(a)
+    if L != len(b):
+        raise ValueError(f"length mismatch: {L} vs {len(b)}")
     if a.q != b.q:
         raise ValueError(f"modulus mismatch: q={a.q} vs q={b.q}")
-    return len(a)
+    return L
 
 
 def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> CorrelationValue:
@@ -150,8 +151,8 @@ def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> CorrelationVal
         sa, sb = slice(0, L - u), slice(u, L)
     else:
         sa, sb = slice(-u, L), slice(0, L + u)
-    val = np.dot(a.values()[sa], np.conj(b.values()[sb]))
-    if a.exact and b.exact:
+    val = np.vdot(b.values()[sb], a.values()[sa])  # conjugates b in the kernel
+    if a.exact:  # b shares a's modulus
         return CorrelationValue(int(val.real), int(val.imag), True)
     return CorrelationValue(float(val.real), float(val.imag), False, FLOAT_ZERO_TOL_PER_CHIP * L)
 
@@ -235,7 +236,7 @@ def _stack(seqs) -> _Block:
     exact = seqs[0].exact
     tol = 0.0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L
     exps = np.stack([z.exponents for z in seqs])
-    roots = UnimodularSequence(q, np.arange(q)).values()
+    roots = roots_of_unity(q)
     if not roots.imag[np.bincount(exps.ravel(), minlength=q) > 0].any():
         roots = roots.real
     roots = roots.astype(_kernel_dtype(np.iscomplexobj(roots), exact, L))

@@ -10,6 +10,7 @@ sequence layout in the package depends on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "PathFormReport",
     "binvec",
     "psi",
+    "roots_of_unity",
     "quadratic_graph",
     "validate_restricted_path_form",
     "parse_gbf_text",
@@ -212,16 +214,30 @@ class UnimodularSequence:
         return self.q in (1, 2, 4)
 
     def values(self) -> np.ndarray:
-        """Complex entries."""
-        if self.q == 1:
-            return np.ones(len(self), dtype=np.complex128)
-        if self.q == 2:
-            return (1.0 - 2.0 * self.exponents).astype(np.complex128)
-        if self.q == 4:
-            re = np.array([1, 0, -1, 0], dtype=np.float64)[self.exponents]
-            im = np.array([0, 1, 0, -1], dtype=np.float64)[self.exponents]
-            return re + 1j * im
-        return np.exp(2j * np.pi * self.exponents / self.q)
+        """Complex entries, gathered from :func:`roots_of_unity` into a
+        fresh array."""
+        return roots_of_unity(self.q)[self.exponents]
+
+
+@functools.lru_cache(maxsize=16)
+def roots_of_unity(q: int) -> np.ndarray:
+    """The q-th roots of unity omega^e, e = 0..q-1, as complex128.
+
+    Exact for q in {1, 2, 4} (entries +-1, +-1j); otherwise exp(2 pi i e / q),
+    which is exactly 1 for q = 1.
+    Built once per q and shared, so the array is read-only.
+    """
+    e = np.arange(q)
+    if q == 2:
+        roots = (1.0 - 2.0 * e).astype(np.complex128)
+    elif q == 4:
+        roots = np.array([1, 0, -1, 0], dtype=np.float64) + 1j * np.array(
+            [0, 1, 0, -1], dtype=np.float64
+        )
+    else:
+        roots = np.exp(2j * np.pi * e / q)
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zczseq import cli, correlation, format_gbf_text
+from zczseq import cli, construction, correlation, format_gbf_text
 from zczseq.cli import EXIT_CERT_FAIL, EXIT_OK, EXIT_USAGE
 
 
@@ -112,13 +112,21 @@ def _tree_digests(root):
     ids=["fewer-sets", "fewer-sequences"],
 )
 def test_construct_refuses_a_directory_with_stale_family_files(
-    tmp_path, capsys, first, second, stale
+    tmp_path, capsys, monkeypatch, first, second, stale
 ):
     out = tmp_path / "fam"
     assert run_cli("construct", "-q", "2", "-m", "4", *first, "-o", str(out)) == EXIT_OK
     before = _tree_digests(out)
     capsys.readouterr()
+    calls = []
+    for module, name in ((construction, "build_multiple_zcz"), (correlation, "certify_family")):
+        def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
     assert run_cli("construct", "-q", "2", "-m", "4", *second, "-o", str(out)) == EXIT_USAGE
+    assert calls == []  # refused before building or certifying anything
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / stale} is left from another family")
     assert _tree_digests(out) == before  # nothing deleted, nothing written
@@ -155,6 +163,23 @@ def test_verify_deep(tmp_path, capsys):
     assert "chunk-decomposition PASS" in stdout
     report = json.loads((out / "certificates.json").read_text())
     assert report["deep"]["chunk_decomposition"]["checked"] == 2 * 2 * 8 * 8 * 17
+
+
+def test_verify_deep_reports_a_flipped_chip(tmp_path, capsys):
+    # negative control: the chunk check fails once the family's chips no
+    # longer match the codes and seed its manifest names
+    out = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(out), "--no-certify")
+    target = out / "0" / "1.seq"
+    lines = target.read_text().splitlines()
+    lines[4 + 9] = "1" if lines[4 + 9] == "0" else "0"  # chip 9; manifest kept
+    target.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(out), "--deep") == EXIT_CERT_FAIL
+    assert "chunk-decomposition FAIL (4352 checks)" in capsys.readouterr().out
+    chunk = json.loads((out / "certificates.json").read_text())["deep"]["chunk_decomposition"]
+    assert not chunk["pass"] and chunk["checked"] == 4352
+    assert chunk["mismatches"] == [[0, 0, 0, 1, tau] for tau in range(16)]
 
 
 def test_verify_missing_directory(tmp_path, capsys):

@@ -10,6 +10,8 @@ from conftest import certify_family, random_valid_params
 from zczseq import (
     UnimodularSequence,
     ConstructionParams,
+    CorrelationValue,
+    accf,
     GeneralizedBooleanFunction,
     HCoeffs,
     build_ccc_family,
@@ -22,6 +24,7 @@ from zczseq import (
     example1_params,
     export_family,
     load_family,
+    path_gbf,
     psi,
     quadratic_graph,
     seed_polynomial,
@@ -207,6 +210,51 @@ def test_chunk_decomposition_peak_and_cross():
         assert rep.passed
         if t1 != t1b and tau <= 7:
             assert rep.lhs.is_zero() and rep.rhs.is_zero()
+
+
+def _rhs_by_value_arithmetic(params, codes, t1, t1b, i, j, tau, sign):
+    """check_chunk_decomposition's right-hand side as CorrelationValue
+    arithmetic, every boundary weight derived from ``sign`` on the spot."""
+    l, n, chunk = 1 << (params.k + 1), 1 << (params.k + 2), 1 << params.m
+    rows_a, rows_b = codes[t1][i].rows, codes[t1b][j].rows
+    rhs = CorrelationValue(0, 0, True)
+    for nu in range(l):
+        rhs = rhs + accf(rows_a[nu], rows_b[nu], tau).scaled(2)
+    for nu in range(l):
+        w = int(sign[nu] * sign[(nu + 1) % n] + sign[(nu + l) % n] * sign[(nu + 1 + l) % n])
+        if w:
+            cross = accf(rows_b[(nu + 1) % l], rows_a[nu], chunk - tau)
+            rhs = rhs + cross.conjugate().scaled(w)
+    return rhs
+
+
+def _complex_params(q):
+    """A two-set (q, 3, 1, 1) family with odd linear terms, so complex."""
+    f = path_gbf(q, 3, 1, 1, (), (0, 1)) + GeneralizedBooleanFunction(q, 3, {(0,): 1, (2,): 3})
+    return default_params(q, 3, 1, 1, f=f)
+
+
+@pytest.mark.parametrize("params", [example1_params, lambda: _complex_params(4),
+                                    lambda: _complex_params(8)], ids=["example", "q4", "q8"])
+def test_nonzero_boundary_weights_enter_conjugated(params, monkeypatch):
+    # every valid seed cancels, so every boundary weight is 0 on a real
+    # family; non-cancelling signs make the boundary terms run
+    p = params()
+    sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
+    monkeypatch.setattr(construction, "_seed_signs", lambda coeffs: sign)
+    # the uncached function, so no weights from these signs stay cached
+    monkeypatch.setattr(construction, "_boundary_weights", construction._boundary_weights.__wrapped__)
+    assert {w for _, w in construction._boundary_weights(p.h)} == {-2, 2}
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    K = fam.sets[0].K
+    for t1 in range(len(fam.sets)):
+        for t1b in range(len(fam.sets)):
+            for i in range(min(K, 3)):
+                for j in range(min(K, 3)):
+                    for tau in range((1 << p.m) + 1):
+                        rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
+                        want = _rhs_by_value_arithmetic(p, codes, t1, t1b, i, j, tau, sign)
+                        assert rep.rhs == want  # re, im, exact and tol
 
 
 def test_chunk_decomposition_needs_params():

@@ -72,6 +72,25 @@ def test_accf_errors():
         accf(a, a, 3)
 
 
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+def test_accf_equals_dot_with_conjugate_bit_for_bit(q):
+    rng = np.random.default_rng(30 + q)
+    L = 37
+    a, b = random_sequence(rng, q, L), random_sequence(rng, q, L)
+    va, vb = a.values(), b.values()
+    for u in range(-L, L + 1):
+        sa, sb = (slice(0, L - u), slice(u, L)) if u >= 0 else (slice(-u, L), slice(0, L + u))
+        want = np.dot(va[sa], np.conj(vb[sb]))
+        got = accf(a, b, u)
+        if a.exact:
+            assert (got.re, got.im, got.tol) == (int(want.real), int(want.imag), 0.0)
+            assert type(got.re) is int and type(got.im) is int
+        else:
+            assert np.array_equal(np.array([got.re, got.im]).view(np.int64),
+                                  np.array([want.real, want.imag]).view(np.int64))
+            assert got.tol == correlation.FLOAT_ZERO_TOL_PER_CHIP * L
+
+
 def test_accf_conjugate_symmetry():
     rng = np.random.default_rng(1)
     for _ in range(40):

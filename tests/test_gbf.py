@@ -16,6 +16,7 @@ from zczseq import (
     quadratic_graph,
     validate_restricted_path_form,
 )
+from zczseq.gbf import roots_of_unity
 
 G = GeneralizedBooleanFunction
 
@@ -195,3 +196,34 @@ def test_sequence_invariants():
     with pytest.raises(ValueError):
         UnimodularSequence(2, np.array([0, 2]))
     assert not UnimodularSequence(6, np.array([0, 1])).exact
+
+
+def _values_by_formula(q, exps):
+    """Reference entries by arithmetic, one formula per modulus."""
+    if q == 1:
+        return np.ones(len(exps), dtype=np.complex128)
+    if q == 2:
+        return (1.0 - 2.0 * exps).astype(np.complex128)
+    if q == 4:
+        re = np.array([1, 0, -1, 0], dtype=np.float64)[exps]
+        im = np.array([0, 1, 0, -1], dtype=np.float64)[exps]
+        return re + 1j * im
+    return np.exp(2j * np.pi * exps / q)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8, 16])
+def test_values_equal_the_formulas_bit_for_bit_and_are_fresh(q):
+    rng = np.random.default_rng(q)
+    seq = UnimodularSequence(q, rng.integers(0, q, 300))
+    want = _values_by_formula(q, seq.exponents)
+    got = seq.values()
+    assert got.dtype == np.complex128
+    # the int64 view compares signs of zero and the last bit of every part
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    table = roots_of_unity(q)
+    assert table is roots_of_unity(q) and not table.flags.writeable
+    saved = table.copy()
+    got[:] = 7
+    assert np.array_equal(seq.values().view(np.int64), want.view(np.int64))
+    assert np.array_equal(table.view(np.int64), saved.view(np.int64))
