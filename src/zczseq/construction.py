@@ -59,7 +59,12 @@ __all__ = [
     "export_family",
     "load_family",
     "LoadedFamily",
+    "MAX_MODULUS",
 ]
+
+# The largest modulus a family may use: construct refuses a larger q and
+# load_family a sequence file declaring one.
+MAX_MODULUS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -252,8 +257,8 @@ class ConstructionParams:
     h: HCoeffs
 
     def __post_init__(self):
-        if self.q < 2 or self.q % 2:
-            raise ValueError(f"q must be even and >= 2, got {self.q}")
+        if self.q < 2 or self.q % 2 or self.q > MAX_MODULUS:
+            raise ValueError(f"q must be even and in [2, {MAX_MODULUS}], got {self.q}")
         if not 0 <= self.s <= self.k <= self.m - 2:
             raise ValueError(
                 f"need 0 <= s <= k <= m-2, got s={self.s}, k={self.k}, m={self.m}"
@@ -411,31 +416,44 @@ class ComplementaryCode:
         return len(self.rows[0])
 
 
-def _row_delta(params: ConstructionParams, b: tuple[int, ...], d_bits, d):
-    """Linear + constant offset shared by the code-row and sequence forms."""
-    q, half = params.q, params.q // 2
-    k, s = params.k, params.s
-    j_order = params.j_order
-    terms: dict[tuple[int, ...], int] = {}
+def _mask(variables, bits) -> int:
+    """Bit mask of the variables whose bit is set; a variable named twice
+    cancels, as two (q/2)-weighted terms do mod q."""
+    mask = 0
+    for v, bit in zip(variables, bits):
+        mask ^= bit << v
+    return mask
 
-    def add(idx, coeff):
-        key = tuple(sorted(idx))
-        terms[key] = (terms.get(key, 0) + coeff) % q
 
-    for beta in range(k):
-        add((j_order[beta],), half * (d_bits[beta] + b[beta]))
-    add((params.gamma1,), half * d)
-    add((params.gamma2,), half * b[k])
-    const = sum(d_bits[beta] * b[s + 1 + beta] for beta in range(k - s, k))
-    add((), half * const)
-    return terms
+def _parity_offset(base: np.ndarray, mask: int, flip: int, q: int) -> np.ndarray:
+    """(base + (q/2) * (parity(j & mask) ^ flip)) mod q for j = 0..len(base)-1:
+    the truth table of base's function plus the (q/2)-weighted linear terms
+    on the variables in ``mask`` and a (q/2)-weighted constant ``flip``."""
+    j = np.arange(len(base))
+    parity = np.full(len(base), flip)
+    for v in range(mask.bit_length()):
+        if (mask >> v) & 1:
+            parity ^= (j >> v) & 1
+    out = base + (q // 2) * parity
+    out -= q * (out >= q)  # base < q, so one subtraction reduces mod q
+    return out
 
 
 def build_ccc_family(params: ConstructionParams):
     """All 2^s code families; family t1 holds 2^{k+1} codes of 2^{k+1}
     rows of length 2^m.  Row nu encodes d = bit k of nu and
-    d_beta = bit beta of nu."""
-    k, s = params.k, params.s
+    d_beta = bit beta of nu.
+
+    Row nu of code (t1, t2) is psi of
+
+        f + (q/2) * ( sum_beta (d_beta + b_beta) x_{j_beta} + d x_{gamma1}
+                      + b_k x_{gamma2} + sum_{beta=k-s}^{k-1} d_beta b_{s+1+beta} )
+
+    so every row is psi(f) plus q/2 times a parity of its index bits.
+    """
+    q, k, s = params.q, params.k, params.s
+    base = psi(params.f).exponents
+    variables = params.j_order + (params.gamma1, params.gamma2)
     n_codes = 1 << (k + 1)
     families = []
     for t1 in range(1 << s):
@@ -446,10 +464,9 @@ def build_ccc_family(params: ConstructionParams):
             for nu in range(n_codes):
                 d_bits = _bits(nu, k)
                 d = (nu >> k) & 1
-                delta = GeneralizedBooleanFunction(
-                    params.q, params.m, _row_delta(params, b, d_bits, d)
-                )
-                rows.append(psi(params.f + delta))
+                mask = _mask(variables, [x ^ y for x, y in zip(d_bits, b)] + [d, b[k]])
+                flip = sum(x & y for x, y in zip(d_bits[k - s:], b[k + 1:])) & 1
+                rows.append(UnimodularSequence(q, _parity_offset(base, mask, flip, q)))
             codes.append(ComplementaryCode(rows=tuple(rows), t1=t1, t2=t2))
         families.append(tuple(codes))
     return tuple(families)
@@ -502,7 +519,9 @@ def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
                           + x_{m+k} x_{gamma1} + b_k x_{gamma2} )
 
     where b are the bits of (t2, t1) and j runs over J then the isolated
-    vertices.
+    vertices.  Only the linear terms depend on (t1, t2), and all carry q/2,
+    so every sequence is psi of the rest plus q/2 times a parity of its
+    index bits.
     """
     q, m, k, s = params.q, params.m, params.k, params.s
     half = q // 2
@@ -518,24 +537,14 @@ def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
         + GeneralizedBooleanFunction(q, n, static_terms)
     )
 
+    base = psi(static).exponents
+    variables = params.j_order + (params.gamma2,) + tuple(range(m + k - s, m + k))
     sets = []
     for t1 in range(1 << s):
         seqs = []
         for t2 in range(1 << (k + 1)):
-            b = _bits(t2, k + 1) + _bits(t1, s)
-            terms: dict[tuple[int, ...], int] = {}
-            for beta in range(k - s, k):
-                if b[s + 1 + beta]:
-                    terms[(m + beta,)] = half
-            for beta in range(k):
-                if b[beta]:
-                    terms[(params.j_order[beta],)] = (
-                        terms.get((params.j_order[beta],), 0) + half
-                    ) % q
-            if b[k]:
-                terms[(params.gamma2,)] = (terms.get((params.gamma2,), 0) + half) % q
-            z = static + GeneralizedBooleanFunction(q, n, terms)
-            seqs.append(psi(z))
+            mask = _mask(variables, _bits(t2, k + 1) + _bits(t1, s))
+            seqs.append(UnimodularSequence(q, _parity_offset(base, mask, 0, q)))
         sets.append(
             ZczSequenceSet(
                 sequences=tuple(seqs),
@@ -696,8 +705,11 @@ def _parse_sequence_file(data: bytes, path) -> tuple[UnimodularSequence, dict]:
             if name != key:
                 raise ValueError(f"expected header '{key}=', got {ln!r}")
             header[key] = int(value)
+        q = header["q"]
+        if q < 2 or q % 2 or q > MAX_MODULUS:
+            raise ValueError(f"q={q} is not a family modulus (even, 2..{MAX_MODULUS})")
         exps = _decode_exponents(body, header["L"])
-        return UnimodularSequence(header["q"], exps), header
+        return UnimodularSequence(q, exps), header
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -55,7 +55,6 @@ Python ints; a real table comes without its all-zero imaginary part.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -721,15 +720,34 @@ class SpectrumTable:
         return float(np.abs(self.re[sl] + 1j * self.im[sl]).max())
 
     def write_csv(self, path) -> None:
-        """One row per (i, j, u), i slowest.  int64 tables write ints and
-        float64 tables write ``repr`` floats (``str(float) == repr(float)``)."""
-        i, j, u = np.indices((self.K, self.K, self.L)).reshape(3, -1).tolist()
-        re = self.re.transpose(1, 2, 0).ravel().tolist()
-        im = self.im.transpose(1, 2, 0).ravel().tolist()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["pair_i", "pair_j", "shift", "re", "im"])
-            w.writerows(zip(i, j, u, re, im))
+        """One row per (i, j, u), i slowest, CRLF-ended as the ``csv`` module
+        writes them: int64 tables write ints and float64 tables ``repr``
+        floats (``str(float) == repr(float)``).  Rows are formatted one
+        ``pair_i`` block at a time."""
+        n = self.K * self.L
+        j, u = np.indices((self.K, self.L)).reshape(2, -1)
+        pair = np.hstack([_csv_fields(j, b","), _csv_fields(u, b",")])
+        with open(path, "wb") as fh:
+            fh.write(b"pair_i,pair_j,shift,re,im\r\n")
+            for i in range(self.K):
+                lead = np.frombuffer(b"%d," % i, np.uint8)
+                rows = np.hstack([
+                    np.broadcast_to(lead, (n, lead.size)),
+                    pair,
+                    _csv_fields(self.re[:, i, :].T, b","),
+                    _csv_fields(self.im[:, i, :].T, b"\r\n"),
+                ])
+                fh.write(rows[rows != 0].tobytes())
+
+
+def _csv_fields(values: np.ndarray, end: bytes) -> np.ndarray:
+    """``str(v) + end`` for every entry of ``values`` (in C order) as the
+    rows of a NUL-padded uint8 table.  Each distinct bit pattern is
+    formatted once, so -0.0 and 0.0 keep their own text."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    keys, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    table = np.array([str(v).encode() + end for v in keys.view(flat.dtype).tolist()])
+    return table[inverse.reshape(-1)].view(np.uint8).reshape(flat.size, -1)
 
 
 def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> SpectrumTable:

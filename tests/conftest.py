@@ -3,16 +3,26 @@
 The correlation oracles here are deliberately primitive pure-Python
 double loops over independently converted complex entries, so they never
 share code paths with the library's vectorized implementations.  The
-uplink oracle simulates every chip, where the library draws the
-matched-filter statistics directly.
+construction oracles build one generalized Boolean function and one truth
+table per sequence and per code row, where the library offsets one shared
+truth table by q/2-weighted parities.  The uplink oracle simulates every
+chip, where the library draws the matched-filter statistics directly.
 """
 
 import cmath
+import csv
 import math
 
 import numpy as np
 
-from zczseq import ConstructionParams, HCoeffs, verify_inter_zccz, verify_zcz
+from zczseq import (
+    ConstructionParams,
+    HCoeffs,
+    build_seed_function,
+    psi,
+    verify_inter_zccz,
+    verify_zcz,
+)
 from zczseq.gbf import GeneralizedBooleanFunction, UnimodularSequence
 
 
@@ -43,6 +53,18 @@ def naive_circular(a: UnimodularSequence, b: UnimodularSequence, u: int) -> comp
     va, vb = seq_values_list(a), seq_values_list(b)
     L = len(va)
     return sum((va[i] * vb[(i + u) % L].conjugate() for i in range(L)), 0j)
+
+
+def csv_module_spectrum(table, path) -> None:
+    """The spectrum CSV as the ``csv`` module writes it: one row per
+    (i, j, u), i slowest."""
+    i, j, u = np.indices((table.K, table.K, table.L)).reshape(3, -1).tolist()
+    re = table.re.transpose(1, 2, 0).ravel().tolist()
+    im = table.im.transpose(1, 2, 0).ravel().tolist()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["pair_i", "pair_j", "shift", "re", "im"])
+        w.writerows(zip(i, j, u, re, im))
 
 
 def random_sequence(rng, q: int, L: int) -> UnimodularSequence:
@@ -104,6 +126,79 @@ def random_valid_params(
     e = tuple(int(rng.integers(2)) for _ in range(k + 2))
     h = HCoeffs(c=c, d_pairs=d_pairs, e=e, e_prime=int(rng.integers(2)))
     return ConstructionParams(q=q, m=m, k=k, s=s, J=J, pi=pi, f=f, h=h)
+
+
+def _bits(value: int, count: int) -> tuple[int, ...]:
+    return tuple((value >> b) & 1 for b in range(count))
+
+
+def oracle_multiple_zcz(params: ConstructionParams) -> list[list[UnimodularSequence]]:
+    """Sequence (t1, t2) as psi of its own function
+
+        f + h + (q/2) * ( sum_beta x_{m+beta} x_{j_beta}
+                          + sum_{beta=k-s}^{k-1} x_{m+beta} b_{s+1+beta}
+                          + sum_beta b_beta x_{j_beta}
+                          + x_{m+k} x_{gamma1} + b_k x_{gamma2} ),
+
+    with b the bits of (t2, t1); returns sets[t1][t2]."""
+    q, m, k, s = params.q, params.m, params.k, params.s
+    half = q // 2
+    n = params.n_vars
+    static_terms = {tuple(sorted((m + beta, params.j_order[beta]))): half for beta in range(k)}
+    static_terms[tuple(sorted((m + k, params.gamma1)))] = half
+    static = (
+        params.f.with_variables(n)
+        + build_seed_function(params.h, m, q)
+        + GeneralizedBooleanFunction(q, n, static_terms)
+    )
+    sets = []
+    for t1 in range(1 << s):
+        seqs = []
+        for t2 in range(1 << (k + 1)):
+            b = _bits(t2, k + 1) + _bits(t1, s)
+            terms = [((m + beta,), half * b[s + 1 + beta]) for beta in range(k - s, k)]
+            terms += [((params.j_order[beta],), half * b[beta]) for beta in range(k)]
+            terms.append(((params.gamma2,), half * b[k]))
+            seqs.append(psi(static + _summed(q, n, terms)))
+        sets.append(seqs)
+    return sets
+
+
+def oracle_ccc_family(params: ConstructionParams) -> list[list[list[UnimodularSequence]]]:
+    """Row nu of code (t1, t2) as psi of its own function
+
+        f + (q/2) * ( sum_beta (d_beta + b_beta) x_{j_beta} + d x_{gamma1}
+                      + b_k x_{gamma2} + sum_{beta=k-s}^{k-1} d_beta b_{s+1+beta} ),
+
+    with d_beta = bit beta and d = bit k of nu; returns codes[t1][t2][nu]."""
+    q, m, k, s = params.q, params.m, params.k, params.s
+    half = q // 2
+    n_codes = 1 << (k + 1)
+    families = []
+    for t1 in range(1 << s):
+        codes = []
+        for t2 in range(n_codes):
+            b = _bits(t2, k + 1) + _bits(t1, s)
+            rows = []
+            for nu in range(n_codes):
+                d_bits, d = _bits(nu, k), (nu >> k) & 1
+                terms = [((params.j_order[beta],), half * (d_bits[beta] + b[beta]))
+                         for beta in range(k)]
+                terms += [((params.gamma1,), half * d), ((params.gamma2,), half * b[k])]
+                const = sum(d_bits[beta] * b[s + 1 + beta] for beta in range(k - s, k))
+                terms.append(((), half * const))
+                rows.append(psi(params.f + _summed(q, m, terms)))
+            codes.append(rows)
+        families.append(codes)
+    return families
+
+
+def _summed(q: int, m: int, terms) -> GeneralizedBooleanFunction:
+    """The sum of (index tuple, coefficient) terms, repeated tuples added."""
+    f = GeneralizedBooleanFunction.zero(q, m)
+    for idx, coeff in terms:
+        f = f + GeneralizedBooleanFunction(q, m, {idx: coeff})
+    return f
 
 
 def certify_family(family) -> tuple[bool, int]:

@@ -362,6 +362,19 @@ def test_simulate_noiseless_outputs_are_byte_stable(tmp_path):
     }
 
 
+@pytest.mark.parametrize("q", [2**40, 3])
+def test_verify_refuses_a_modulus_no_family_has(tmp_path, capsys, q):
+    out = tmp_path / "fam"
+    assert run_cli("construct", "--example1", "-o", str(out), "--no-certify") == EXIT_OK
+    for path in out.glob("*/*.seq"):
+        path.write_bytes(path.read_bytes().replace(b"q=2\n", b"q=%d\n" % q, 1))
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{out / '0' / '0.seq'}: q={q} is not a family modulus" in err
+    assert "out of memory" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli("construct", "-q", "2", "-m", "4") == EXIT_USAGE
     assert "error" in capsys.readouterr().err.lower()

@@ -5,8 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import certify_family, random_valid_params
+from conftest import (
+    certify_family,
+    oracle_ccc_family,
+    oracle_multiple_zcz,
+    random_valid_params,
+)
 from zczseq import (
     UnimodularSequence,
     ConstructionParams,
@@ -91,6 +98,8 @@ def test_seed_cancellation_random_samples():
 
 
 def test_params_constraint_errors():
+    with pytest.raises(ValueError, match=r"q must be even and in \[2, 65536\], got 65538"):
+        default_params(2**16 + 2, 4, 1, 0)  # above the shared modulus bound
     with pytest.raises(ValueError):
         default_params(2, 3, 2, 3)  # s > k
     with pytest.raises(ValueError):
@@ -181,18 +190,67 @@ def test_constructed_functions_stay_quadratic():
         assert len(fam) == 1 << s
 
 
-def test_chunk_identity():
-    p = example1_params()
-    fam = build_multiple_zcz(p)
-    codes = build_ccc_family(p)
-    hv = seed_polynomial(p.h).truth_table()
-    chunk = 1 << p.m
-    for t1 in range(2):
-        for t2 in range(8):
-            z = fam.sets[t1].sequences[t2].exponents
-            for c in range(1 << (p.k + 2)):
-                row = codes[t1][t2].rows[c % (1 << (p.k + 1))].exponents
-                assert np.array_equal(z[c * chunk:(c + 1) * chunk], (row + hv[c]) % 2)
+@st.composite
+def _random_structures(draw):
+    """``random_valid_params`` draws of length at most 2^10 over q in
+    {2, 4, 6, 8}: random J, path order, quadratic terms of f on the J
+    vertices, linear terms, constant and seed coefficients."""
+    q = draw(st.sampled_from([2, 4, 6, 8]))
+    k = draw(st.integers(0, 3))
+    s = draw(st.integers(0, k))
+    m = draw(st.integers(k + 2, 8 - k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_valid_params(rng, q, m, k, s, randomize_structure=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_random_structures())
+@example(example1_params())
+def test_builders_equal_the_per_sequence_oracles(params):
+    fam = build_multiple_zcz(params)
+    assert [list(zs.sequences) for zs in fam.sets] == oracle_multiple_zcz(params)
+    codes = build_ccc_family(params)
+    assert [[list(code.rows) for code in fam_codes] for fam_codes in codes] == (
+        oracle_ccc_family(params)
+    )
+
+
+@pytest.mark.parametrize("build", [build_multiple_zcz, build_ccc_family])
+def test_builders_evaluate_one_truth_table(build, monkeypatch):
+    """One truth table per build, however many sequences or rows."""
+    calls = []
+    truth_table = GeneralizedBooleanFunction.truth_table
+
+    def counted(self):
+        calls.append(self.m)
+        return truth_table(self)
+
+    monkeypatch.setattr(GeneralizedBooleanFunction, "truth_table", counted)
+    counts = []
+    for point in [(2, 6, 3, 2), (2, 8, 4, 2)]:
+        params = default_params(*point)
+        calls.clear()
+        build(params)
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_random_structures())
+@example(example1_params())
+def test_chunk_identity(params):
+    """Chunk c of sequence (t1, t2) is row c mod 2^{k+1} of code (t1, t2)
+    offset by (q/2) h_c."""
+    fam = build_multiple_zcz(params)
+    codes = build_ccc_family(params)
+    hv = seed_polynomial(params.h).truth_table()
+    half, l = params.q // 2, 1 << (params.k + 1)
+    for t1, zs in enumerate(fam.sets):
+        for t2, z in enumerate(zs.sequences):
+            chunks = z.exponents.reshape(len(hv), 1 << params.m)
+            rows = np.stack([r.exponents for r in codes[t1][t2].rows])
+            want = (rows[np.arange(len(hv)) % l] + half * hv[:, None]) % params.q
+            assert np.array_equal(chunks, want)
 
 
 def test_chunk_decomposition_peak_and_cross():
@@ -376,7 +434,7 @@ def test_load_tolerates_blank_lines_and_crlf(tmp_path):
     assert loaded.sets[0][1] == fam.sets[0].sequences[1]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 10, 11, 16, 257])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 10, 11, 16, 257, 2**16, 2**16 + 2])
 def test_sequence_file_bytes_match_the_line_by_line_format(q):
     rng = np.random.default_rng(q)
     exps = rng.integers(0, q, size=600)
@@ -384,6 +442,10 @@ def test_sequence_file_bytes_match_the_line_by_line_format(q):
     data = construction._format_sequence_file(seq, 16, 7)
     lines = [f"q={q}", "L=600", "Z=16", "Zc=7", *map(str, exps.tolist())]
     assert data == ("\n".join(lines) + "\n").encode()
+    if q % 2 or q > construction.MAX_MODULUS:  # no family has this modulus
+        with pytest.raises(ValueError, match=f"x.seq: q={q} is not a family modulus"):
+            construction._parse_sequence_file(data, "x.seq")
+        return
     assert construction._parse_sequence_file(data, "x.seq") == (
         seq, {"q": q, "L": 600, "Z": 16, "Zc": 7}
     )

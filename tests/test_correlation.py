@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_circular, random_sequence
+from conftest import csv_module_spectrum, naive_circular, random_sequence
 from zczseq import (
     GeneralizedBooleanFunction,
     HCoeffs,
@@ -332,6 +332,23 @@ def test_spectrum_csv_round_trip(tmp_path):
             f"{i},{j},{u},{fmt(table.re[u, i, j])},{fmt(table.im[u, i, j])}"
             for i in range(2) for j in range(2) for u in range(8)
         ]
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+def test_spectrum_csv_bytes_match_the_csv_module(q, tmp_path):
+    fam = build_multiple_zcz(default_params(q, 3, 1, 1))
+    table = correlation_spectrum(fam.sets[0].sequences)
+    assert table.re.dtype == (np.int64 if q in (2, 4) else np.float64)
+    tables = [table]
+    if not table.exact:
+        # signed zeros and floats whose shortest repr needs 17 digits
+        re = table.re.copy()
+        re[::2, 0, 0], re[1::2, 0, 0] = -0.0, 0.1 + 0.2
+        tables.append(dataclasses.replace(table, re=re, im=-re))
+    for t in tables:
+        t.write_csv(tmp_path / "fast.csv")
+        csv_module_spectrum(t, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
 def test_certificate_json_shapes():
