@@ -223,12 +223,24 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _digest_failures(digests: dict) -> str:
+    """The failing files of a digest report, by kind."""
+    return "; ".join(
+        f"{kind}: {', '.join(digests[kind])}"
+        for kind in ("mismatched", "missing", "extra")
+        if digests[kind]
+    )
+
+
 def cmd_verify(args) -> int:
     loaded = construction.load_family(args.directory)
     Z = args.zcz if args.zcz is not None else loaded.Z
     Zc = args.zccz if args.zccz is not None else loaded.Zc
     family = dataclasses.replace(loaded, Z=Z, Zc=Zc).as_family()
     report = _certify(family, deep=args.deep)
+    digests = report["digests"] = loaded.digest_report()
+    if digests is not None and not digests["pass"]:
+        report["pass"] = False
     report["claimed"] = {"Z": Z, "Zc": Zc}
     report["verified_utc"] = _utc_now()
 
@@ -261,6 +273,11 @@ def cmd_verify(args) -> int:
             f"chunk-decomposition {'PASS' if deep['chunk_decomposition']['pass'] else 'FAIL'} "
             f"({deep['chunk_decomposition']['checked']} checks)"
         )
+    if digests is not None:
+        if digests["pass"]:
+            print(f"files: PASS ({digests['checked']} manifest digests)")
+        else:
+            print(f"files: FAIL ({_digest_failures(digests)})")
     print(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
 
     report_path = Path(args.report) if args.report else Path(args.directory) / "certificates.json"
@@ -305,7 +322,13 @@ def cmd_simulate(args) -> int:
     if not isinstance(raw, dict):
         raise CliUsageError("simulation config must be a JSON object")
     if "family_dir" in raw:
-        family = construction.load_family(raw.pop("family_dir")).as_family()
+        loaded = construction.load_family(raw.pop("family_dir"))
+        digests = loaded.digest_report()
+        if digests is not None and not digests["pass"]:
+            print(f"error: family files disagree with manifest.json ({_digest_failures(digests)})",
+                  file=sys.stderr)
+            return EXIT_CERT_FAIL
+        family = loaded.as_family()
     elif "construction" in raw:
         family = construction.build_multiple_zcz(_construction_params(raw.pop("construction")))
     else:

@@ -568,7 +568,7 @@ def union_family(family: MultipleZczFamily) -> ZczSequenceSet:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkDecompositionReport:
     """Direct periodic correlation versus its chunk-level assembly."""
 
@@ -602,47 +602,37 @@ def check_chunk_decomposition(
     params = family.params
     if params is None:
         raise ValueError("family carries no construction parameters")
-    if not 0 <= tau <= (1 << params.m):
-        raise ValueError(f"tau must lie in [0, {1 << params.m}], got {tau}")
-    l = 1 << (params.k + 1)
     chunk_len = 1 << params.m
-
+    if not 0 <= tau <= chunk_len:
+        raise ValueError(f"tau must lie in [0, {chunk_len}], got {tau}")
     if codes is None:
         codes = build_ccc_family(params)
     rows_a = codes[t1][i].rows
     rows_b = codes[t1_other][j].rows
-
-    za = family.sets[t1].sequences[i]
-    zb = family.sets[t1_other].sequences[j]
-    lhs = correlation.pccf(za, zb, tau)
+    lhs = correlation.pccf(
+        family.sets[t1].sequences[i], family.sets[t1_other].sequences[j], tau
+    )
 
     # Sum the terms as plain numbers, in the order and with the exact/tol
     # rules of CorrelationValue's scaled, conjugate and + (so the floats
     # are the same), and build one value at the end.
     re, im, exact, tol = 0, 0, True, 0.0
-    for nu in range(l):
-        term = correlation.accf(rows_a[nu], rows_b[nu], tau)
+    for row_a, row_b in zip(rows_a, rows_b):
+        term = correlation.accf(row_a, row_b, tau)
         re += 2 * term.re
         im += 2 * term.im
         exact = exact and term.exact
         tol = max(tol, 2 * term.tol)
+    l = len(rows_a)
+    shift = chunk_len - tau
     for nu, weight in _boundary_weights(params.h):
-        cross = correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], chunk_len - tau)
+        cross = correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift)
         re += weight * cross.re
-        im += weight * -cross.im
+        im -= weight * cross.im
         exact = exact and cross.exact
         tol = max(tol, abs(weight) * cross.tol)
     rhs = correlation.CorrelationValue(re, im, exact, tol)
-    return ChunkDecompositionReport(
-        t1=t1,
-        t1_other=t1_other,
-        i=i,
-        j=j,
-        tau=tau,
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs.matches(rhs),
-    )
+    return ChunkDecompositionReport(t1, t1_other, i, j, tau, lhs, rhs, lhs.matches(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +641,22 @@ def check_chunk_decomposition(
 _HEADER_KEYS = ("q", "L", "Z", "Zc")
 
 
+@functools.lru_cache(maxsize=16)
+def _exponent_records(q: int) -> np.ndarray:
+    """The q records ``b"<e>\\n"``, e = 0..q-1, as one fixed-width table;
+    built once per q and shared, so the array is read-only."""
+    records = np.array([b"%d\n" % e for e in range(q)])
+    records.flags.writeable = False
+    return records
+
+
 def _format_sequence_file(seq: UnimodularSequence, Z: int, Zc: int) -> bytes:
     """The file bytes: the header, then one ASCII decimal exponent per
-    LF-ended line.  Each exponent indexes a fixed-width table of the q
-    records ``b"<e>\\n"``; dropping the NUL padding of the shorter records
-    leaves the same bytes as formatting each exponent in turn."""
+    LF-ended line.  Each exponent indexes the table of
+    :func:`_exponent_records`; dropping the NUL padding of the shorter
+    records leaves the same bytes as formatting each exponent in turn."""
     header = f"q={seq.q}\nL={len(seq)}\nZ={Z}\nZc={Zc}\n".encode()
-    records = np.array([b"%d\n" % e for e in range(seq.q)])
-    body = records[seq.exponents].view(np.uint8)
+    body = _exponent_records(seq.q)[seq.exponents].view(np.uint8)
     return header + body[body != 0].tobytes()
 
 
@@ -796,7 +794,8 @@ def _tool_version() -> str:
 @dataclass(frozen=True)
 class LoadedFamily:
     """A family read back from disk; params present when the manifest
-    carried them."""
+    carried them.  ``digests`` maps each sequence file read, as
+    ``"<t1>/<t2>.seq"`` in load order, to the SHA-256 of its bytes."""
 
     sets: tuple[tuple[UnimodularSequence, ...], ...]
     q: int
@@ -805,6 +804,31 @@ class LoadedFamily:
     Zc: int
     params: ConstructionParams | None
     manifest: dict | None
+    digests: dict[str, str]
+
+    def digest_report(self) -> dict | None:
+        """The sequence files that disagree with the manifest's ``files``
+        digests, or None when the manifest lists no files.
+
+        ``mismatched`` files were read but hash differently, ``missing``
+        ones are listed but were not read, ``extra`` ones were read but are
+        not listed; the report passes when all three are empty.
+        """
+        listed = (self.manifest or {}).get("files")
+        if listed is None:
+            return None
+        if not isinstance(listed, dict):
+            raise ValueError("manifest.json: 'files' must map sequence files to SHA-256 digests")
+        mismatched = [f for f, d in self.digests.items() if f in listed and listed[f] != d]
+        missing = [f for f in listed if f not in self.digests]
+        extra = [f for f in self.digests if f not in listed]
+        return {
+            "pass": not (mismatched or missing or extra),
+            "checked": len(listed),
+            "mismatched": mismatched,
+            "missing": missing,
+            "extra": extra,
+        }
 
     def as_family(self) -> MultipleZczFamily:
         return MultipleZczFamily(
@@ -833,6 +857,7 @@ def load_family(directory) -> LoadedFamily:
         raise ValueError(f"{root} holds no sequence-set subdirectories")
     sets = []
     header = None
+    digests = {}
     for sub in set_dirs:
         files = sorted(
             (p for p in sub.glob("*.seq") if p.stem.isdigit()),
@@ -842,7 +867,9 @@ def load_family(directory) -> LoadedFamily:
             raise ValueError(f"{sub} holds no .seq files")
         seqs = []
         for path in files:
-            seq, hdr = _parse_sequence_file(path.read_bytes(), path)
+            data = path.read_bytes()
+            digests[f"{sub.name}/{path.name}"] = _sha256(data)
+            seq, hdr = _parse_sequence_file(data, path)
             if header is None:
                 header = hdr
             elif hdr != header:
@@ -864,4 +891,5 @@ def load_family(directory) -> LoadedFamily:
         Zc=header["Zc"],
         params=params,
         manifest=manifest,
+        digests=digests,
     )

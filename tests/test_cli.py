@@ -98,6 +98,60 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert report["sets"][0]["witnesses"]
 
 
+def _swap(a, b):
+    data = a.read_bytes()
+    a.write_bytes(b.read_bytes())
+    b.write_bytes(data)
+
+
+@pytest.mark.parametrize("edit, kind, files", [
+    (lambda out: _swap(out / "0" / "0.seq", out / "0" / "1.seq"),
+     "mismatched", ["0/0.seq", "0/1.seq"]),
+    (lambda out: (out / "1" / "7.seq").unlink(), "missing", ["1/7.seq"]),
+    (lambda out: (out / "1" / "8.seq").write_bytes((out / "1" / "7.seq").read_bytes()),
+     "extra", ["1/8.seq"]),
+], ids=["swapped", "missing", "extra"])
+def test_verify_checks_the_manifest_digests(tmp_path, capsys, edit, kind, files):
+    out = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(out), "--no-certify")
+    assert run_cli("verify", str(out)) == EXIT_OK
+    assert "files: PASS (16 manifest digests)" in capsys.readouterr().out
+    edit(out)
+    assert run_cli("verify", str(out)) == EXIT_CERT_FAIL
+    stdout = capsys.readouterr().out
+    assert f"files: FAIL ({kind}: {', '.join(files)})" in stdout
+    assert "overall: FAIL" in stdout
+    report = json.loads((out / "certificates.json").read_text())
+    assert not report["pass"]
+    assert report["digests"] == {
+        "pass": False, "checked": 16, "mismatched": [], "missing": [], "extra": [], kind: files
+    }
+
+
+def test_verify_without_a_manifest_checks_no_digests(tmp_path, capsys):
+    out = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(out), "--no-certify")
+    (out / "manifest.json").unlink()
+    assert run_cli("verify", str(out)) == EXIT_OK
+    assert "files:" not in capsys.readouterr().out
+    assert json.loads((out / "certificates.json").read_text())["digests"] is None
+
+
+def test_simulate_refuses_a_family_that_disagrees_with_its_manifest(tmp_path, capsys):
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    _swap(fam_dir / "0" / "0.seq", fam_dir / "0" / "1.seq")
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({
+        "family_dir": str(fam_dir), "clusters": 2, "users_per_cluster": 8,
+        "max_delay_chips": 3, "noiseless": True, "bits_per_iteration": 100, "iterations": 1,
+    }))
+    capsys.readouterr()
+    assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "run")) == EXIT_CERT_FAIL
+    assert "mismatched: 0/0.seq, 0/1.seq" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _tree_digests(root):
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()

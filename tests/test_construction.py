@@ -40,7 +40,7 @@ from zczseq import (
     verify_inter_zccz,
     verify_zcz,
 )
-from zczseq import construction
+from zczseq import construction, correlation
 
 G = GeneralizedBooleanFunction
 
@@ -315,6 +315,38 @@ def test_nonzero_boundary_weights_enter_conjugated(params, monkeypatch):
                         assert rep.rhs == want  # re, im, exact and tol
 
 
+@pytest.mark.parametrize("params, weighted", [
+    (example1_params, False),
+    (lambda: _complex_params(4), True),
+    (lambda: _complex_params(8), True),
+], ids=["example", "q4", "q8"])
+def test_one_check_calls_accf_once_per_term(params, weighted, monkeypatch):
+    """2 calls through pccf, one per code row and one per nonzero boundary
+    weight, every one through ``correlation.accf``."""
+    p = params()
+    if weighted:  # non-cancelling signs, as in the test above
+        sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
+        monkeypatch.setattr(construction, "_seed_signs", lambda coeffs: sign)
+        monkeypatch.setattr(
+            construction, "_boundary_weights", construction._boundary_weights.__wrapped__
+        )
+    n_weights = len(construction._boundary_weights(p.h))
+    assert (n_weights > 0) == weighted
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    calls = []
+    inner = correlation.accf
+
+    def spy(a, b, u):
+        calls.append(u)
+        return inner(a, b, u)
+
+    monkeypatch.setattr(correlation, "accf", spy)
+    for tau in (0, 1, 1 << p.m):
+        calls.clear()
+        check_chunk_decomposition(fam, 0, len(fam.sets) - 1, 1, 0, tau, codes=codes)
+        assert len(calls) == 2 + (1 << (p.k + 1)) + n_weights
+
+
 def test_chunk_decomposition_needs_params():
     fam = build_multiple_zcz(example1_params())
     stripped = fam.__class__(params=None, sets=fam.sets, Z=fam.Z, Zc=fam.Zc)
@@ -449,6 +481,16 @@ def test_sequence_file_bytes_match_the_line_by_line_format(q):
     assert construction._parse_sequence_file(data, "x.seq") == (
         seq, {"q": q, "L": 600, "Z": 16, "Zc": 7}
     )
+
+
+def test_export_builds_the_record_table_once_per_modulus(tmp_path):
+    fam = build_multiple_zcz(default_params(2**16, 3, 1, 1))
+    construction._exponent_records.cache_clear()
+    export_family(fam, tmp_path / "fam")
+    info = construction._exponent_records.cache_info()
+    assert (info.misses, info.hits) == (1, 7)  # 8 files, one q
+    loaded = load_family(tmp_path / "fam")
+    assert [list(st) for st in loaded.sets] == [list(st.sequences) for st in fam.sets]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_module_spectrum, naive_circular, random_sequence
+from conftest import csv_module_spectrum, naive_circular, random_sequence, random_valid_params
 from zczseq import (
     GeneralizedBooleanFunction,
     HCoeffs,
@@ -89,6 +89,28 @@ def test_accf_equals_dot_with_conjugate_bit_for_bit(q):
             assert np.array_equal(np.array([got.re, got.im]).view(np.int64),
                                   np.array([want.real, want.imag]).view(np.int64))
             assert got.tol == correlation.FLOAT_ZERO_TOL_PER_CHIP * L
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+def test_pccf_equals_two_dots_bit_for_bit(q):
+    # the forward dot plus the conjugated backward one, summed as
+    # CorrelationValue's + and conjugate sum them
+    rng = np.random.default_rng(40 + q)
+    L = 37
+    a, b = random_sequence(rng, q, L), random_sequence(rng, q, L)
+    va, vb = a.values(), b.values()
+    for u in range(L):
+        fwd = np.dot(va[: L - u], np.conj(vb[u:]))
+        bwd = np.dot(vb[: u], np.conj(va[L - u :]))
+        got = pccf(a, b, u)
+        if a.exact:
+            assert got == (int(fwd.real) + int(bwd.real), int(fwd.imag) - int(bwd.imag), True, 0.0)
+            assert type(got.re) is int and type(got.im) is int
+            continue
+        want = [float(fwd.real) + float(bwd.real), float(fwd.imag) + -float(bwd.imag)]
+        assert np.array_equal(np.array([got.re, got.im]).view(np.int64),
+                              np.array(want).view(np.int64))
+        assert (got.exact, got.tol) == (False, correlation.FLOAT_ZERO_TOL_PER_CHIP * L)
 
 
 def test_accf_conjugate_symmetry():
@@ -689,3 +711,31 @@ def test_constructions_split_fold_exactly_and_certify(params):
     )
     set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+
+
+@st.composite
+def _complex_constructions(draw):
+    """``random_valid_params`` draws of length at most 2^9 over q in {6, 8}:
+    random J, path order, quadratic terms of f on the J vertices, linear
+    terms, constant and seed coefficients."""
+    q = draw(st.sampled_from([6, 8]))
+    k = draw(st.integers(0, 2))
+    s = draw(st.integers(0, k))
+    m = draw(st.integers(k + 2, 7 - k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_valid_params(rng, q, m, k, s, randomize_structure=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_complex_constructions())
+def test_q6_q8_constructions_certify_like_the_separate_calls(params):
+    fam = build_multiple_zcz(params)
+    sets = [st.sequences for st in fam.sets]
+    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+    assert set_certs == [verify_zcz(st, fam.Z) for st in sets]
+    assert inter == {
+        (a, b): verify_inter_zccz(sets[a], sets[b], fam.Zc)
+        for a in range(len(sets)) for b in range(a + 1, len(sets))
+    }
+    assert union_cert == verify_zcz([z for st in sets for z in st], fam.Zc)
