@@ -318,7 +318,9 @@ def _construction_params(con) -> construction.ConstructionParams:
 
 def cmd_simulate(args) -> int:
     config_path = Path(args.config)
-    raw = json.loads(config_path.read_text())
+    # parsed, copied into summary.json and hashed for the manifest: one read
+    config_bytes = config_path.read_bytes()
+    raw = json.loads(config_bytes)
     if not isinstance(raw, dict):
         raise CliUsageError("simulation config must be a JSON object")
     if "family_dir" in raw:
@@ -349,7 +351,7 @@ def cmd_simulate(args) -> int:
     csv_path.write_text("\n".join(lines) + "\n")
 
     summary = {
-        "config": json.loads(config_path.read_text()),
+        "config": json.loads(config_bytes),
         "delays": result.delays.tolist(),
         "ebn0_db": list(result.ebn0_db),
         "curves": [
@@ -374,7 +376,7 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "command": "simulate",
         "created_utc": _utc_now(),
-        "inputs": {str(config_path): _sha256_file(config_path)},
+        "inputs": {str(config_path): hashlib.sha256(config_bytes).hexdigest()},
         "outputs": {
             csv_path.name: _sha256_file(csv_path),
             summary_path.name: _sha256_file(summary_path),

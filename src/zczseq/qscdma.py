@@ -25,8 +25,16 @@ processing gain L absorbed (noise per chip has sigma^2 = L / (2 Eb/N0));
 because reported curves in the literature rarely say which one they use.
 
 All randomness is derived from the mandatory seed: delays from spawn key
-(0,), iteration streams from spawn key (1, point_index, iteration), each
-drawing its bits before its noise, so results depend on the seed alone.
+(0,), iteration streams from spawn key (1, point_index, iteration), so
+results depend on the seed alone.  An iteration's stream yields its bits,
+users-major, then n_bits x n_obs standard normals.  The bits are the top
+bits of the little-endian 32-bit halves (low half first) of
+ceil(users n_bits / 2) raw PCG64 words: what ``Generator.integers(0, 2)``
+returns, since Lemire's method never rejects for range 2.  An iteration
+holds 4 bytes per user-bit of words and 16 per observed-user-bit of noise,
+and forms the statistics in blocks of ``_BLOCK_BYTES`` of bit signs.  For
+q in {1, 2, 4} the products are exact and the output bytes do not depend
+on the blocks; for other q the blocks may change their summation order.
 """
 
 from __future__ import annotations
@@ -52,6 +60,9 @@ __all__ = [
     "find_interference_witness",
     "InterferenceWitness",
 ]
+
+# Bytes of one block of float64 bit signs.
+_BLOCK_BYTES = 1 << 18
 
 # JSON type of every config key; a bool is not a count
 _CONFIG_TYPES = {
@@ -206,6 +217,14 @@ def _noise_factor(gram: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
+def _bit_words(rng: np.random.Generator, users: int, n_bits: int) -> np.ndarray:
+    """int32 words, shape (users, n_bits), negative where ``rng.integers(0,
+    2, (users, n_bits))`` would draw 1: the little-endian 32-bit halves of
+    raw PCG64 words, whose top bits Lemire's method takes for range 2."""
+    raw = rng.bit_generator.random_raw(-(-users * n_bits // 2))
+    return raw.astype("<u8", copy=False).view("<i4")[: users * n_bits].reshape(users, n_bits)
+
+
 def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> SimulationResult:
     """Estimate BER curves for the observed users (the first
     ``observed_per_cluster`` of every cluster) from the config's seed."""
@@ -238,17 +257,30 @@ def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> Simulat
             (math.sqrt(L / (2.0 * 10.0 ** (e / 10.0))), db) for db, e in zip(config.snr_db, ebn0)
         ]
 
-    errors = np.zeros((len(points), len(observed)), dtype=np.int64)
+    users, n_obs, n_bits = sig.shape[0], len(observed), config.bits_per_iteration
+    width = max(1, min(n_bits, _BLOCK_BYTES // (8 * users)))
+    neg_gt = -G.T  # a 1 bit sends +1 but is a negative word, whose copysign is -1
+    signs, stats = np.empty(users * width), np.empty(n_obs * width)
+    if not config.noiseless:
+        normals, noise = np.empty((n_bits, n_obs)), np.empty((n_bits, n_obs))
+    errors = np.zeros((len(points), n_obs), dtype=np.int64)
     for point_idx, (sigma, _) in enumerate(points):
         for iter_idx in range(config.iterations):
             rng = np.random.default_rng(
                 np.random.SeedSequence(config.seed, spawn_key=(1, point_idx, iter_idx))
             )
-            bits = rng.integers(0, 2, size=(sig.shape[0], config.bits_per_iteration)) * 2 - 1
-            stats = bits.T @ G
+            words = _bit_words(rng, users, n_bits)
             if sigma > 0.0:
-                stats += sigma * (rng.standard_normal(stats.shape) @ F)
-            errors[point_idx] += ((stats > 0) != (bits[observed_rows].T > 0)).sum(axis=0)
+                np.matmul(rng.standard_normal(out=normals), F, out=noise)
+                noise *= sigma
+            for j in range(0, n_bits, width):
+                w = min(width, n_bits - j)
+                block = np.copysign(1.0, words[:, j : j + w], out=signs[: users * w].reshape(users, w))
+                st = np.matmul(neg_gt, block, out=stats[: n_obs * w].reshape(n_obs, w))
+                if sigma > 0.0:
+                    st += noise[j : j + w].T
+                errors[point_idx] += ((st > 0) != (words[observed_rows, j : j + w] < 0)).sum(axis=1)
+            del words  # before the next iteration draws its own
     bits_per_point = config.bits_per_iteration * config.iterations
 
     curves = []

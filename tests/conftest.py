@@ -6,7 +6,9 @@ share code paths with the library's vectorized implementations.  The
 construction oracles build one generalized Boolean function and one truth
 table per sequence and per code row, where the library offsets one shared
 truth table by q/2-weighted parities.  The uplink oracle simulates every
-chip, where the library draws the matched-filter statistics directly.
+chip, where the library draws the matched-filter statistics directly; the
+loop oracle draws those statistics from int64 bits in one product per
+iteration, where the library reads raw bit words in blocks.
 """
 
 import cmath
@@ -23,6 +25,7 @@ from zczseq import (
     verify_inter_zccz,
     verify_zcz,
 )
+from zczseq import qscdma
 from zczseq.gbf import GeneralizedBooleanFunction, UnimodularSequence
 
 
@@ -276,4 +279,40 @@ def chip_level_errors(family, config, delays) -> np.ndarray:
             stats = (rx @ templates.conj().T).real
             decisions = np.where(stats > 0, 1, -1)
             errors[p_idx] += (decisions != bits[rows].T).sum(axis=0)
+    return errors
+
+
+def oracle_simulation_errors(family, config) -> np.ndarray:
+    """errors[point, observed user] of ``simulate_ber``'s loop as first
+    written: int64 bits from ``rng.integers``, then ``bits.T @ G`` and the
+    noise over the whole iteration.  Shares the set-up (delays, G, F)."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    delays = rng.integers(
+        0, config.max_delay_chips + 1, size=(config.clusters, config.users_per_cluster)
+    )
+    sig = qscdma._signature_matrix(family, config.clusters, config.users_per_cluster, delays)
+    rows = np.array(
+        [c * config.users_per_cluster + u
+         for c in range(config.clusters) for u in range(config.observed_per_cluster)],
+        dtype=np.intp,
+    )
+    G = qscdma._mai_matrix(sig, rows)
+    F = qscdma._noise_factor(G[rows])
+    if config.noiseless:
+        sigmas = [0.0]
+    else:
+        gain_db = 0.0 if config.snr_axis == "bit" else 10.0 * math.log10(family.L)
+        sigmas = [math.sqrt(family.L / (2.0 * 10.0 ** ((db + gain_db) / 10.0)))
+                  for db in config.snr_db]
+    errors = np.zeros((len(sigmas), len(rows)), dtype=np.int64)
+    for p_idx, sigma in enumerate(sigmas):
+        for it in range(config.iterations):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(config.seed, spawn_key=(1, p_idx, it))
+            )
+            bits = rng.integers(0, 2, size=(sig.shape[0], config.bits_per_iteration)) * 2 - 1
+            stats = bits.T @ G
+            if sigma > 0.0:
+                stats += sigma * (rng.standard_normal(stats.shape) @ F)
+            errors[p_idx] += ((stats > 0) != (bits[rows].T > 0)).sum(axis=0)
     return errors

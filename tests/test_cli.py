@@ -4,11 +4,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from zczseq import cli, construction, correlation, format_gbf_text
+from zczseq import cli, construction, correlation, format_gbf_text, qscdma
 from zczseq.cli import EXIT_CERT_FAIL, EXIT_OK, EXIT_USAGE
+from zczseq.construction import path_gbf
+from zczseq.gbf import GeneralizedBooleanFunction
 
 
 def run_cli(*argv):
@@ -415,6 +418,64 @@ def test_simulate_noiseless_outputs_are_byte_stable(tmp_path):
         "summary.json": "a8fce5acf8cfffb8e2700e633a56939095141c426d2381a80c17ef6b346ecaf8",
     }
 
+
+BENCH_SIM = dict(SMALL_SIM, clusters=4, users_per_cluster=8, max_delay_chips=3,
+                 snr_db=[0.0, 2.0, 4.0], iterations=10, bits_per_iteration=10_000,
+                 observed_per_cluster=1)
+
+
+def _quaternary_family_dir(path):
+    """A q = 4 family with complex chips, built by ``construct --f``."""
+    f = path_gbf(4, 4, 2, 2, (), (0, 1)) + GeneralizedBooleanFunction(4, 4, {(0,): 1, (1,): 3})
+    (path.parent / "f.gbf").write_text(format_gbf_text(f))
+    assert run_cli("construct", "-q", "4", "-m", "4", "-k", "2", "-s", "2",
+                   "--f", str(path.parent / "f.gbf"), "-o", str(path), "--no-certify") == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (BENCH_SIM, {
+            "ber.csv": "421ba2b63d6667dd1307c1c6d01815fd006cf479966a0e61955660c4ae20a098",
+            "summary.json": "86f5dbfc29907938c9f0e8346404b1af27367ffb11041b327b1639ed8c5d02ee",
+        }),
+        ({"family_dir": "fam", "clusters": 4, "users_per_cluster": 8, "observed_per_cluster": 2,
+          "max_delay_chips": 40, "snr_db": [0.0, 6.0], "bits_per_iteration": 3001,
+          "iterations": 3, "seed": 41}, {
+            "ber.csv": "104f66b5ad9615460d57751a0df9fc4670c1592cf6a0cfa8e05b917bb4b0375e",
+            "summary.json": "ea74807387eb787b7a57c9018a0f3122059c4ba5f4fc6c497924007b017457d4",
+        }),
+    ],
+    ids=["bench-2422", "q4-delays-40"],
+)
+def test_simulate_noisy_outputs_are_byte_stable(tmp_path, monkeypatch, config, digest):
+    """Seeded noisy runs reproduce the bytes of the simulator that drew
+    int64 bits with ``rng.integers`` and formed ``bits.T @ G`` at once."""
+    monkeypatch.chdir(tmp_path)
+    if "family_dir" in config:
+        _quaternary_family_dir(tmp_path / config["family_dir"])
+    Path("sim.json").write_text(json.dumps(config))
+    assert run_cli("simulate", "sim.json", "-o", "run") == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+            for name in digest} == digest
+
+
+def test_simulate_manifest_hashes_the_config_bytes_it_parsed(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "sim.json"
+    parsed = json.dumps(SMALL_SIM).encode()
+    cfg_path.write_bytes(parsed)
+    simulate_ber = qscdma.simulate_ber
+
+    def edit_config_mid_run(family, config):
+        cfg_path.write_text(json.dumps(dict(SMALL_SIM, seed=2)))
+        return simulate_ber(family, config)
+
+    monkeypatch.setattr(qscdma, "simulate_ber", edit_config_mid_run)
+    out = tmp_path / "run"
+    assert run_cli("simulate", str(cfg_path), "-o", str(out)) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(cfg_path): hashlib.sha256(parsed).hexdigest()}
+    assert json.loads((out / "summary.json").read_text())["config"] == SMALL_SIM
 
 @pytest.mark.parametrize("q", [2**40, 3])
 def test_verify_refuses_a_modulus_no_family_has(tmp_path, capsys, q):

@@ -1,13 +1,22 @@
 """Multi-cluster uplink simulation: exactness, baselines, reproducibility."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import chip_level_errors, chip_signatures, two_proportion_z
+from conftest import (
+    chip_level_errors,
+    chip_signatures,
+    oracle_simulation_errors,
+    two_proportion_z,
+)
 from zczseq import (
+    MultipleZczFamily,
     SimulationConfig,
+    UnimodularSequence,
+    ZczSequenceSet,
     assign_signatures,
     build_multiple_zcz,
     default_params,
@@ -18,6 +27,7 @@ from zczseq import (
     simulate_ber,
     theoretical_bpsk_ber,
 )
+from zczseq import qscdma
 from zczseq.construction import path_gbf
 from zczseq.gbf import GeneralizedBooleanFunction
 
@@ -30,6 +40,19 @@ def quaternary_family():
     """A certified q = 4 family whose chips have nonzero imaginary parts."""
     f = path_gbf(4, 4, 2, 2, (), (0, 1)) + GeneralizedBooleanFunction(4, 4, {(0,): 1, (1,): 3})
     return build_multiple_zcz(default_params(4, 4, 2, 2, f=f))
+
+
+def octal_family():
+    """A q = 8 family with odd exponents, so G is not an integer matrix."""
+    f = path_gbf(8, 4, 2, 2, (), (0, 1)) + GeneralizedBooleanFunction(8, 4, {(0,): 1, (1,): 3})
+    return build_multiple_zcz(default_params(8, 4, 2, 2, f=f))
+
+
+def constant_family():
+    """Four sets of eight all-ones q = 1 sequences: every user interferes."""
+    seq = UnimodularSequence(1, np.zeros(256, dtype=np.int64))
+    sets = tuple(ZczSequenceSet((seq,) * 8, K=8, Z=0, L=256) for _ in range(4))
+    return MultipleZczFamily(params=None, sets=sets, Z=0, Zc=0)
 
 
 def test_assign_signatures_full_topology():
@@ -214,3 +237,111 @@ def test_statistic_model_matches_chip_level_oracle(make_family, seed):
         for p_idx, pt in enumerate(curve.points):
             z = two_proportion_z(pt.errors, pt.bits, int(oracle[p_idx, o_idx]), pt.bits)
             assert abs(z) < 4, (curve.cluster, curve.user, pt.snr_db, z)
+
+
+# ---------------------------------------------------------------------------
+# the allocation-lean loop: bit stream, oracle, memory
+
+
+def _bit0_words(rng, users, n_bits):
+    """Negative control: the bit read from bit 0 instead of bit 31."""
+    return qscdma._bit_words(rng, users, n_bits) << 31
+
+
+def _swapped_words(rng, users, n_bits):
+    """Negative control: the high half of each raw word read first."""
+    halves = rng.bit_generator.random_raw(-(-users * n_bits // 2)).view("<i4")
+    return halves.reshape(-1, 2)[:, ::-1].ravel()[: users * n_bits].reshape(users, n_bits)
+
+
+def _stream_mismatches(draw):
+    """Cases where ``draw`` disagrees with ``rng.integers(0, 2)`` on the
+    bits, or on the normals drawn after them."""
+    bad = []
+    for users, n_bits in ((1, 1), (3, 3), (5, 7), (32, 10_000)):
+        for seed in (0, 13, 2**40 + 3):
+            for key in ((1, 0, 0), (1, 2, 5), (7,)):
+                want_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+                got_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+                want = want_rng.integers(0, 2, size=(users, n_bits))
+                got = draw(got_rng, users, n_bits)
+                same_bits = np.array_equal(got < 0, want == 1)
+                same_noise = np.array_equal(
+                    got_rng.standard_normal((n_bits, 3)), want_rng.standard_normal((n_bits, 3))
+                )
+                if not (same_bits and same_noise):
+                    bad.append((users * n_bits, seed, key))
+    return bad
+
+
+def test_bit_words_draw_the_integers_stream():
+    assert _stream_mismatches(qscdma._bit_words) == []
+    assert len(_stream_mismatches(_bit0_words)) >= 9
+    assert len(_stream_mismatches(_swapped_words)) >= 9
+
+
+def _width(users):
+    return qscdma._BLOCK_BYTES // (8 * users)
+
+
+@pytest.mark.parametrize(
+    "make_family, clusters, users, observed, n_bits, snr_db",
+    [
+        (four_cluster_family, 4, 8, 1, lambda w: 1, (-10.0, 0.0)),
+        (four_cluster_family, 4, 8, 8, lambda w: w // 3, (2.0,)),
+        (four_cluster_family, 4, 8, 2, lambda w: 2 * w + 7, (0.0, 6.0)),
+        (four_cluster_family, 4, 8, 8, lambda w: w, ()),
+        (constant_family, 1, 3, 3, lambda w: 333, (8.0,)),
+        (constant_family, 2, 8, 8, lambda w: w + 1, (10.0,)),
+        (quaternary_family, 4, 8, 8, lambda w: 2 * w + 7, (0.0, 6.0)),
+        (octal_family, 4, 8, 8, lambda w: 2 * w + 7, (0.0, 6.0)),
+        (octal_family, 2, 5, 2, lambda w: 1, (-10.0,)),
+    ],
+    ids=["q2-one-bit", "q2-under-a-block", "q2-ragged", "q2-noiseless-one-block",
+         "q1-odd-count", "q1-block-plus-one", "q4-ragged", "q8-ragged", "q8-odd-one-bit"],
+)
+def test_simulation_loop_matches_the_integers_oracle(
+    make_family, clusters, users, observed, n_bits, snr_db
+):
+    """Delays up to 40 chips, so users interfere; equal error counts per
+    (point, user).  The q = 8 statistics may differ in the last place."""
+    fam = make_family()
+    cfg = SimulationConfig(
+        clusters=clusters, users_per_cluster=users, observed_per_cluster=observed,
+        max_delay_chips=40, snr_db=snr_db, noiseless=not snr_db, seed=61 + clusters * users,
+        bits_per_iteration=n_bits(_width(clusters * users)), iterations=3,
+    )
+    res = simulate_ber(fam, cfg)
+    got = np.array([[pt.errors for pt in curve.points] for curve in res.curves]).T
+    want = oracle_simulation_errors(fam, cfg)
+    assert np.array_equal(got, want), (got, want)
+    assert want.any()
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # warm up lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_is_one_iterations_words_plus_noise(monkeypatch):
+    fam = four_cluster_family()
+    users, n_obs, n_bits = 32, 4, 200_000
+    cfg = SimulationConfig(clusters=4, users_per_cluster=8, max_delay_chips=3, snr_db=(4.0,),
+                           seed=3, bits_per_iteration=n_bits, iterations=2)
+    bound = 4 * users * n_bits + 16 * n_obs * n_bits + 4 * qscdma._BLOCK_BYTES + 2**20
+    assert _traced_peak(simulate_ber, fam, cfg) < bound
+
+    # negative control: words that outlive their iteration double the peak
+    draw, kept = qscdma._bit_words, []
+
+    def keeping_words(rng, users, n_bits):
+        kept[:] = [draw(rng, users, n_bits)]
+        return kept[0]
+
+    monkeypatch.setattr(qscdma, "_bit_words", keeping_words)
+    assert _traced_peak(simulate_ber, fam, cfg) > bound
