@@ -17,7 +17,6 @@ from .gbf import (
     format_gbf_text,
 )
 from .correlation import (
-    CorrelationValue,
     Violation,
     ZczCertificate,
     InterSetReport,
@@ -44,12 +43,9 @@ from .construction import (
     default_params,
     example1_params,
     path_gbf,
-    ComplementaryCode,
     build_ccc_family,
-    ZczSequenceSet,
     MultipleZczFamily,
     build_multiple_zcz,
-    union_family,
     ChunkDecompositionReport,
     check_chunk_decomposition,
     export_family,

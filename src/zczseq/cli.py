@@ -121,9 +121,7 @@ def _params_from_args(args) -> construction.ConstructionParams:
 
 def _certify(family: construction.MultipleZczFamily, deep: bool = False) -> dict:
     """Run every certificate for a family; returns a JSON-ready summary."""
-    set_certs, inter, union_cert = correlation.certify_family(
-        [st.sequences for st in family.sets], family.Z, family.Zc
-    )
+    set_certs, inter, union_cert = correlation.certify_family(family.sets, family.Z, family.Zc)
     report: dict = {
         "sets": [cert.to_json_dict() for cert in set_certs],
         "inter": [{**rep.to_json_dict(), "pair": [a, b]} for (a, b), rep in inter.items()],
@@ -145,7 +143,7 @@ def _deep_checks(family: construction.MultipleZczFamily) -> dict:
     cancel = construction.check_seed_cancellation(construction.seed_polynomial(params.h))
     codes = construction.build_ccc_family(params)
     n_sets = len(family.sets)
-    K = family.sets[0].K
+    K = len(family.sets[0])
     checked = 0
     mismatches = []
     for t1 in range(n_sets):
@@ -173,7 +171,7 @@ def _rho_str(rho: Fraction) -> str:
 
 def _print_family_summary(family, out=None):
     out = out if out is not None else sys.stdout
-    K = family.sets[0].K
+    K = len(family.sets[0])
     print(
         f"sets: {len(family.sets)}  sequences/set: {K}  length: {family.L}",
         file=out,
@@ -185,7 +183,7 @@ def _print_family_summary(family, out=None):
         f"per-set rho ({'binary' if binary else 'general'}): {_rho_str(rho)} ({cls})",
         file=out,
     )
-    union_k = sum(st.K for st in family.sets)
+    union_k = sum(len(st) for st in family.sets)
     urho, ucls = correlation.performance_parameter(union_k, family.Zc, family.L, binary=binary)
     print(
         f"union: ({union_k},{family.Zc},{family.L})  rho: {_rho_str(urho)} ({ucls})",
@@ -234,9 +232,9 @@ def _digest_failures(digests: dict) -> str:
 
 def cmd_verify(args) -> int:
     loaded = construction.load_family(args.directory)
-    Z = args.zcz if args.zcz is not None else loaded.Z
-    Zc = args.zccz if args.zccz is not None else loaded.Zc
-    family = dataclasses.replace(loaded, Z=Z, Zc=Zc).as_family()
+    Z = args.zcz if args.zcz is not None else loaded.family.Z
+    Zc = args.zccz if args.zccz is not None else loaded.family.Zc
+    family = dataclasses.replace(loaded.family, Z=Z, Zc=Zc)
     report = _certify(family, deep=args.deep)
     digests = report["digests"] = loaded.digest_report()
     if digests is not None and not digests["pass"]:
@@ -287,7 +285,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     loaded = construction.load_family(args.directory)
-    seqs = [z for st in loaded.sets for z in st]
+    seqs = [z for st in loaded.family.sets for z in st]
     table = correlation.correlation_spectrum(seqs, max_cells=args.max_cells)
     table.write_csv(args.out)
     print(f"wrote: {args.out} ({table.K * table.K * table.L} rows)")
@@ -323,14 +321,17 @@ def cmd_simulate(args) -> int:
     raw = json.loads(config_bytes)
     if not isinstance(raw, dict):
         raise CliUsageError("simulation config must be a JSON object")
+    inputs = {str(config_path): hashlib.sha256(config_bytes).hexdigest()}
     if "family_dir" in raw:
-        loaded = construction.load_family(raw.pop("family_dir"))
+        family_dir = Path(raw.pop("family_dir"))
+        loaded = construction.load_family(family_dir)
         digests = loaded.digest_report()
         if digests is not None and not digests["pass"]:
             print(f"error: family files disagree with manifest.json ({_digest_failures(digests)})",
                   file=sys.stderr)
             return EXIT_CERT_FAIL
-        family = loaded.as_family()
+        family = loaded.family
+        inputs.update((str(family_dir / name), d) for name, d in loaded.digests.items())
     elif "construction" in raw:
         family = construction.build_multiple_zcz(_construction_params(raw.pop("construction")))
     else:
@@ -376,7 +377,7 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "command": "simulate",
         "created_utc": _utc_now(),
-        "inputs": {str(config_path): hashlib.sha256(config_bytes).hexdigest()},
+        "inputs": inputs,
         "outputs": {
             csv_path.name: _sha256_file(csv_path),
             summary_path.name: _sha256_file(summary_path),

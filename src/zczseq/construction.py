@@ -48,12 +48,9 @@ __all__ = [
     "default_params",
     "example1_params",
     "path_gbf",
-    "ComplementaryCode",
     "build_ccc_family",
-    "ZczSequenceSet",
     "MultipleZczFamily",
     "build_multiple_zcz",
-    "union_family",
     "ChunkDecompositionReport",
     "check_chunk_decomposition",
     "export_family",
@@ -398,24 +395,6 @@ def _bits(value: int, count: int) -> tuple[int, ...]:
     return tuple((value >> b) & 1 for b in range(count))
 
 
-@dataclass(frozen=True)
-class ComplementaryCode:
-    """One Golay-type code: a stack of rows whose aperiodic correlations
-    are meant to cancel in the row sum."""
-
-    rows: tuple[UnimodularSequence, ...]
-    t1: int | None = None
-    t2: int | None = None
-
-    @property
-    def M(self) -> int:
-        return len(self.rows)
-
-    @property
-    def L(self) -> int:
-        return len(self.rows[0])
-
-
 def _mask(variables, bits) -> int:
     """Bit mask of the variables whose bit is set; a variable named twice
     cancels, as two (q/2)-weighted terms do mod q."""
@@ -441,8 +420,9 @@ def _parity_offset(base: np.ndarray, mask: int, flip: int, q: int) -> np.ndarray
 
 def build_ccc_family(params: ConstructionParams):
     """All 2^s code families; family t1 holds 2^{k+1} codes of 2^{k+1}
-    rows of length 2^m.  Row nu encodes d = bit k of nu and
-    d_beta = bit beta of nu.
+    rows of length 2^m, as nested tuples: ``codes[t1][t2][nu]`` is row nu
+    of code (t1, t2).  Row nu encodes d = bit k of nu and d_beta = bit beta
+    of nu.
 
     Row nu of code (t1, t2) is psi of
 
@@ -467,44 +447,28 @@ def build_ccc_family(params: ConstructionParams):
                 mask = _mask(variables, [x ^ y for x, y in zip(d_bits, b)] + [d, b[k]])
                 flip = sum(x & y for x, y in zip(d_bits[k - s:], b[k + 1:])) & 1
                 rows.append(UnimodularSequence(q, _parity_offset(base, mask, flip, q)))
-            codes.append(ComplementaryCode(rows=tuple(rows), t1=t1, t2=t2))
+            codes.append(tuple(rows))
         families.append(tuple(codes))
     return tuple(families)
 
 
 @dataclass(frozen=True)
-class ZczSequenceSet:
-    """K sequences with a declared (K, Z, L) zone claim."""
-
-    sequences: tuple[UnimodularSequence, ...]
-    K: int
-    Z: int
-    L: int
-    label: int | None = None
-
-    def __post_init__(self):
-        if len(self.sequences) != self.K:
-            raise ValueError(f"declared K={self.K} but {len(self.sequences)} sequences")
-        if any(len(z) != self.L for z in self.sequences):
-            raise ValueError(f"all sequences must have length {self.L}")
-
-
-@dataclass(frozen=True)
 class MultipleZczFamily:
-    """2^s zone sets with a declared inter-set zero cross-correlation zone."""
+    """2^s zone sets with a declared per-set zone Z and inter-set zero
+    cross-correlation zone Zc; ``sets[t1][t2]`` is sequence t2 of set t1."""
 
     params: ConstructionParams | None
-    sets: tuple[ZczSequenceSet, ...]
+    sets: tuple[tuple[UnimodularSequence, ...], ...]
     Z: int
     Zc: int
 
     @property
     def q(self) -> int:
-        return self.sets[0].sequences[0].q
+        return self.sets[0][0].q
 
     @property
     def L(self) -> int:
-        return self.sets[0].L
+        return len(self.sets[0][0])
 
 
 def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
@@ -545,26 +509,9 @@ def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
         for t2 in range(1 << (k + 1)):
             mask = _mask(variables, _bits(t2, k + 1) + _bits(t1, s))
             seqs.append(UnimodularSequence(q, _parity_offset(base, mask, 0, q)))
-        sets.append(
-            ZczSequenceSet(
-                sequences=tuple(seqs),
-                K=params.set_size,
-                Z=params.zcz_width,
-                L=params.seq_length,
-                label=t1,
-            )
-        )
+        sets.append(tuple(seqs))
     return MultipleZczFamily(
         params=params, sets=tuple(sets), Z=params.zcz_width, Zc=params.inter_zccz_width
-    )
-
-
-def union_family(family: MultipleZczFamily) -> ZczSequenceSet:
-    """All sequences of the family as one set; the declared zone shrinks
-    to the inter-set zone width."""
-    seqs = tuple(z for st in family.sets for z in st.sequences)
-    return ZczSequenceSet(
-        sequences=seqs, K=len(seqs), Z=family.Zc, L=family.L, label=None
     )
 
 
@@ -572,13 +519,8 @@ def union_family(family: MultipleZczFamily) -> ZczSequenceSet:
 class ChunkDecompositionReport:
     """Direct periodic correlation versus its chunk-level assembly."""
 
-    t1: int
-    t1_other: int
-    i: int
-    j: int
-    tau: int
-    lhs: correlation.CorrelationValue
-    rhs: correlation.CorrelationValue
+    lhs: complex
+    rhs: complex
     passed: bool
 
 
@@ -598,6 +540,10 @@ def check_chunk_decomposition(
     boundary terms at shift L_chunk - tau weighted by
     (-1)^{h_c + h_{c+1}} sign pairs; chunk subscripts wrap mod 2^{k+2} and
     row subscripts mod 2^{k+1}.  Valid for 0 <= tau <= 2^m.
+
+    For q in {1, 2, 4} both sides are exact and must be equal; otherwise
+    they must agree to within ``FLOAT_ZERO_TOL_PER_CHIP * L``, L the
+    sequence length.
     """
     params = family.params
     if params is None:
@@ -607,32 +553,20 @@ def check_chunk_decomposition(
         raise ValueError(f"tau must lie in [0, {chunk_len}], got {tau}")
     if codes is None:
         codes = build_ccc_family(params)
-    rows_a = codes[t1][i].rows
-    rows_b = codes[t1_other][j].rows
-    lhs = correlation.pccf(
-        family.sets[t1].sequences[i], family.sets[t1_other].sequences[j], tau
-    )
-
-    # Sum the terms as plain numbers, in the order and with the exact/tol
-    # rules of CorrelationValue's scaled, conjugate and + (so the floats
-    # are the same), and build one value at the end.
-    re, im, exact, tol = 0, 0, True, 0.0
+    rows_a, rows_b = codes[t1][i], codes[t1_other][j]
+    lhs = correlation.pccf(family.sets[t1][i], family.sets[t1_other][j], tau)
+    rhs = 0j
     for row_a, row_b in zip(rows_a, rows_b):
-        term = correlation.accf(row_a, row_b, tau)
-        re += 2 * term.re
-        im += 2 * term.im
-        exact = exact and term.exact
-        tol = max(tol, 2 * term.tol)
+        rhs += 2 * correlation.accf(row_a, row_b, tau)
     l = len(rows_a)
     shift = chunk_len - tau
     for nu, weight in _boundary_weights(params.h):
-        cross = correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift)
-        re += weight * cross.re
-        im -= weight * cross.im
-        exact = exact and cross.exact
-        tol = max(tol, abs(weight) * cross.tol)
-    rhs = correlation.CorrelationValue(re, im, exact, tol)
-    return ChunkDecompositionReport(t1, t1_other, i, j, tau, lhs, rhs, lhs.matches(rhs))
+        rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
+    if family.q in (1, 2, 4):
+        passed = lhs == rhs
+    else:
+        passed = abs(lhs - rhs) <= correlation.FLOAT_ZERO_TOL_PER_CHIP * family.L
+    return ChunkDecompositionReport(lhs, rhs, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +664,13 @@ def export_family(
     :func:`load_family` would read it back as part of the family.
     """
     root = Path(directory)
-    _refuse_stale_files(root, [len(st.sequences) for st in family.sets])
+    _refuse_stale_files(root, [len(st) for st in family.sets])
     root.mkdir(parents=True, exist_ok=True)
     digests = {}
     for t1, st in enumerate(family.sets):
         sub = root / str(t1)
         sub.mkdir(exist_ok=True)
-        for t2, seq in enumerate(st.sequences):
+        for t2, seq in enumerate(st):
             payload = _format_sequence_file(seq, family.Z, family.Zc)
             (sub / f"{t2}.seq").write_bytes(payload)
             digests[f"{t1}/{t2}.seq"] = _sha256(payload)
@@ -746,11 +680,11 @@ def export_family(
         "command": command,
         "declared": {
             "num_sets": len(family.sets),
-            "set_size": family.sets[0].K,
+            "set_size": len(family.sets[0]),
             "length": family.L,
             "zcz": family.Z,
             "inter_zccz": family.Zc,
-            "union_size": sum(st.K for st in family.sets),
+            "union_size": sum(len(st) for st in family.sets),
         },
         "params": family.params.to_json_dict() if family.params else None,
         "files": digests,
@@ -793,16 +727,12 @@ def _tool_version() -> str:
 
 @dataclass(frozen=True)
 class LoadedFamily:
-    """A family read back from disk; params present when the manifest
-    carried them.  ``digests`` maps each sequence file read, as
-    ``"<t1>/<t2>.seq"`` in load order, to the SHA-256 of its bytes."""
+    """A family read back from disk, with Z and Zc from the sequence-file
+    headers and params present when the manifest carried them.
+    ``digests`` maps each sequence file read, as ``"<t1>/<t2>.seq"`` in
+    load order, to the SHA-256 of its bytes."""
 
-    sets: tuple[tuple[UnimodularSequence, ...], ...]
-    q: int
-    L: int
-    Z: int
-    Zc: int
-    params: ConstructionParams | None
+    family: MultipleZczFamily
     manifest: dict | None
     digests: dict[str, str]
 
@@ -829,19 +759,6 @@ class LoadedFamily:
             "missing": missing,
             "extra": extra,
         }
-
-    def as_family(self) -> MultipleZczFamily:
-        return MultipleZczFamily(
-            params=self.params,
-            sets=tuple(
-                ZczSequenceSet(
-                    sequences=st, K=len(st), Z=self.Z, L=self.L, label=t1
-                )
-                for t1, st in enumerate(self.sets)
-            ),
-            Z=self.Z,
-            Zc=self.Zc,
-        )
 
 
 def load_family(directory) -> LoadedFamily:
@@ -883,13 +800,5 @@ def load_family(directory) -> LoadedFamily:
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("params"):
             params = ConstructionParams.from_json_dict(manifest["params"])
-    return LoadedFamily(
-        sets=tuple(sets),
-        q=header["q"],
-        L=header["L"],
-        Z=header["Z"],
-        Zc=header["Zc"],
-        params=params,
-        manifest=manifest,
-        digests=digests,
-    )
+    family = MultipleZczFamily(params, tuple(sets), Z=header["Z"], Zc=header["Zc"])
+    return LoadedFamily(family, manifest, digests)

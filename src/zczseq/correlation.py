@@ -49,8 +49,10 @@ fold is exact by the same argument: its factors are roots of unity, so
 every partial sum over the chunks has components of magnitude at most C,
 and every partial sum over the positions (with every real part its
 products form) at most 2L; it runs in the union's dtype, picked with
-N = L.  Exact tables are returned as int64 and exact ``accf`` values as
-Python ints; a real table comes without its all-zero imaginary part.
+N = L.  Exact tables are returned as int64, and a real table comes
+without its all-zero imaginary part.  ``accf``, ``pccf`` and ``code_accf``
+return Python complex numbers; for q in {1, 2, 4} their components are
+exact integers, so ``==`` compares them exactly.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ import numpy as np
 from .gbf import UnimodularSequence, roots_of_unity
 
 __all__ = [
-    "CorrelationValue",
     "Violation",
     "ZczCertificate",
     "InterSetReport",
@@ -87,57 +88,7 @@ FLOAT_ZERO_TOL_PER_CHIP = 1e-9
 DEFAULT_SPECTRUM_CELL_CAP = 1 << 24
 
 
-class CorrelationValue(NamedTuple):
-    """One correlation value; ints when exact, floats with a tolerance
-    otherwise.
-
-    A named tuple rather than a frozen dataclass because ``accf`` builds
-    one per call and a tuple takes about half the time to build.  ``+``
-    adds values (it does not concatenate); other tuple operations are not
-    part of its interface.
-    """
-
-    re: float
-    im: float
-    exact: bool
-    tol: float = 0.0
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.as_complex())
-
-    def is_zero(self) -> bool:
-        if self.exact:
-            return self.re == 0 and self.im == 0
-        return self.magnitude <= self.tol
-
-    def matches(self, other: "CorrelationValue") -> bool:
-        if self.exact and other.exact:
-            return self.re == other.re and self.im == other.im
-        tol = max(self.tol, other.tol)
-        return abs(self.as_complex() - other.as_complex()) <= tol
-
-    def conjugate(self) -> "CorrelationValue":
-        return CorrelationValue(self.re, -self.im, self.exact, self.tol)
-
-    def __add__(self, other):
-        if not isinstance(other, CorrelationValue):
-            return NotImplemented
-        exact = self.exact and other.exact
-        return CorrelationValue(
-            self.re + other.re, self.im + other.im, exact, max(self.tol, other.tol)
-        )
-
-    def scaled(self, factor: int) -> "CorrelationValue":
-        return CorrelationValue(
-            factor * self.re, factor * self.im, self.exact, abs(factor) * self.tol
-        )
-
-
-def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> CorrelationValue:
+def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
     """Aperiodic cross-correlation of a against b at shift u (|u| <= L).
 
     Only the overlapping chips are gathered from the shared table of the
@@ -157,44 +108,24 @@ def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> CorrelationVal
     else:
         ea, eb = ea[-u:], eb[: L + u]
     roots = roots_of_unity(q)
-    val = np.vdot(roots[eb], roots[ea])  # conjugates b in the kernel
-    if q in (1, 2, 4):  # Gaussian-integer entries: exact
-        return CorrelationValue(int(val.real), int(val.imag), True)
-    return CorrelationValue(float(val.real), float(val.imag), False, FLOAT_ZERO_TOL_PER_CHIP * L)
+    return complex(np.vdot(roots[eb], roots[ea]))  # vdot conjugates b
 
 
-def pccf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> CorrelationValue:
-    """Periodic cross-correlation at shift u, 0 <= u < L.
-
-    One value from two ``accf`` calls, with the sum and the exact/tol rules
-    of ``accf(a, b, u) + accf(b, a, L - u).conjugate()``.
-    """
+def pccf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
+    """Periodic cross-correlation at shift u, 0 <= u < L, from two
+    ``accf`` calls."""
     L = a.exponents.size
     if not 0 <= u < L:
         raise ValueError(f"periodic shift {u} outside [0, {L})")
-    fwd = accf(a, b, u)
-    bwd = accf(b, a, L - u)
-    return CorrelationValue(
-        fwd.re + bwd.re, fwd.im - bwd.im, fwd.exact and bwd.exact, max(fwd.tol, bwd.tol)
-    )
+    return accf(a, b, u) + accf(b, a, L - u).conjugate()
 
 
-def _rows_of(code) -> tuple[UnimodularSequence, ...]:
-    rows = getattr(code, "rows", code)
-    return tuple(rows)
-
-
-def code_accf(code1, code2, u: int) -> CorrelationValue:
-    """Row-wise sum of aperiodic cross-correlations between two codes."""
-    rows1, rows2 = _rows_of(code1), _rows_of(code2)
-    if not rows1 or not rows2:
-        raise ValueError("codes must hold at least one row")
-    if len(rows1) != len(rows2):
-        raise ValueError(f"row count mismatch: {len(rows1)} vs {len(rows2)}")
-    total = accf(rows1[0], rows2[0], u)
-    for r1, r2 in zip(rows1[1:], rows2[1:]):
-        total = total + accf(r1, r2, u)
-    return total
+def code_accf(code1, code2, u: int) -> complex:
+    """Row-wise sum of aperiodic cross-correlations between two codes,
+    each a sequence of rows."""
+    if len(code1) != len(code2):
+        raise ValueError(f"row count mismatch: {len(code1)} vs {len(code2)}")
+    return sum((accf(r1, r2, u) for r1, r2 in zip(code1, code2)), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +618,7 @@ def verify_ccc(codes) -> CccReport:
     exactly the row-summed ACCF.  The witness is the first violation in
     (e1, e2, u) order.
     """
-    codes = [_rows_of(c) for c in codes]
+    codes = [tuple(c) for c in codes]
     if not codes:
         raise ValueError("empty code collection")
     P, M = len(codes), len(codes[0])
@@ -778,6 +709,6 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
         )
     shifts = np.arange(block.L, dtype=np.int64)
     re, im = _periodic_table(block, block, shifts)
-    if im is None:
-        im = np.zeros_like(re)
+    if im is None:  # a read-only zero view, not a second table
+        im = np.broadcast_to(re.dtype.type(0), re.shape)
     return SpectrumTable(K=block.K, L=block.L, q=block.q, exact=block.exact, re=re, im=im)

@@ -173,15 +173,12 @@ def assign_signatures(family: MultipleZczFamily, clusters: int, users_per_cluste
         raise ValueError(
             f"{clusters} clusters requested but the family holds {len(family.sets)} sets"
         )
-    if users_per_cluster > family.sets[0].K:
+    if users_per_cluster > len(family.sets[0]):
         raise ValueError(
             f"{users_per_cluster} users per cluster requested but sets hold "
-            f"{family.sets[0].K} sequences"
+            f"{len(family.sets[0])} sequences"
         )
-    return [
-        [family.sets[c].sequences[u] for u in range(users_per_cluster)]
-        for c in range(clusters)
-    ]
+    return [family.sets[c][:users_per_cluster] for c in range(clusters)]
 
 
 def theoretical_bpsk_ber(ebn0_db: float) -> float:
@@ -225,6 +222,21 @@ def _bit_words(rng: np.random.Generator, users: int, n_bits: int) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<i4")[: users * n_bits].reshape(users, n_bits)
 
 
+def _noise_amplitude(L: int, ebn0_db: float, snr_db: float) -> float:
+    """Noise amplitude per chip, sigma^2 = L / (2 Eb/N0); raises when the
+    point ``snr_db`` leaves no finite, positive sigma in float64."""
+    try:
+        sigma = math.sqrt(L / (2.0 * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(
+            f"snr_db value {snr_db!r} is out of range: Eb/N0 = {ebn0_db!r} dB at L = {L}"
+            " gives no finite, positive noise amplitude"
+        )
+    return sigma
+
+
 def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> SimulationResult:
     """Estimate BER curves for the observed users (the first
     ``observed_per_cluster`` of every cluster) from the config's seed."""
@@ -253,9 +265,7 @@ def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> Simulat
         ebn0 = tuple(
             x if config.snr_axis == "bit" else x + 10.0 * math.log10(L) for x in config.snr_db
         )
-        points = [
-            (math.sqrt(L / (2.0 * 10.0 ** (e / 10.0))), db) for db, e in zip(config.snr_db, ebn0)
-        ]
+        points = [(_noise_amplitude(L, e, db), db) for db, e in zip(config.snr_db, ebn0)]
 
     users, n_obs, n_bits = sig.shape[0], len(observed), config.bits_per_iteration
     width = max(1, min(n_bits, _BLOCK_BYTES // (8 * users)))
@@ -345,7 +355,7 @@ def find_interference_witness(
         return None
     zone = min(max_delay_chips, family.L - 1)
     for a, b in itertools.combinations(range(len(family.sets)), 2):
-        w = verify_inter_zccz(family.sets[a].sequences, family.sets[b].sequences, zone).witness
+        w = verify_inter_zccz(family.sets[a], family.sets[b], zone).witness
         if w is not None:
             return InterferenceWitness(a, w.i, b, w.j, w.shift, complex(w.re, w.im))
     return None

@@ -210,15 +210,13 @@ def certify_family(family) -> tuple[bool, int]:
     ok = True
     violations = 0
     for st in family.sets:
-        cert = verify_zcz(st.sequences, family.Z)
+        cert = verify_zcz(st, family.Z)
         ok &= cert.passed
         violations += len(cert.violations)
     n = len(family.sets)
     for a in range(n):
         for b in range(a + 1, n):
-            rep = verify_inter_zccz(
-                family.sets[a].sequences, family.sets[b].sequences, family.Zc
-            )
+            rep = verify_inter_zccz(family.sets[a], family.sets[b], family.Zc)
             ok &= rep.passed
             violations += len(rep.violations)
     return ok, violations
@@ -234,7 +232,7 @@ def chip_signatures(family, config, delays) -> np.ndarray:
     """Every user's cyclically delayed signature, one row per user."""
     return np.stack(
         [
-            np.roll(family.sets[c].sequences[u].values(), int(delays[c, u]))
+            np.roll(family.sets[c][u].values(), int(delays[c, u]))
             for c in range(config.clusters)
             for u in range(config.users_per_cluster)
         ]

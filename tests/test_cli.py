@@ -340,6 +340,11 @@ def test_simulate_noiseless_and_family_dir(tmp_path):
         assert ln.split(",")[2] == "0.0"
     summary = json.loads((out / "summary.json").read_text())
     assert all(p["errors"] == 0 for c in summary["curves"] for p in c["points"])
+    # the manifest lists the family's .seq files with their digests
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs.pop(str(cfg_path)) == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    files = json.loads((fam_dir / "manifest.json").read_text())["files"]
+    assert inputs == {str(fam_dir / name): digest for name, digest in files.items()}
 
 
 def test_simulate_config_schema_violation(tmp_path, capsys):
@@ -376,9 +381,14 @@ SMALL_SIM = {
         (dict(SMALL_SIM, construction={"q": 2, "m": 4, "k": 2, "s": 2, "J": 0}),
          ["construction", "'J'"]),
         (5, ["JSON object"]),
+        (dict(SMALL_SIM, snr_db=[4000]), ["snr_db", "out of range"]),
+        (dict(SMALL_SIM, snr_db=[-4000]), ["snr_db", "out of range"]),
+        (dict(SMALL_SIM, snr_db=[4000], snr_axis="chip"), ["snr_db", "out of range"]),
+        (dict(SMALL_SIM, snr_db=[-4000], snr_axis="chip"), ["snr_db", "out of range"]),
     ],
     ids=["snr-scalar", "snr-string", "snr-nan", "count-string", "count-bool", "construction-typo",
-         "construction-missing", "construction-J-scalar", "not-an-object"],
+         "construction-missing", "construction-J-scalar", "not-an-object", "snr-overflow",
+         "snr-underflow", "snr-chip-overflow", "snr-chip-underflow"],
 )
 def test_simulate_config_errors_name_the_key(tmp_path, capsys, config, needles):
     cfg_path = tmp_path / "sim.json"

@@ -1,5 +1,6 @@
 """Family construction, seed identities, and the on-disk format."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -17,7 +18,6 @@ from conftest import (
 from zczseq import (
     UnimodularSequence,
     ConstructionParams,
-    CorrelationValue,
     accf,
     GeneralizedBooleanFunction,
     HCoeffs,
@@ -35,7 +35,6 @@ from zczseq import (
     psi,
     quadratic_graph,
     seed_polynomial,
-    union_family,
     verify_ccc,
     verify_inter_zccz,
     verify_zcz,
@@ -128,9 +127,9 @@ def test_ccc_family_shapes_and_goldens():
     fams = build_ccc_family(p)
     assert len(fams) == 2
     assert all(len(codes) == 8 for codes in fams)
-    assert fams[0][0].M == 8 and fams[0][0].L == 16
+    assert len(fams[0][0]) == 8 and len(fams[0][0][0]) == 16
     # row 0 of code (0, 0) is psi(f) itself
-    assert np.array_equal(fams[0][0].rows[0].exponents, psi(p.f).exponents)
+    assert np.array_equal(fams[0][0][0].exponents, psi(p.f).exponents)
     for codes in fams:
         assert verify_ccc(codes).passed
 
@@ -141,7 +140,7 @@ def test_ccc_cross_family_zone():
     for a in fams[0]:
         for b in fams[1]:
             for u in range(-width + 1, width):
-                assert code_accf(a, b, u).is_zero()
+                assert code_accf(a, b, u) == 0
 
 
 def test_single_family_when_no_split():
@@ -164,14 +163,14 @@ def test_build_family_matches_expanded_formula():
         for t2 in range(8):
             b0, b1, b2 = t2 & 1, (t2 >> 1) & 1, (t2 >> 2) & 1
             expect = base + G(2, 8, {(0,): b0, (3,): b1, (1,): b2, (5,): t1})
-            assert fam.sets[t1].sequences[t2] == psi(expect)
+            assert fam.sets[t1][t2] == psi(expect)
 
 
 def test_family_shapes_and_degree():
     p = example1_params()
     fam = build_multiple_zcz(p)
     assert len(fam.sets) == 2
-    assert all(st.K == 8 and st.L == 256 for st in fam.sets)
+    assert all(len(st) == 8 and all(len(z) == 256 for z in st) for st in fam.sets)
     assert (fam.Z, fam.Zc) == (16, 7)
 
 
@@ -208,9 +207,9 @@ def _random_structures(draw):
 @example(example1_params())
 def test_builders_equal_the_per_sequence_oracles(params):
     fam = build_multiple_zcz(params)
-    assert [list(zs.sequences) for zs in fam.sets] == oracle_multiple_zcz(params)
+    assert [list(zs) for zs in fam.sets] == oracle_multiple_zcz(params)
     codes = build_ccc_family(params)
-    assert [[list(code.rows) for code in fam_codes] for fam_codes in codes] == (
+    assert [[list(code) for code in fam_codes] for fam_codes in codes] == (
         oracle_ccc_family(params)
     )
 
@@ -246,9 +245,9 @@ def test_chunk_identity(params):
     hv = seed_polynomial(params.h).truth_table()
     half, l = params.q // 2, 1 << (params.k + 1)
     for t1, zs in enumerate(fam.sets):
-        for t2, z in enumerate(zs.sequences):
+        for t2, z in enumerate(zs):
             chunks = z.exponents.reshape(len(hv), 1 << params.m)
-            rows = np.stack([r.exponents for r in codes[t1][t2].rows])
+            rows = np.stack([r.exponents for r in codes[t1][t2]])
             want = (rows[np.arange(len(hv)) % l] + half * hv[:, None]) % params.q
             assert np.array_equal(chunks, want)
 
@@ -258,7 +257,7 @@ def test_chunk_decomposition_peak_and_cross():
     fam = build_multiple_zcz(p)
     codes = build_ccc_family(p)
     rep = check_chunk_decomposition(fam, 0, 0, 0, 0, 0, codes=codes)
-    assert rep.passed and rep.lhs.re == 256 and rep.rhs.re == 256
+    assert rep.passed and rep.lhs == rep.rhs == 256
     rng = np.random.default_rng(11)
     for _ in range(20):
         t1, t1b = int(rng.integers(2)), int(rng.integers(2))
@@ -267,22 +266,21 @@ def test_chunk_decomposition_peak_and_cross():
         rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
         assert rep.passed
         if t1 != t1b and tau <= 7:
-            assert rep.lhs.is_zero() and rep.rhs.is_zero()
+            assert rep.lhs == rep.rhs == 0
 
 
 def _rhs_by_value_arithmetic(params, codes, t1, t1b, i, j, tau, sign):
-    """check_chunk_decomposition's right-hand side as CorrelationValue
-    arithmetic, every boundary weight derived from ``sign`` on the spot."""
+    """check_chunk_decomposition's right-hand side in complex arithmetic,
+    every boundary weight derived from ``sign`` on the spot."""
     l, n, chunk = 1 << (params.k + 1), 1 << (params.k + 2), 1 << params.m
-    rows_a, rows_b = codes[t1][i].rows, codes[t1b][j].rows
-    rhs = CorrelationValue(0, 0, True)
+    rows_a, rows_b = codes[t1][i], codes[t1b][j]
+    rhs = 0j
     for nu in range(l):
-        rhs = rhs + accf(rows_a[nu], rows_b[nu], tau).scaled(2)
+        rhs += 2 * accf(rows_a[nu], rows_b[nu], tau)
     for nu in range(l):
         w = int(sign[nu] * sign[(nu + 1) % n] + sign[(nu + l) % n] * sign[(nu + 1 + l) % n])
         if w:
-            cross = accf(rows_b[(nu + 1) % l], rows_a[nu], chunk - tau)
-            rhs = rhs + cross.conjugate().scaled(w)
+            rhs += w * accf(rows_b[(nu + 1) % l], rows_a[nu], chunk - tau).conjugate()
     return rhs
 
 
@@ -304,7 +302,7 @@ def test_nonzero_boundary_weights_enter_conjugated(params, monkeypatch):
     monkeypatch.setattr(construction, "_boundary_weights", construction._boundary_weights.__wrapped__)
     assert {w for _, w in construction._boundary_weights(p.h)} == {-2, 2}
     fam, codes = build_multiple_zcz(p), build_ccc_family(p)
-    K = fam.sets[0].K
+    K = len(fam.sets[0])
     for t1 in range(len(fam.sets)):
         for t1b in range(len(fam.sets)):
             for i in range(min(K, 3)):
@@ -312,7 +310,23 @@ def test_nonzero_boundary_weights_enter_conjugated(params, monkeypatch):
                     for tau in range((1 << p.m) + 1):
                         rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
                         want = _rhs_by_value_arithmetic(p, codes, t1, t1b, i, j, tau, sign)
-                        assert rep.rhs == want  # re, im, exact and tol
+                        assert rep.rhs == want
+
+
+def test_chunk_decomposition_float_compare_fails_on_a_flipped_chip():
+    # negative control for the q = 8 compare: a chip moved by one root of
+    # unity shifts the direct side by |1 - omega| < 1, which must not pass
+    p = _complex_params(8)
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    exps = fam.sets[0][1].exponents.copy()
+    exps[9] = (exps[9] + 1) % 8
+    flipped = fam.sets[0][:1] + (UnimodularSequence(8, exps),) + fam.sets[0][2:]
+    bad = dataclasses.replace(fam, sets=(flipped, *fam.sets[1:]))
+    for tau in range((1 << p.m) + 1):
+        assert check_chunk_decomposition(fam, 0, 0, 1, 0, tau, codes=codes).passed
+    rep = check_chunk_decomposition(bad, 0, 0, 1, 0, 1, codes=codes)
+    assert not rep.passed
+    assert 0 < abs(rep.lhs - rep.rhs) < 1
 
 
 @pytest.mark.parametrize("params, weighted", [
@@ -357,19 +371,19 @@ def test_chunk_decomposition_needs_params():
 def test_single_set_reduction():
     fam = build_multiple_zcz(default_params(2, 3, 1, 0))
     assert len(fam.sets) == 1
-    assert verify_zcz(fam.sets[0].sequences, fam.Z).passed
-    u = union_family(fam)
-    assert (u.K, u.Z, u.L) == (4, 7, 64)  # union zone drops to 2^m - 1
+    assert verify_zcz(fam.sets[0], fam.Z).passed
+    union = [z for st in fam.sets for z in st]
+    assert (len(union), fam.Zc, fam.L) == (4, 7, 64)  # union zone drops to 2^m - 1
 
 
 def test_four_cluster_family():
     fam = build_multiple_zcz(default_params(2, 4, 2, 2))
     assert len(fam.sets) == 4
-    assert all(st.K == 8 and st.L == 256 for st in fam.sets)
+    assert all(len(st) == 8 and all(len(z) == 256 for z in st) for st in fam.sets)
     assert fam.Zc == 3
-    u = union_family(fam)
-    assert (u.K, u.Z, u.L) == (32, 3, 256)
-    assert verify_zcz(u.sequences, 3).passed
+    union = [z for st in fam.sets for z in st]
+    assert len(union) == 32
+    assert verify_zcz(union, fam.Zc).passed
 
 
 def test_randomized_structures_certify():
@@ -391,20 +405,13 @@ def test_export_load_round_trip(tmp_path):
     digest = hashlib.sha256((tmp_path / "fam" / "0" / "0.seq").read_bytes()).hexdigest()
     assert digest == EXAMPLE1_SEQ00_SHA256
 
-    loaded = load_family(tmp_path / "fam")
+    loaded = load_family(tmp_path / "fam").family
     assert (loaded.q, loaded.L, loaded.Z, loaded.Zc) == (2, 256, 16, 7)
-    for st, orig in zip(loaded.sets, fam.sets):
-        for seq, oseq in zip(st, orig.sequences):
-            assert seq == oseq
+    assert loaded.sets == fam.sets
     assert loaded.params is not None
     # parameters survive the JSON round trip exactly
     assert loaded.params == p
-    rebuilt = build_multiple_zcz(loaded.params)
-    assert all(
-        a == b
-        for sa, sb in zip(rebuilt.sets, fam.sets)
-        for a, b in zip(sa.sequences, sb.sequences)
-    )
+    assert build_multiple_zcz(loaded.params).sets == fam.sets
 
 
 def test_export_is_reproducible(tmp_path):
@@ -463,7 +470,7 @@ def test_load_tolerates_blank_lines_and_crlf(tmp_path):
     lines = target.read_text().splitlines()
     target.write_text("\n" + "\r\n".join(lines[:6] + ["", " "] + lines[6:]) + "\r\n")
     loaded = load_family(fam_dir)
-    assert loaded.sets[0][1] == fam.sets[0].sequences[1]
+    assert loaded.family.sets[0][1] == fam.sets[0][1]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 10, 11, 16, 257, 2**16, 2**16 + 2])
@@ -490,7 +497,7 @@ def test_export_builds_the_record_table_once_per_modulus(tmp_path):
     info = construction._exponent_records.cache_info()
     assert (info.misses, info.hits) == (1, 7)  # 8 files, one q
     loaded = load_family(tmp_path / "fam")
-    assert [list(st) for st in loaded.sets] == [list(st.sequences) for st in fam.sets]
+    assert loaded.family.sets == fam.sets
 
 
 @pytest.mark.parametrize(
@@ -509,7 +516,7 @@ def test_rewritten_line_ends_load_to_equal_sequences(tmp_path, rewrite):
     for path in (fam_dir / "0" / "1.seq", fam_dir / "1" / "3.seq"):
         path.write_bytes(rewrite(path.read_text()).encode())
     loaded = load_family(fam_dir)
-    assert [list(st) for st in loaded.sets] == [list(st.sequences) for st in fam.sets]
+    assert loaded.family.sets == fam.sets
 
 
 def _two_digit_q16_params():
@@ -538,15 +545,15 @@ def test_written_bodies_decode_directly_unless_exponents_have_two_digits(
     real_loadtxt = np.loadtxt
     monkeypatch.setattr(construction.np, "loadtxt", loadtxt)
     loaded = load_family(tmp_path / "fam")
-    assert [list(st) for st in loaded.sets] == [list(st.sequences) for st in fam.sets]
-    n_files = sum(len(st.sequences) for st in fam.sets)
+    assert loaded.family.sets == fam.sets
+    n_files = sum(len(st) for st in fam.sets)
     assert len(calls) == (n_files if parsed_as_text else 0)
 
 
 def test_inter_zone_reports_on_bundled_family():
     fam = build_multiple_zcz(example1_params())
-    assert verify_inter_zccz(fam.sets[0].sequences, fam.sets[1].sequences, 7).passed
-    rep = verify_inter_zccz(fam.sets[0].sequences, fam.sets[1].sequences, 8)
+    assert verify_inter_zccz(fam.sets[0], fam.sets[1], 7).passed
+    rep = verify_inter_zccz(fam.sets[0], fam.sets[1], 8)
     assert not rep.passed
     assert rep.witness.shift == 8 and abs(complex(rep.witness.re, rep.witness.im)) == 128
 

@@ -45,23 +45,22 @@ PERFECT4 = binary(1, 1, 1, -1)
 
 def test_accf_all_ones():
     ones = binary(1, 1, 1, 1)
-    assert accf(ones, ones, 1).re == 3
-    assert accf(ones, ones, 0).re == 4
+    assert accf(ones, ones, 1) == 3
+    assert accf(ones, ones, 0) == 4
 
 
 def test_accf_hand_values():
-    assert accf(PERFECT4, PERFECT4, 2).re == 0
-    assert accf(PERFECT4, PERFECT4, 3).re == -1
-    assert accf(PERFECT4, PERFECT4, 4).re == 0  # empty sum at |u| = L
-    assert accf(PERFECT4, PERFECT4, -4).re == 0
+    assert accf(PERFECT4, PERFECT4, 2) == 0
+    assert accf(PERFECT4, PERFECT4, 3) == -1
+    assert accf(PERFECT4, PERFECT4, 4) == 0  # empty sum at |u| = L
+    assert accf(PERFECT4, PERFECT4, -4) == 0
 
 
 def test_accf_peak_is_length_without_mask():
     rng = np.random.default_rng(0)
     for q in (2, 4, 6):
         seq = random_sequence(rng, q, 17)
-        v = accf(seq, seq, 0)
-        assert abs(v.as_complex() - 17) <= v.tol
+        assert abs(accf(seq, seq, 0) - 17) <= correlation.FLOAT_ZERO_TOL_PER_CHIP * 17
 
 
 def test_accf_errors():
@@ -82,19 +81,17 @@ def test_accf_equals_dot_with_conjugate_bit_for_bit(q):
         sa, sb = (slice(0, L - u), slice(u, L)) if u >= 0 else (slice(-u, L), slice(0, L + u))
         want = np.dot(va[sa], np.conj(vb[sb]))
         got = accf(a, b, u)
-        if a.exact:
-            assert (got.re, got.im, got.tol) == (int(want.real), int(want.imag), 0.0)
-            assert type(got.re) is int and type(got.im) is int
-        else:
-            assert np.array_equal(np.array([got.re, got.im]).view(np.int64),
-                                  np.array([want.real, want.imag]).view(np.int64))
-            assert got.tol == correlation.FLOAT_ZERO_TOL_PER_CHIP * L
+        assert type(got) is complex
+        if a.exact:  # integers, equal up to the sign of a zero
+            assert got == want and got.real.is_integer() and got.imag.is_integer()
+            continue
+        assert np.array_equal(np.array([got.real, got.imag]).view(np.int64),
+                              np.array([want.real, want.imag]).view(np.int64))
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_pccf_equals_two_dots_bit_for_bit(q):
-    # the forward dot plus the conjugated backward one, summed as
-    # CorrelationValue's + and conjugate sum them
+    # the forward dot plus the conjugated backward one, as Python complex
     rng = np.random.default_rng(40 + q)
     L = 37
     a, b = random_sequence(rng, q, L), random_sequence(rng, q, L)
@@ -103,14 +100,13 @@ def test_pccf_equals_two_dots_bit_for_bit(q):
         fwd = np.dot(va[: L - u], np.conj(vb[u:]))
         bwd = np.dot(vb[: u], np.conj(va[L - u :]))
         got = pccf(a, b, u)
-        if a.exact:
-            assert got == (int(fwd.real) + int(bwd.real), int(fwd.imag) - int(bwd.imag), True, 0.0)
-            assert type(got.re) is int and type(got.im) is int
+        want = complex(fwd) + complex(bwd).conjugate()
+        assert type(got) is complex
+        if a.exact:  # integers, equal up to the sign of a zero
+            assert got == want and got.real.is_integer() and got.imag.is_integer()
             continue
-        want = [float(fwd.real) + float(bwd.real), float(fwd.imag) + -float(bwd.imag)]
-        assert np.array_equal(np.array([got.re, got.im]).view(np.int64),
-                              np.array(want).view(np.int64))
-        assert (got.exact, got.tol) == (False, correlation.FLOAT_ZERO_TOL_PER_CHIP * L)
+        assert np.array_equal(np.array([got.real, got.imag]).view(np.int64),
+                              np.array([want.real, want.imag]).view(np.int64))
 
 
 def test_accf_conjugate_symmetry():
@@ -121,15 +117,13 @@ def test_accf_conjugate_symmetry():
         a = random_sequence(rng, q, L)
         b = random_sequence(rng, q, L)
         u = int(rng.integers(-L, L + 1))
-        lhs = accf(a, b, u)
-        rhs = accf(b, a, -u).conjugate()
-        assert (lhs.re, lhs.im) == (rhs.re, rhs.im)
+        assert accf(a, b, u) == accf(b, a, -u).conjugate()
 
 
 def test_pccf_perfect_sequence():
     for u in (1, 2, 3):
-        assert pccf(PERFECT4, PERFECT4, u).is_zero()
-    assert pccf(PERFECT4, PERFECT4, 0).re == 4
+        assert pccf(PERFECT4, PERFECT4, u) == 0
+    assert pccf(PERFECT4, PERFECT4, 0) == 4
 
 
 def test_pccf_symmetry_and_oracle():
@@ -139,11 +133,12 @@ def test_pccf_symmetry_and_oracle():
         L = int(rng.integers(2, 65))
         a = random_sequence(rng, q, L)
         b = random_sequence(rng, q, L)
+        tol = correlation.FLOAT_ZERO_TOL_PER_CHIP * L
         for u in sorted(set(int(x) for x in rng.integers(0, L, size=4))):
             v = pccf(a, b, u)
             w = pccf(b, a, (L - u) % L).conjugate()
-            assert abs(v.as_complex() - w.as_complex()) <= max(v.tol, w.tol) + 1e-12
-            assert abs(v.as_complex() - naive_circular(a, b, u)) <= v.tol + 1e-9
+            assert abs(v - w) <= tol + 1e-12
+            assert abs(v - naive_circular(a, b, u)) <= tol + 1e-9
 
 
 def test_pccf_auto_matches_circular_oracle_exhaustively():
@@ -151,7 +146,7 @@ def test_pccf_auto_matches_circular_oracle_exhaustively():
     for L in (1, 2, 5, 16, 64):
         a = random_sequence(rng, 2, L)
         for u in range(L):
-            assert pccf(a, a, u).as_complex() == naive_circular(a, a, u)
+            assert pccf(a, a, u) == naive_circular(a, a, u)
 
 
 def test_pccf_power_identity_against_fft():
@@ -160,19 +155,18 @@ def test_pccf_power_identity_against_fft():
     for _ in range(10):
         L = int(rng.integers(4, 64))
         a = random_sequence(rng, 8, L)
-        power = sum(abs(pccf(a, a, u).as_complex()) ** 2 for u in range(L))
+        power = sum(abs(pccf(a, a, u)) ** 2 for u in range(L))
         spec = np.abs(np.fft.fft(a.values())) ** 4
         assert abs(power - spec.sum() / L) <= 1e-6 * L * L
 
 
 def test_code_accf_goldens():
     ones = binary(1, 1, 1, 1)
-    assert code_accf([ones], [ones], 0).re == 4
+    assert code_accf([ones], [ones], 0) == 4
     pair = [binary(1, 1, 1, -1), binary(1, 1, -1, 1)]
     for u in range(-3, 4):
-        v = code_accf(pair, pair, u)
-        assert v.re == (8 if u == 0 else 0) and v.im == 0
-    assert code_accf(pair, pair, 0).re == 4 * 2  # L * M at the peak
+        assert code_accf(pair, pair, u) == (8 if u == 0 else 0)
+    assert code_accf(pair, pair, 0) == 4 * 2  # L * M at the peak
 
 
 def test_verify_ccc_smallest_construction():
@@ -180,8 +174,8 @@ def test_verify_ccc_smallest_construction():
     assert len(fams) == 1
     codes = fams[0]
     # frozen from the pinned row ordering
-    assert [list(r.exponents) for r in codes[0].rows] == [[0, 0, 0, 1], [0, 1, 0, 0]]
-    assert [list(r.exponents) for r in codes[1].rows] == [[0, 0, 1, 0], [0, 1, 1, 1]]
+    assert [list(r.exponents) for r in codes[0]] == [[0, 0, 0, 1], [0, 1, 0, 0]]
+    assert [list(r.exponents) for r in codes[1]] == [[0, 0, 1, 0], [0, 1, 1, 1]]
     rep = verify_ccc(codes)
     assert rep.passed and rep.is_complete and rep.P == rep.M == 2
 
@@ -222,17 +216,18 @@ def _ccc_oracle(codes):
     """Every violation by direct row sums through code_accf, in (e1, e2, u)
     order, and the worst violation per pair (the first wins ties)."""
     M, L = len(codes[0]), len(codes[0][0])
+    tol = correlation.FLOAT_ZERO_TOL_PER_CHIP * L
     found, worst = [], {}
     for e1, code1 in enumerate(codes):
         for e2, code2 in enumerate(codes):
             for u in range(L):
                 val = code_accf(code1, code2, u)
                 want = L * M if e1 == e2 and u == 0 else 0
-                if abs(val.as_complex() - want) > val.tol:
-                    v = (e1, e2, u, val.re, val.im)
+                if abs(val - want) > tol:
+                    v = (e1, e2, u, val.real, val.imag)
                     found.append(v)
                     prev = worst.get((e1, e2))
-                    if prev is None or abs(val.as_complex()) > abs(complex(*prev[3:])):
+                    if prev is None or abs(val) > abs(complex(*prev[3:])):
                         worst[e1, e2] = v
     return found, [worst[k] for k in sorted(worst)]
 
@@ -260,7 +255,7 @@ def test_verify_ccc_matches_code_accf_oracle(q, P, M, L):
 def test_verify_ccc_flipped_chip_report_is_pinned():
     # pinned from the per-(e1, e2, u) code_accf loop this kernel replaced
     codes = list(build_ccc_family(example1_params())[0])
-    rows = list(codes[0].rows)
+    rows = list(codes[0])
     exps = rows[0].exponents.copy()
     exps[0] ^= 1
     rows[0] = UnimodularSequence(2, exps)
@@ -286,7 +281,7 @@ def test_verify_zcz_rejects_bad_zone():
 
 def test_verify_zcz_monotone_in_zone_width():
     family = build_multiple_zcz(default_params(2, 3, 1, 0))
-    seqs = family.sets[0].sequences
+    seqs = family.sets[0]
     passes = [verify_zcz(seqs, Z).passed for Z in range(family.L - 1)]
     # pass flags must be a True-prefix: once a zone fails, wider zones fail
     first_fail = passes.index(False) if False in passes else len(passes)
@@ -333,6 +328,24 @@ def test_spectrum_cap():
         correlation_spectrum(seqs, max_cells=100)
 
 
+def test_real_spectrum_allocates_no_second_table(monkeypatch):
+    # beyond the int64 table, only the float32 kernel table of half its
+    # size: the imaginary part of a real table is a read-only zero view
+    monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 1 << 16)
+    rng = np.random.default_rng(50)
+    seqs = [random_sequence(rng, 2, 1024) for _ in range(32)]
+    correlation_spectrum(seqs[:2])  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        table = correlation_spectrum(seqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not table.im.any() and not table.im.flags.writeable
+    # a second K x K x L int64 table would bring the peak to 2 x re.nbytes
+    assert peak < 1.75 * table.re.nbytes
+
+
 def test_spectrum_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     seqs = [random_sequence(rng, 2, 8) for _ in range(2)]
@@ -359,7 +372,7 @@ def test_spectrum_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_spectrum_csv_bytes_match_the_csv_module(q, tmp_path):
     fam = build_multiple_zcz(default_params(q, 3, 1, 1))
-    table = correlation_spectrum(fam.sets[0].sequences)
+    table = correlation_spectrum(fam.sets[0])
     assert table.re.dtype == (np.int64 if q in (2, 4) else np.float64)
     tables = [table]
     if not table.exact:
@@ -393,11 +406,11 @@ def _assert_table_matches_pccf(set_a, set_b, shifts):
     for n, u in enumerate(shifts):
         for i, a in enumerate(set_a):
             for j, b in enumerate(set_b):
-                want = pccf(a, b, u)
+                got, want = complex(re[n, i, j], im[n, i, j]), pccf(a, b, u)
                 if exact:
-                    assert (re[n, i, j], im[n, i, j]) == (want.re, want.im)
+                    assert got == want
                 else:
-                    assert abs(complex(re[n, i, j], im[n, i, j]) - want.as_complex()) <= want.tol
+                    assert abs(got - want) <= correlation.FLOAT_ZERO_TOL_PER_CHIP * len(a)
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8])
@@ -432,7 +445,7 @@ def test_periodic_table_crosses_block_boundaries(q, monkeypatch):
 
 def _flipped_example_set():
     fam = build_multiple_zcz(example1_params())
-    seqs = list(fam.sets[0].sequences)
+    seqs = list(fam.sets[0])
     exps = seqs[3].exponents.copy()
     exps[5] ^= 1
     seqs[3] = UnimodularSequence(2, exps)
@@ -454,7 +467,7 @@ def test_flipped_chip_witnesses_are_pinned():
         (5, 3, 0, -2, 0), (6, 3, 0, 2, 0), (7, 3, 0, -2, 0),
     ]
     assert _tuples([cert.witness]) == [(0, 3, 0, 2, 0)]
-    rep = verify_inter_zccz(seqs, fam.sets[1].sequences, fam.Zc)
+    rep = verify_inter_zccz(seqs, fam.sets[1], fam.Zc)
     assert _tuples(rep.violations) == [(3, j, 0, 2 * (-1) ** j, 0) for j in range(8)]
     assert _tuples([rep.witness]) == [(3, 0, 0, 2, 0)]
 
@@ -486,7 +499,7 @@ def _corrupted_sets(params, t1, t2, chip):
     """The family's sets with one chip of sequence (t1, t2) moved by q/2;
     returns (sets, Z, Zc)."""
     fam = build_multiple_zcz(params)
-    sets = [list(st.sequences) for st in fam.sets]
+    sets = [list(st) for st in fam.sets]
     seq = sets[t1][t2]
     exps = seq.exponents.copy()
     exps[chip] = (exps[chip] + seq.q // 2) % seq.q
@@ -518,7 +531,7 @@ def test_certify_family_matches_separate_certificates(q, zones, covers):
     # one chip corrupted in every case, at the family's zones or overrides
     if q == 2:
         fam, seqs = _flipped_example_set()
-        sets, Z, Zc = [seqs, list(fam.sets[1].sequences)], fam.Z, fam.Zc
+        sets, Z, Zc = [seqs, list(fam.sets[1])], fam.Z, fam.Zc
     else:
         params = default_params(4, 4, 2, 2) if q == 4 else default_params(6, 3, 1, 1)
         sets, Z, Zc = _corrupted_sets(params, 1, 2, 9)
@@ -542,7 +555,7 @@ def test_certify_family_matches_separate_certificates(q, zones, covers):
 
 def test_certify_family_rejects_zones_like_the_separate_calls():
     fam = build_multiple_zcz(example1_params())
-    sets = [st.sequences for st in fam.sets]
+    sets = fam.sets
     with pytest.raises(ValueError, match=r"zone width 256 outside \[0, 256\)"):
         certify_family(sets, 256, 7)
     with pytest.raises(ValueError, match=r"zone width -1 outside \[0, 256\)"):
@@ -567,7 +580,7 @@ def test_exact_blocks_are_single_precision_below_two_to_the_24():
 
 def test_verify_zcz_memory_is_bounded_by_the_shift_block():
     fam = build_multiple_zcz(default_params(2, 7, 3, 2))
-    seqs = fam.sets[0].sequences
+    seqs = fam.sets[0]
     assert (len(seqs), fam.Z, fam.L) == (16, 128, 4096)
     verify_zcz(seqs[:2], 3)  # warm up lazy imports outside the trace
     tracemalloc.start()
@@ -635,14 +648,14 @@ def test_folded_table_matches_gemm_at_every_shift(params, block_bytes, monkeypat
     if block_bytes:
         monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", block_bytes)
     fam = build_multiple_zcz(params())
-    sets = [st.sequences for st in fam.sets]
+    sets = fam.sets
     every = np.arange(fam.L)
     _assert_fold_matches_gemm(sets, every, every[::-1])
 
 
 def test_one_chip_corruption_takes_the_gemm_path(monkeypatch):
     fam, seqs = _flipped_example_set()
-    sets = [seqs, list(fam.sets[1].sequences)]
+    sets = [seqs, list(fam.sets[1])]
     union = correlation._stack(z for st in sets for z in st)
     assert correlation._split(union, [8, 8]) is None
     calls = _spy_kernels(monkeypatch)
@@ -661,7 +674,7 @@ def test_separable_corruption_takes_the_folded_path(params, monkeypatch):
     sets = []
     for st in fam.sets:
         sets.append([])
-        for z in st.sequences:
+        for z in st:
             exps = z.exponents.copy()
             exps[37] = (exps[37] + 1) % q
             sets[-1].append(UnimodularSequence(q, exps))
@@ -705,7 +718,7 @@ def _constructions(draw):
 @given(_constructions())
 def test_constructions_split_fold_exactly_and_certify(params):
     fam = build_multiple_zcz(params)
-    sets = [st.sequences for st in fam.sets]
+    sets = fam.sets
     _assert_fold_matches_gemm(
         sets, np.arange(fam.Zc + 1), np.arange(fam.Zc + 1, fam.Z + 1)
     )
@@ -730,7 +743,7 @@ def _complex_constructions(draw):
 @given(_complex_constructions())
 def test_q6_q8_constructions_certify_like_the_separate_calls(params):
     fam = build_multiple_zcz(params)
-    sets = [st.sequences for st in fam.sets]
+    sets = fam.sets
     set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
     assert set_certs == [verify_zcz(st, fam.Z) for st in sets]
