@@ -323,7 +323,12 @@ def cmd_simulate(args) -> int:
         raise CliUsageError("simulation config must be a JSON object")
     inputs = {str(config_path): hashlib.sha256(config_bytes).hexdigest()}
     if "family_dir" in raw:
-        family_dir = Path(raw.pop("family_dir"))
+        family_dir = raw.pop("family_dir")
+        if not isinstance(family_dir, str):
+            raise CliUsageError(
+                f"simulation config key 'family_dir' must be a path string, got {family_dir!r}"
+            )
+        family_dir = Path(family_dir)
         loaded = construction.load_family(family_dir)
         digests = loaded.digest_report()
         if digests is not None and not digests["pass"]:

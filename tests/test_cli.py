@@ -381,13 +381,15 @@ SMALL_SIM = {
         (dict(SMALL_SIM, construction={"q": 2, "m": 4, "k": 2, "s": 2, "J": 0}),
          ["construction", "'J'"]),
         (5, ["JSON object"]),
+        (dict(SMALL_SIM, family_dir=5), ["'family_dir'", "path string"]),
         (dict(SMALL_SIM, snr_db=[4000]), ["snr_db", "out of range"]),
         (dict(SMALL_SIM, snr_db=[-4000]), ["snr_db", "out of range"]),
         (dict(SMALL_SIM, snr_db=[4000], snr_axis="chip"), ["snr_db", "out of range"]),
         (dict(SMALL_SIM, snr_db=[-4000], snr_axis="chip"), ["snr_db", "out of range"]),
     ],
     ids=["snr-scalar", "snr-string", "snr-nan", "count-string", "count-bool", "construction-typo",
-         "construction-missing", "construction-J-scalar", "not-an-object", "snr-overflow",
+         "construction-missing", "construction-J-scalar", "not-an-object", "family-dir-int",
+         "snr-overflow",
          "snr-underflow", "snr-chip-overflow", "snr-chip-underflow"],
 )
 def test_simulate_config_errors_name_the_key(tmp_path, capsys, config, needles):
