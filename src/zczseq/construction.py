@@ -147,29 +147,19 @@ def seed_polynomial(coeffs: HCoeffs) -> GeneralizedBooleanFunction:
     return GeneralizedBooleanFunction(2, k + 2, terms)
 
 
-@functools.lru_cache(maxsize=16)
 def _seed_signs(coeffs: HCoeffs) -> np.ndarray:
-    """(-1)^{h_c} over the 2^{k+2} chunks, computed once per seed; the
-    array is shared between callers, so it is read-only."""
-    sign = 1 - 2 * seed_polynomial(coeffs).truth_table()
-    sign.flags.writeable = False
-    return sign
+    """(-1)^{h_c} over the 2^{k+2} chunks."""
+    return 1 - 2 * seed_polynomial(coeffs).truth_table()
 
 
-@functools.lru_cache(maxsize=16)
-def _boundary_weights(coeffs: HCoeffs) -> tuple[tuple[int, int], ...]:
-    """The nonzero boundary weights (nu, w_nu) of the chunk decomposition,
-    w_nu = s_nu s_{nu+1} + s_{nu+l} s_{nu+1+l} with s = :func:`_seed_signs`,
-    l = 2^{k+1} and subscripts mod 2^{k+2}; computed once per seed."""
-    sign = _seed_signs(coeffs)
-    n_chunks = len(sign)
-    l = n_chunks // 2
-    weights = (
-        (nu, int(sign[nu] * sign[(nu + 1) % n_chunks]
-                 + sign[(nu + l) % n_chunks] * sign[(nu + 1 + l) % n_chunks]))
-        for nu in range(l)
-    )
-    return tuple((nu, w) for nu, w in weights if w)
+def _half_shift_sums(sign: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The nonzero (nu, w_nu), w_nu = s_nu s_{nu+1} + s_{nu+l} s_{nu+1+l}
+    for nu in [0, l), with l = len(sign) / 2 and subscripts mod len(sign):
+    the seed cancellation failures and the chunk decomposition's boundary
+    weights alike."""
+    pair = sign * np.roll(sign, -1)
+    l = len(sign) // 2
+    return tuple((nu, int(w)) for nu, w in enumerate(pair[:l] + pair[l:]) if w)
 
 
 def build_seed_function(coeffs: HCoeffs, m: int, q: int) -> GeneralizedBooleanFunction:
@@ -205,20 +195,8 @@ def check_seed_cancellation(h: GeneralizedBooleanFunction) -> CancellationReport
         raise ValueError(f"seed cancellation is a binary identity, got q={h.q}")
     if h.m < 2:
         raise ValueError(f"seed function needs at least 2 variables, got {h.m}")
-    k = h.m - 2
-    hv = h.truth_table()
-    n = 1 << (k + 2)
-    half = 1 << (k + 1)
-    failures = []
-    signs = 1 - 2 * hv
-    for tau in range(half):
-        total = int(
-            signs[tau] * signs[(tau + 1) % n]
-            + signs[(tau + half) % n] * signs[(tau + 1 + half) % n]
-        )
-        if total != 0:
-            failures.append((tau, total))
-    return CancellationReport(k=k, passed=not failures, failures=tuple(failures))
+    failures = _half_shift_sums(1 - 2 * h.truth_table())
+    return CancellationReport(k=h.m - 2, passed=not failures, failures=failures)
 
 
 def path_gbf(q: int, m: int, k: int, s: int, J, pi) -> GeneralizedBooleanFunction:
@@ -330,6 +308,13 @@ class ConstructionParams:
     @property
     def union_size(self) -> int:
         return 1 << (self.k + self.s + 1)
+
+    @functools.cached_property
+    def _boundary_weights(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero boundary weights (nu, w_nu) of the chunk
+        decomposition: the half-shift sums of :func:`_seed_signs`, held once
+        per params object so that no check hashes the seed."""
+        return _half_shift_sums(_seed_signs(self.h))
 
     def to_json_dict(self) -> dict:
         return {
@@ -541,9 +526,9 @@ def check_chunk_decomposition(
     (-1)^{h_c + h_{c+1}} sign pairs; chunk subscripts wrap mod 2^{k+2} and
     row subscripts mod 2^{k+1}.  Valid for 0 <= tau <= 2^m.
 
-    For q in {1, 2, 4} both sides are exact and must be equal; otherwise
-    they must agree to within ``FLOAT_ZERO_TOL_PER_CHIP * L``, L the
-    sequence length.
+    The check passes when ``correlation.is_zero`` holds for lhs - rhs at
+    the sequence length L: equality for q in {1, 2, 4}, where both sides
+    are exact.
     """
     params = family.params
     if params is None:
@@ -554,18 +539,17 @@ def check_chunk_decomposition(
     if codes is None:
         codes = build_ccc_family(params)
     rows_a, rows_b = codes[t1][i], codes[t1_other][j]
-    lhs = correlation.pccf(family.sets[t1][i], family.sets[t1_other][j], tau)
+    seq_a = family.sets[t1][i]
+    lhs = correlation.pccf(seq_a, family.sets[t1_other][j], tau)
     rhs = 0j
     for row_a, row_b in zip(rows_a, rows_b):
         rhs += 2 * correlation.accf(row_a, row_b, tau)
     l = len(rows_a)
     shift = chunk_len - tau
-    for nu, weight in _boundary_weights(params.h):
+    for nu, weight in params._boundary_weights:
         rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
-    if family.q in (1, 2, 4):
-        passed = lhs == rhs
-    else:
-        passed = abs(lhs - rhs) <= correlation.FLOAT_ZERO_TOL_PER_CHIP * family.L
+    # 2l chunks of chunk_len make the sequence length L
+    passed = correlation.is_zero(lhs - rhs, seq_a.exact, 2 * l * chunk_len)
     return ChunkDecompositionReport(lhs, rhs, passed)
 
 

@@ -11,7 +11,8 @@ Periodic correlation is assembled from two aperiodic terms:
 
 For q in {1, 2, 4} every value is a Gaussian integer and all zone tests
 are exact; for other moduli values are complex doubles with an absolute
-zero tolerance of 1e-9 * L.
+zero tolerance of 1e-9 * L.  ``is_zero`` is the one zero rule that every
+verdict uses, the zone scans and ``check_chunk_decomposition`` alike.
 
 Whole sets go through one batch kernel, ``_periodic_table``.  Each set is
 stacked as one matrix, real unless an entry has a nonzero imaginary part,
@@ -49,8 +50,10 @@ fold is exact by the same argument: its factors are roots of unity, so
 every partial sum over the chunks has components of magnitude at most C,
 and every partial sum over the positions (with every real part its
 products form) at most 2L; it runs in the union's dtype, picked with
-N = L.  Exact tables are returned as int64, and a real table comes
-without its all-zero imaginary part.  ``accf``, ``pccf`` and ``code_accf``
+N = L.  Both kernels return their table as one array in the dtype they
+computed it in, real for real blocks; the scans read it as it is, and
+witness values become int64 (exact) or float64 only where a witness is
+built.  ``accf``, ``pccf`` and ``code_accf``
 return Python complex numbers; for q in {1, 2, 4} their components are
 exact integers, so ``==`` compares them exactly.
 """
@@ -76,6 +79,7 @@ __all__ = [
     "accf",
     "pccf",
     "code_accf",
+    "is_zero",
     "verify_ccc",
     "verify_zcz",
     "verify_inter_zccz",
@@ -128,6 +132,18 @@ def code_accf(code1, code2, u: int) -> complex:
     return sum((accf(r1, r2, u) for r1, r2 in zip(code1, code2)), 0j)
 
 
+def is_zero(value, exact: bool, L: int):
+    """The zero rule of every verdict: ``value`` (a complex number, or an
+    array of correlation values) is zero iff |re| + |im| is at most 0 when
+    ``exact`` (q in {1, 2, 4}) and ``FLOAT_ZERO_TOL_PER_CHIP * L``
+    otherwise, L the correlation length.  Elementwise for arrays."""
+    dev = abs(value.real)
+    # the imaginary part of a real array would be a fresh array of zeros
+    if isinstance(value, complex) or np.iscomplexobj(value):
+        dev += abs(value.imag)
+    return dev <= (0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L)
+
+
 # ---------------------------------------------------------------------------
 # batch engine: stacked periodic correlations for whole sets at once
 
@@ -150,15 +166,14 @@ class _Block:
     """K rows of length L stacked as one matrix: real when every entry is
     real, complex otherwise; see ``_kernel_dtype`` for the precision."""
 
-    __slots__ = ("K", "L", "q", "exact", "mat", "tol")
+    __slots__ = ("K", "L", "q", "exact", "mat")
 
-    def __init__(self, mat, q, exact, tol):
+    def __init__(self, mat, q, exact):
         self.K, self.L = mat.shape
         self.q = q
         self.exact = exact
         dtype = _kernel_dtype(np.iscomplexobj(mat), exact, self.L)
         self.mat = np.ascontiguousarray(mat, dtype=dtype)
-        self.tol = tol
 
 
 def _stack(seqs) -> _Block:
@@ -179,21 +194,20 @@ def _stack(seqs) -> _Block:
         if len(z) != L:
             raise ValueError("sequences must share one length")
     exact = seqs[0].exact
-    tol = 0.0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L
     exps = np.stack([z.exponents for z in seqs])
     roots = roots_of_unity(q)
     if not roots.imag[np.bincount(exps.ravel(), minlength=q) > 0].any():
         roots = roots.real
     roots = roots.astype(_kernel_dtype(np.iscomplexobj(roots), exact, L))
-    return _Block(roots[exps], q, exact, tol)
+    return _Block(roots[exps], q, exact)
 
 
-def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarray | None]:
-    """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L]) as (re, im).
+def _periodic_table(A: _Block, B: _Block, shifts) -> np.ndarray:
+    """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L]).
 
     Shifts are taken in blocks; each block stacks its cyclically shifted B
-    rows into one contiguous matrix and costs one GEMM.  Tables are as
-    ``_parts`` returns them.
+    rows into one contiguous matrix and costs one GEMM.  The table is one
+    array in the blocks' dtype: real when both blocks are real.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.size == 0:
@@ -210,16 +224,7 @@ def _periodic_table(A: _Block, B: _Block, shifts) -> tuple[np.ndarray, np.ndarra
         part = shifts[lo : lo + step]
         W = rows[part].reshape(-1, L)
         phi[lo : lo + part.size] = (A.mat @ W.T).reshape(A.K, part.size, B.K).transpose(1, 0, 2)
-    return _parts(phi, A.exact and B.exact)
-
-
-def _parts(phi, exact):
-    """(re, im) of a kernel table: int64 when exact, float64 otherwise; im
-    is None for a real table, whose imaginary part is zero."""
-    dtype = np.int64 if exact else np.float64
-    if not np.iscomplexobj(phi):
-        return phi.astype(dtype, copy=False), None
-    return phi.real.astype(dtype), phi.imag.astype(dtype)
+    return phi
 
 
 class _Fold(NamedTuple):
@@ -239,11 +244,11 @@ def _split(union: _Block, sizes) -> _Fold | None:
     K sequences each.  The split is checked on every entry, in O(K_u * L):
     for q in {1, 2, 4} the roots are exactly +-1 and +-i, distinct, and
     closed under products, so comparing entries compares exponents mod q.
-    Returns None for other moduli, unequal set sizes, a length that is not
-    a multiple of 2K, or any entry off the split.
+    Returns None for an inexact block (other moduli), unequal set sizes, a
+    length that is not a multiple of 2K, or any entry off the split.
     """
     K = sizes[0]
-    if union.q not in (1, 2, 4) or any(n != K for n in sizes) or union.L % (2 * K):
+    if not union.exact or any(n != K for n in sizes) or union.L % (2 * K):
         return None
     rows = union.mat.reshape(len(sizes), K, 2 * K, union.L // (2 * K))
     z0 = rows[0, 0]
@@ -256,9 +261,7 @@ def _split(union: _Block, sizes) -> _Fold | None:
     return None
 
 
-def _folded_table(
-    fold: _Fold, shifts, diagonal: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _folded_table(fold: _Fold, shifts, diagonal: bool = False) -> np.ndarray:
     """The union table of a split family, as ``_periodic_table`` returns it.
 
     For a shift u = uc * P + up, with carry(p) = [p + up >= P]:
@@ -307,7 +310,7 @@ def _folded_table(
         if not diagonal:
             block = block.reshape(-1, S, S, K, K).transpose(0, 1, 3, 2, 4)
         phi[lo : lo + part.size] = block.reshape(-1, *shape)
-    return _parts(phi, True)
+    return phi
 
 
 @dataclass(frozen=True)
@@ -335,9 +338,9 @@ class Violation:
         }
 
 
-def _scan_block(re, im, shifts, tol, peak, pair_major=False):
-    """Collect zone violations from one periodic-correlation table; ``im``
-    is None for a real table.
+def _scan_block(phi, shifts, block: _Block, peak, pair_major=False):
+    """Collect zone violations from one periodic-correlation table, zero
+    by :func:`is_zero` at ``block``'s exactness and row length.
 
     Every entry must be zero except phi(i,i)(0), which must equal ``peak``
     (a ``peak`` of 0 demands zero there too).  Returns the worst violation
@@ -345,22 +348,19 @@ def _scan_block(re, im, shifts, tol, peak, pair_major=False):
     the first violation in scan order: shift-major, then i, then j; or,
     with ``pair_major``, i, then j, then shift.
     """
-    dev = np.abs(re)
-    if im is not None:
-        dev += np.abs(im)
+    zero = is_zero(phi, block.exact, block.L)
     if peak:
-        diag = np.arange(re.shape[1])
+        diag = np.arange(phi.shape[1])
         for u_idx in np.flatnonzero(shifts == 0):
-            dev[u_idx, diag, diag] = np.abs(re[u_idx, diag, diag] - peak)
-            if im is not None:
-                dev[u_idx, diag, diag] += np.abs(im[u_idx, diag, diag])
-    bad = np.argwhere(dev > tol)
+            zero[u_idx, diag, diag] = is_zero(phi[u_idx, diag, diag] - peak, block.exact, block.L)
+    bad = np.argwhere(~zero)
     if not bad.size:
         return (), None
     u_idx, i, j = bad.T
-    vals_re = re[u_idx, i, j]
-    vals_im = np.zeros_like(vals_re) if im is None else im[u_idx, i, j]
-    pair = i * re.shape[2] + j
+    vals = phi[u_idx, i, j]
+    dtype = np.int64 if block.exact else np.float64
+    vals_re, vals_im = vals.real.astype(dtype), vals.imag.astype(dtype)
+    pair = i * phi.shape[2] + j
     order = np.lexsort((-np.hypot(vals_re, vals_im), pair))  # stable: scan order breaks ties
     first = order[np.r_[True, pair[order][1:] != pair[order][:-1]]]
 
@@ -432,10 +432,10 @@ def _check_zone(width: int, L: int) -> None:
         raise ValueError(f"zone width {width} outside [0, {L})")
 
 
-def _zcz_certificate(block: _Block, Z: int, re, im) -> ZczCertificate:
+def _zcz_certificate(block: _Block, Z: int, phi) -> ZczCertificate:
     """Scan the self table of ``block`` at shifts 0..Z into a certificate."""
     shifts = np.arange(Z + 1, dtype=np.int64)
-    violations, witness = _scan_block(re, im, shifts, block.tol, peak=block.L)
+    violations, witness = _scan_block(phi, shifts, block, peak=block.L)
     rho, classification = performance_parameter(
         block.K, Z, block.L, binary=(block.q == 2)
     )
@@ -464,7 +464,7 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
     block = _stack(seqs)
     _check_zone(Z, block.L)
     shifts = np.arange(Z + 1, dtype=np.int64)
-    return _zcz_certificate(block, Z, *_periodic_table(block, block, shifts))
+    return _zcz_certificate(block, Z, _periodic_table(block, block, shifts))
 
 
 @dataclass(frozen=True)
@@ -488,13 +488,13 @@ class InterSetReport:
 
 
 def _inter_report(block: _Block, Zc: int, forward, reverse) -> InterSetReport:
-    """Scan the (re, im) tables of A against B (``forward``) and of B
-    against A (``reverse``) at shifts 0..Zc into one report; ``block``
-    supplies L, q and the tolerance."""
+    """Scan the tables of A against B (``forward``) and of B against A
+    (``reverse``) at shifts 0..Zc into one report; ``block`` supplies L, q
+    and exactness."""
     shifts = np.arange(Zc + 1, dtype=np.int64)
     collected = []
-    for (re, im), sign in ((forward, 1), (reverse, -1)):
-        vio, _ = _scan_block(re, im, shifts, block.tol, peak=0)
+    for phi, sign in ((forward, 1), (reverse, -1)):
+        vio, _ = _scan_block(phi, shifts, block, peak=0)
         if sign < 0:
             # shift-0 entries mirror the forward orientation; drop duplicates
             vio = tuple(
@@ -549,39 +549,32 @@ def certify_family(sets, Z: int, Zc: int):
     _check_zone(Zc, L)
     bounds = np.cumsum([0] + [len(st) for st in sets])
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    blocks = [_Block(union.mat[sl], union.q, union.exact, union.tol) for sl in rows]
+    blocks = [_Block(union.mat[sl], union.q, union.exact) for sl in rows]
     fold = _split(union, [len(st) for st in sets])
 
     def own_tables(shifts):
         """Each set's table against itself, in set order."""
         if fold is None:
             return [_periodic_table(block, block, shifts) for block in blocks]
-        re, im = _folded_table(fold, shifts, diagonal=True)
-        return [(re[:, n], None if im is None else im[:, n]) for n in range(len(sets))]
+        phi = _folded_table(fold, shifts, diagonal=True)
+        return [phi[:, n] for n in range(len(sets))]
 
     # each set's shifts Zc+1..Z before the union table, so that the table
     # is never held while these calls run: this keeps the peak memory low
     extra = own_tables(np.arange(Zc + 1, Z + 1, dtype=np.int64)) if Z > Zc else []
     low = np.arange(Zc + 1, dtype=np.int64)
-    re, im = _periodic_table(union, union, low) if fold is None else _folded_table(fold, low)
-
-    def cut(key):
-        return re[key], None if im is None else im[key]
-
+    phi = _periodic_table(union, union, low) if fold is None else _folded_table(fold, low)
     set_certs = []
     for n, (sl, block) in enumerate(zip(rows, blocks)):
-        set_re, set_im = cut((slice(min(Z, Zc) + 1), sl, sl))
+        own = phi[: min(Z, Zc) + 1, sl, sl]
         if extra:
-            set_re = np.concatenate([set_re, extra[n][0]])
-            set_im = None if set_im is None else np.concatenate([set_im, extra[n][1]])
-        set_certs.append(_zcz_certificate(block, Z, set_re, set_im))
+            own = np.concatenate([own, extra[n]])
+        set_certs.append(_zcz_certificate(block, Z, own))
     inter = {}
     for a, b in itertools.combinations(range(len(sets)), 2):
         sa, sb = rows[a], rows[b]
-        inter[a, b] = _inter_report(
-            union, Zc, cut((slice(None), sa, sb)), cut((slice(None), sb, sa))
-        )
-    return set_certs, inter, _zcz_certificate(union, Zc, re, im)
+        inter[a, b] = _inter_report(union, Zc, phi[:, sa, sb], phi[:, sb, sa])
+    return set_certs, inter, _zcz_certificate(union, Zc, phi)
 
 
 @dataclass(frozen=True)
@@ -628,10 +621,11 @@ def verify_ccc(codes) -> CccReport:
     L = rows.L
     padded = np.zeros((P * M, 2 * L), dtype=rows.mat.dtype)
     padded[:, :L] = rows.mat
-    block = _Block(padded.reshape(P, 2 * M * L), rows.q, rows.exact, rows.tol)
+    block = _Block(padded.reshape(P, 2 * M * L), rows.q, rows.exact)
     shifts = np.arange(L, dtype=np.int64)
-    re, im = _periodic_table(block, block, shifts)
-    violations, witness = _scan_block(re, im, shifts, block.tol, peak=L * M, pair_major=True)
+    phi = _periodic_table(block, block, shifts)
+    # the zero rule scales with the code-row length L, not the padded 2ML
+    violations, witness = _scan_block(phi, shifts, rows, peak=L * M, pair_major=True)
     return CccReport(
         P=P,
         M=M,
@@ -660,10 +654,6 @@ class SpectrumTable:
 
     def value(self, i: int, j: int, u: int) -> complex:
         return complex(self.re[u, i, j], self.im[u, i, j])
-
-    def max_magnitude(self, shifts=None) -> float:
-        sl = slice(None) if shifts is None else list(shifts)
-        return float(np.abs(self.re[sl] + 1j * self.im[sl]).max())
 
     def write_csv(self, path) -> None:
         """One row per (i, j, u), i slowest, CRLF-ended as the ``csv`` module
@@ -708,7 +698,11 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
             f"spectrum needs {cells} cells, cap is {max_cells}; raise max_cells to override"
         )
     shifts = np.arange(block.L, dtype=np.int64)
-    re, im = _periodic_table(block, block, shifts)
-    if im is None:  # a read-only zero view, not a second table
+    phi = _periodic_table(block, block, shifts)
+    dtype = np.int64 if block.exact else np.float64
+    re = phi.real.astype(dtype, copy=False)
+    if np.iscomplexobj(phi):
+        im = phi.imag.astype(dtype)
+    else:  # a read-only zero view, not a second table
         im = np.broadcast_to(re.dtype.type(0), re.shape)
     return SpectrumTable(K=block.K, L=block.L, q=block.q, exact=block.exact, re=re, im=im)

@@ -160,12 +160,6 @@ class SimulationResult:
     curves: tuple[UserBerCurve, ...]
     ebn0_db: tuple[float, ...]
 
-    def curve(self, cluster: int, user: int) -> UserBerCurve:
-        for c in self.curves:
-            if c.cluster == cluster and c.user == user:
-                return c
-        raise KeyError(f"user ({cluster}, {user}) was not observed")
-
 
 def assign_signatures(family: MultipleZczFamily, clusters: int, users_per_cluster: int):
     """Cluster c gets set c; user u in it gets sequence u."""

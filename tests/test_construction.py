@@ -297,10 +297,9 @@ def test_nonzero_boundary_weights_enter_conjugated(params, monkeypatch):
     # family; non-cancelling signs make the boundary terms run
     p = params()
     sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
+    # p is fresh, so its weights are first formed from these signs
     monkeypatch.setattr(construction, "_seed_signs", lambda coeffs: sign)
-    # the uncached function, so no weights from these signs stay cached
-    monkeypatch.setattr(construction, "_boundary_weights", construction._boundary_weights.__wrapped__)
-    assert {w for _, w in construction._boundary_weights(p.h)} == {-2, 2}
+    assert {w for _, w in p._boundary_weights} == {-2, 2}
     fam, codes = build_multiple_zcz(p), build_ccc_family(p)
     K = len(fam.sets[0])
     for t1 in range(len(fam.sets)):
@@ -341,10 +340,7 @@ def test_one_check_calls_accf_once_per_term(params, weighted, monkeypatch):
     if weighted:  # non-cancelling signs, as in the test above
         sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
         monkeypatch.setattr(construction, "_seed_signs", lambda coeffs: sign)
-        monkeypatch.setattr(
-            construction, "_boundary_weights", construction._boundary_weights.__wrapped__
-        )
-    n_weights = len(construction._boundary_weights(p.h))
+    n_weights = len(p._boundary_weights)
     assert (n_weights > 0) == weighted
     fam, codes = build_multiple_zcz(p), build_ccc_family(p)
     calls = []

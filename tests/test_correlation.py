@@ -21,6 +21,7 @@ from zczseq import (
     build_ccc_family,
     build_multiple_zcz,
     certify_family,
+    check_chunk_decomposition,
     code_accf,
     correlation,
     correlation_spectrum,
@@ -396,17 +397,16 @@ def test_certificate_json_shapes():
 
 def _assert_table_matches_pccf(set_a, set_b, shifts):
     A, B = correlation._stack(set_a), correlation._stack(set_b)
-    re, im = correlation._periodic_table(A, B, shifts)
-    # a real table comes without its all-zero imaginary part
-    assert (im is None) == (A.mat.dtype.kind == B.mat.dtype.kind == "f")
-    im = np.zeros_like(re) if im is None else im
-    assert re.shape == im.shape == (len(shifts), len(set_a), len(set_b))
+    phi = correlation._periodic_table(A, B, shifts)
+    # one array in the kernel's dtype: real when both blocks are real
+    assert phi.dtype == np.result_type(A.mat, B.mat)
+    assert (phi.dtype.kind == "f") == (A.mat.dtype.kind == B.mat.dtype.kind == "f")
+    assert phi.shape == (len(shifts), len(set_a), len(set_b))
     exact = set_a[0].exact
-    assert re.dtype == (np.int64 if exact else np.float64)
     for n, u in enumerate(shifts):
         for i, a in enumerate(set_a):
             for j, b in enumerate(set_b):
-                got, want = complex(re[n, i, j], im[n, i, j]), pccf(a, b, u)
+                got, want = complex(phi[n, i, j]), pccf(a, b, u)
                 if exact:
                     assert got == want
                 else:
@@ -594,6 +594,51 @@ def test_verify_zcz_memory_is_bounded_by_the_shift_block():
     assert peak < 24 * 2**20
 
 
+def test_certify_family_memory_peaks_at_stacking_the_union():
+    """The tables stay in the kernel's dtype, so stacking the union (its
+    int64 exponents and the float32 matrix gathered from them) is the peak;
+    int64 copies of the union table would add about 9 MiB more."""
+    fam = build_multiple_zcz(default_params(2, 8, 4, 2))
+    sets = fam.sets
+    K_u = sum(len(st) for st in sets)
+    assert (K_u, fam.Z, fam.Zc, fam.L) == (128, 256, 63, 16384)
+    certify_family([st[:2] for st in sets], 3, 1)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+    exponents, union = K_u * fam.L * 8, K_u * fam.L * 4
+    assert peak <= exponents + union + 2**20
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+def test_one_zero_rule_flags_a_flipped_chip_in_scans_and_chunk_checks(q):
+    """Negative control for ``is_zero``: a chip moved by one root of unity
+    fails both the zone scan of its set and the chunk decomposition of its
+    sequence, while the clean family passes both."""
+    f = path_gbf(q, 3, 1, 1, (), (0, 1)) + GeneralizedBooleanFunction(
+        q, 3, {(0,): 1, (2,): q - 1}
+    )
+    p = default_params(q, 3, 1, 1, f=f)
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    exps = fam.sets[0][1].exponents.copy()
+    exps[9] = (exps[9] + 1) % q
+    flipped = fam.sets[0][:1] + (UnimodularSequence(q, exps),) + fam.sets[0][2:]
+    bad = dataclasses.replace(fam, sets=(flipped, *fam.sets[1:]))
+    taus = range((1 << p.m) + 1)
+    assert verify_zcz(fam.sets[0], fam.Z).passed
+    assert all(check_chunk_decomposition(fam, 0, 0, 1, 0, t, codes=codes).passed for t in taus)
+    cert = verify_zcz(flipped, fam.Z)
+    assert not cert.passed
+    assert not all(check_chunk_decomposition(bad, 0, 0, 1, 0, t, codes=codes).passed for t in taus)
+    # witness values are Python ints when exact, floats otherwise
+    kind = int if q in (2, 4) else float
+    assert all(type(v.re) is kind and type(v.im) is kind for v in cert.violations)
+
+
 # ---------------------------------------------------------------------------
 # the chunk-folded kernel of certify_family
 
@@ -618,27 +663,24 @@ def _spy_kernels(monkeypatch):
 def _assert_fold_matches_gemm(sets, union_shifts, set_shifts):
     """The folded union and per-set tables, the latter both from a one-set
     fold and from the diagonal call over all sets, equal
-    ``_periodic_table``'s bit for bit, real tables without an imaginary
-    part on both paths."""
+    ``_periodic_table``'s bit for bit and in the same dtype, real tables
+    for real blocks on both paths."""
     union = correlation._stack(z for st in sets for z in st)
     fold = correlation._split(union, [len(st) for st in sets])
     assert fold is not None
     cases = [(correlation._folded_table(fold, union_shifts), union, union_shifts)]
-    diag_re, diag_im = correlation._folded_table(fold, set_shifts, diagonal=True)
-    assert diag_re.shape == (len(set_shifts), len(sets), len(sets[0]), len(sets[0]))
+    diag = correlation._folded_table(fold, set_shifts, diagonal=True)
+    assert diag.shape == (len(set_shifts), len(sets), len(sets[0]), len(sets[0]))
     lo = 0
     for n, st in enumerate(sets):
-        block = correlation._Block(union.mat[lo : lo + len(st)], union.q, True, 0.0)
+        block = correlation._Block(union.mat[lo : lo + len(st)], union.q, True)
         own = correlation._folded_table(fold._replace(X=fold.X[n : n + 1]), set_shifts)
-        diag = (diag_re[:, n], None if diag_im is None else diag_im[:, n])
-        cases += [(own, block, set_shifts), (diag, block, set_shifts)]
+        cases += [(own, block, set_shifts), (diag[:, n], block, set_shifts)]
         lo += len(st)
     for got, block, shifts in cases:
         want = correlation._periodic_table(block, block, shifts)
-        assert got[0].dtype == want[0].dtype == np.int64
-        assert np.array_equal(got[0], want[0])
-        assert (got[1] is None) == (want[1] is None) == (block.mat.dtype.kind == "f")
-        assert got[1] is None or np.array_equal(got[1], want[1])
+        assert got.dtype == want.dtype == block.mat.dtype
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1])
