@@ -387,6 +387,10 @@ def cmd_simulate(args) -> int:
             csv_path.name: _sha256_file(csv_path),
             summary_path.name: _sha256_file(summary_path),
         },
+        "telemetry": {
+            "users": config.clusters * config.users_per_cluster,
+            "interfering_users": list(result.interfering_users),
+        },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote: {csv_path}")

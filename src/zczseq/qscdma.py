@@ -30,11 +30,18 @@ results depend on the seed alone.  An iteration's stream yields its bits,
 users-major, then n_bits x n_obs standard normals.  The bits are the top
 bits of the little-endian 32-bit halves (low half first) of
 ceil(users n_bits / 2) raw PCG64 words: what ``Generator.integers(0, 2)``
-returns, since Lemire's method never rejects for range 2.  An iteration
-holds 4 bytes per user-bit of words and 16 per observed-user-bit of noise,
-and forms the statistics in blocks of ``_BLOCK_BYTES`` of bit signs.  For
-q in {1, 2, 4} the products are exact and the output bytes do not depend
-on the blocks; for other q the blocks may change their summation order.
+returns, since Lemire's method never rejects for range 2.
+
+Only the interfering users' bits are drawn: those of the observed users
+and of every user whose row of G is not exactly zero.  The other rows
+add exactly +-0.0 to every statistic; their words are skipped by PCG64
+jump-ahead, so every drawn bit and normal sits at the same stream position
+as in the full draw.  While all delays stay within Zc, the interfering
+users are the observed ones.  An iteration holds 4 bytes per interfering
+user-bit of words and 16 per observed-user-bit of noise, and forms the
+statistics in blocks of ``_BLOCK_BYTES`` of bit signs.  For q in
+{1, 2, 4} the products are exact and the output bytes do not depend on
+the blocks; for other q the blocks may change their summation order.
 """
 
 from __future__ import annotations
@@ -159,6 +166,9 @@ class SimulationResult:
     delays: np.ndarray
     curves: tuple[UserBerCurve, ...]
     ebn0_db: tuple[float, ...]
+    # users whose bits reach an observed statistic (G row not all zero),
+    # observed users included: the rows each iteration draws
+    interfering_users: tuple[int, ...]
 
 
 def assign_signatures(family: MultipleZczFamily, clusters: int, users_per_cluster: int):
@@ -208,12 +218,49 @@ def _noise_factor(gram: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _bit_words(rng: np.random.Generator, users: int, n_bits: int) -> np.ndarray:
-    """int32 words, shape (users, n_bits), negative where ``rng.integers(0,
-    2, (users, n_bits))`` would draw 1: the little-endian 32-bit halves of
-    raw PCG64 words, whose top bits Lemire's method takes for range 2."""
-    raw = rng.bit_generator.random_raw(-(-users * n_bits // 2))
-    return raw.astype("<u8", copy=False).view("<i4")[: users * n_bits].reshape(users, n_bits)
+def _halves(bit_generator, start: int, stop: int) -> np.ndarray:
+    """int32 halves [start, stop) of the raw stream, drawn from a bit
+    generator that stands at raw word start // 2."""
+    raw = bit_generator.random_raw(-(-stop // 2) - start // 2)
+    return raw.astype("<u8", copy=False).view("<i4")[start % 2 : start % 2 + stop - start]
+
+
+def _bit_words(
+    rng: np.random.Generator, users: int, n_bits: int, live: np.ndarray | None = None
+) -> np.ndarray:
+    """int32 words, shape (len(live), n_bits), negative where ``rng.integers(0,
+    2, (users, n_bits))[live]`` would draw 1: the little-endian 32-bit halves of
+    raw PCG64 words, whose top bits Lemire's method takes for range 2.
+
+    ``live`` (sorted user indices, all users when None) selects the rows;
+    the words of the other users are skipped by jump-ahead, and ``rng`` is
+    left where the full draw leaves it.  One run of consecutive rows is
+    returned from its own draw; several are copied in chunks of
+    ``_BLOCK_BYTES`` so that no more than the selected words are held."""
+    bg = rng.bit_generator
+    # [start, stop) in int32 halves of the full draw, one per run of rows;
+    # jump-ahead takes Python ints (a numpy int64 overflows)
+    if live is None:
+        spans = [(0, users * n_bits)]
+    else:
+        runs = np.split(live, np.flatnonzero(np.diff(live) != 1) + 1)
+        spans = [(int(r[0]) * n_bits, (int(r[-1]) + 1) * n_bits) for r in runs]
+    if len(spans) == 1:
+        (h0, h1), = spans
+        bg.advance(h0 // 2)
+        words = _halves(bg, h0, h1)
+    else:
+        words = np.empty(sum(h1 - h0 for h0, h1 in spans), dtype="<i4")
+        filled = pos = 0  # halves written; raw words drawn or skipped
+        for h0, h1 in spans:
+            bg.advance(h0 // 2 - pos)
+            for r in range(h0 // 2, -(-h1 // 2), _BLOCK_BYTES // 8):
+                lo, hi = max(h0, 2 * r), min(h1, 2 * r + _BLOCK_BYTES // 4)
+                words[filled : filled + hi - lo] = _halves(bg, lo, hi)
+                filled += hi - lo
+            pos = -(-h1 // 2)
+    bg.advance(-(-users * n_bits // 2) - -(-spans[-1][1] // 2))
+    return words.reshape(-1, n_bits)
 
 
 def _noise_amplitude(L: int, ebn0_db: float, snr_db: float) -> float:
@@ -261,10 +308,17 @@ def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> Simulat
         )
         points = [(_noise_amplitude(L, e, db), db) for db, e in zip(config.snr_db, ebn0)]
 
-    users, n_obs, n_bits = sig.shape[0], len(observed), config.bits_per_iteration
-    width = max(1, min(n_bits, _BLOCK_BYTES // (8 * users)))
-    neg_gt = -G.T  # a 1 bit sends +1 but is a negative word, whose copysign is -1
-    signs, stats = np.empty(users * width), np.empty(n_obs * width)
+    # A row of G that is exactly zero adds exactly +-0.0 to every statistic,
+    # so only the other users' bits are drawn.
+    live = np.any(G != 0.0, axis=1)
+    live[observed_rows] = True
+    live = np.flatnonzero(live)
+    decided = np.searchsorted(live, observed_rows)  # observed rows within live
+    users, n_live = sig.shape[0], live.size
+    n_obs, n_bits = len(observed), config.bits_per_iteration
+    width = max(1, min(n_bits, _BLOCK_BYTES // (8 * n_live)))
+    neg_gt = -G[live].T  # a 1 bit sends +1 but is a negative word, whose copysign is -1
+    signs, stats = np.empty(n_live * width), np.empty(n_obs * width)
     if not config.noiseless:
         normals, noise = np.empty((n_bits, n_obs)), np.empty((n_bits, n_obs))
     errors = np.zeros((len(points), n_obs), dtype=np.int64)
@@ -273,17 +327,17 @@ def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> Simulat
             rng = np.random.default_rng(
                 np.random.SeedSequence(config.seed, spawn_key=(1, point_idx, iter_idx))
             )
-            words = _bit_words(rng, users, n_bits)
+            words = _bit_words(rng, users, n_bits, live)
             if sigma > 0.0:
                 np.matmul(rng.standard_normal(out=normals), F, out=noise)
                 noise *= sigma
             for j in range(0, n_bits, width):
                 w = min(width, n_bits - j)
-                block = np.copysign(1.0, words[:, j : j + w], out=signs[: users * w].reshape(users, w))
+                block = np.copysign(1.0, words[:, j : j + w], out=signs[: n_live * w].reshape(n_live, w))
                 st = np.matmul(neg_gt, block, out=stats[: n_obs * w].reshape(n_obs, w))
                 if sigma > 0.0:
                     st += noise[j : j + w].T
-                errors[point_idx] += ((st > 0) != (words[observed_rows, j : j + w] < 0)).sum(axis=1)
+                errors[point_idx] += ((st > 0) != (words[decided, j : j + w] < 0)).sum(axis=1)
             del words  # before the next iteration draws its own
     bits_per_point = config.bits_per_iteration * config.iterations
 
@@ -295,7 +349,8 @@ def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> Simulat
         )
         curves.append(UserBerCurve(cluster=c, user=u, points=pts))
     return SimulationResult(
-        config=config, delays=delays, curves=tuple(curves), ebn0_db=ebn0
+        config=config, delays=delays, curves=tuple(curves), ebn0_db=ebn0,
+        interfering_users=tuple(live.tolist()),
     )
 
 

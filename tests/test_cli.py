@@ -472,6 +472,25 @@ def test_simulate_noisy_outputs_are_byte_stable(tmp_path, monkeypatch, config, d
             for name in digest} == digest
 
 
+@pytest.mark.parametrize(
+    "config, interfering",
+    [(BENCH_SIM, [0, 8, 16, 24]),
+     (dict(BENCH_SIM, max_delay_chips=40, observed_per_cluster=8, snr_db=[0.0], iterations=1,
+           bits_per_iteration=100), list(range(32)))],
+    ids=["bench-2422", "delays-40"],
+)
+def test_simulate_manifest_reports_the_interfering_users(tmp_path, config, interfering):
+    """The users whose bits the run drew: within Zc the observed ones only.
+    The record stays out of summary.json, whose bytes are pinned."""
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli("simulate", str(cfg_path), "-o", str(out)) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["telemetry"] == {"users": 32, "interfering_users": interfering}
+    assert "interfering_users" not in (out / "summary.json").read_text()
+
+
 def test_simulate_manifest_hashes_the_config_bytes_it_parsed(tmp_path, monkeypatch):
     cfg_path = tmp_path / "sim.json"
     parsed = json.dumps(SMALL_SIM).encode()

@@ -1,5 +1,6 @@
 """Multi-cluster uplink simulation: exactness, baselines, reproducibility."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -278,42 +279,168 @@ def test_bit_words_draw_the_integers_stream():
     assert len(_stream_mismatches(_swapped_words)) >= 9
 
 
+class _DeferredAdvance:
+    """Stands for a generator and its bit generator, but applies each
+    jump-ahead only at the next draw, so one after the last draw is lost."""
+
+    def __init__(self, rng):
+        self.bit_generator, self._bg, self._pending = self, rng.bit_generator, 0
+
+    def advance(self, delta):
+        self._pending += delta
+
+    def random_raw(self, size):
+        self._bg.advance(self._pending)
+        self._pending = 0
+        return self._bg.random_raw(size)
+
+
+def _no_final_advance(rng, users, n_bits, live):
+    """Negative control: the stream left after the last drawn row."""
+    return qscdma._bit_words(_DeferredAdvance(rng), users, n_bits, live)
+
+
+def _even_offset_words(rng, users, n_bits, live):
+    """Negative control: each run of rows read from the low half of its
+    first raw word, whatever half its first bit is."""
+    flat = qscdma._bit_words(rng, users, n_bits).ravel()
+    runs = np.split(live, np.flatnonzero(np.diff(live) != 1) + 1)
+    starts = [int(r[0]) * n_bits // 2 * 2 for r in runs]
+    return np.concatenate(
+        [flat[h : h + r.size * n_bits] for h, r in zip(starts, runs)]
+    ).reshape(-1, n_bits)
+
+
+def _row_sets(users):
+    """First user, last user, all users, adjacent runs, non-adjacent users,
+    every other user, and a long run after a gap."""
+    sets = ([0], [users - 1], range(users), [1, 2, 4, 5, 6], [0, users // 2 + 1],
+            range(0, users, 2), range(1, users, 2), [0, *range(2, users)])
+    return sorted({tuple(v for v in rows if v < users) for rows in sets} - {()})
+
+
+def _live_stream_mismatches(draw):
+    """Cases where ``draw`` disagrees with ``rng.integers(0, 2)`` on the
+    bits of the selected rows, or on the normals drawn after all bits."""
+    bad = []
+    for users, n_bits in itertools.product((1, 2, 3, 5, 32), (1, 2, 3, 7, 10_000)):
+        for rows in _row_sets(users):
+            live = np.array(rows, dtype=np.intp)
+            for seed in (0, 13, 2**40 + 3):
+                for key in ((1, 0, 0), (1, 2, 5), (7,)):
+                    want_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+                    got_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+                    want = want_rng.integers(0, 2, size=(users, n_bits))[live]
+                    got = draw(got_rng, users, n_bits, live)
+                    same_bits = got.shape == want.shape and np.array_equal(got < 0, want == 1)
+                    same_noise = np.array_equal(
+                        got_rng.standard_normal((n_bits, 3)),
+                        want_rng.standard_normal((n_bits, 3)),
+                    )
+                    if not (same_bits and same_noise):
+                        bad.append((users, n_bits, rows, seed, key))
+    return bad
+
+
+@pytest.mark.parametrize("block_bytes", [qscdma._BLOCK_BYTES, 64], ids=["default", "tiny-chunks"])
+def test_bit_words_of_live_rows_skip_the_others_in_the_stream(monkeypatch, block_bytes):
+    """Runs of rows drawn with jump-ahead over the rows between them equal
+    those rows of the full draw, and leave the stream where it leaves it;
+    tiny chunks copy every run in pieces, from odd half-words too."""
+    monkeypatch.setattr(qscdma, "_BLOCK_BYTES", block_bytes)
+    assert _live_stream_mismatches(qscdma._bit_words) == []
+    if block_bytes == 64:
+        return
+    assert len(_live_stream_mismatches(_no_final_advance)) >= 100
+    assert len(_live_stream_mismatches(_even_offset_words)) >= 100
+
+
 def _width(users):
     return qscdma._BLOCK_BYTES // (8 * users)
 
 
+def _spy_on_the_draw(monkeypatch):
+    """The rows every ``_bit_words`` call of a run returns, as tuples."""
+    draw, drawn = qscdma._bit_words, []
+
+    def spy(rng, users, n_bits, live=None):
+        words = draw(rng, users, n_bits, live)
+        rows = range(users) if live is None else live.tolist()
+        assert words.shape == (len(rows), n_bits)
+        drawn.append(tuple(rows))
+        return words
+
+    monkeypatch.setattr(qscdma, "_bit_words", spy)
+    return drawn
+
+
 @pytest.mark.parametrize(
-    "make_family, clusters, users, observed, n_bits, snr_db",
+    "make_family, clusters, users, observed, n_bits, snr_db, max_delay",
     [
-        (four_cluster_family, 4, 8, 1, lambda w: 1, (-10.0, 0.0)),
-        (four_cluster_family, 4, 8, 8, lambda w: w // 3, (2.0,)),
-        (four_cluster_family, 4, 8, 2, lambda w: 2 * w + 7, (0.0, 6.0)),
-        (four_cluster_family, 4, 8, 8, lambda w: w, ()),
-        (constant_family, 1, 3, 3, lambda w: 333, (8.0,)),
-        (constant_family, 2, 8, 8, lambda w: w + 1, (10.0,)),
-        (quaternary_family, 4, 8, 8, lambda w: 2 * w + 7, (0.0, 6.0)),
-        (octal_family, 4, 8, 8, lambda w: 2 * w + 7, (0.0, 6.0)),
-        (octal_family, 2, 5, 2, lambda w: 1, (-10.0,)),
+        (four_cluster_family, 4, 8, 1, lambda w: 1, (-10.0, 0.0), 40),
+        (four_cluster_family, 4, 8, 8, lambda w: w // 3, (2.0,), 40),
+        (four_cluster_family, 4, 8, 2, lambda w: 2 * w + 7, (0.0, 6.0), 40),
+        (four_cluster_family, 4, 8, 8, lambda w: w, (), 40),
+        (constant_family, 1, 3, 3, lambda w: 333, (8.0,), 40),
+        (constant_family, 2, 8, 8, lambda w: w + 1, (10.0,), 40),
+        (quaternary_family, 4, 8, 8, lambda w: 2 * w + 7, (0.0, 6.0), 40),
+        (octal_family, 4, 8, 8, lambda w: 2 * w + 7, (0.0, 6.0), 40),
+        (octal_family, 2, 5, 2, lambda w: 1, (-10.0,), 40),
+        (four_cluster_family, 3, 5, 1, lambda w: 2 * w + 7, (-10.0, 0.0), 3),
+        (quaternary_family, 4, 8, 2, lambda w: 2 * w + 7, (0.0, 6.0), 3),
+        (four_cluster_family, 4, 8, 1, lambda w: 2 * w + 7, (0.0, 6.0), 4),
     ],
     ids=["q2-one-bit", "q2-under-a-block", "q2-ragged", "q2-noiseless-one-block",
-         "q1-odd-count", "q1-block-plus-one", "q4-ragged", "q8-ragged", "q8-odd-one-bit"],
+         "q1-odd-count", "q1-block-plus-one", "q4-ragged", "q8-ragged", "q8-odd-one-bit",
+         "q2-within-zc-odd-offsets", "q4-within-zc", "q2-one-beyond-zc"],
 )
 def test_simulation_loop_matches_the_integers_oracle(
-    make_family, clusters, users, observed, n_bits, snr_db
+    monkeypatch, make_family, clusters, users, observed, n_bits, snr_db, max_delay
 ):
-    """Delays up to 40 chips, so users interfere; equal error counts per
-    (point, user).  The q = 8 statistics may differ in the last place."""
+    """Equal error counts per (point, user) to the loop that drew every
+    user's bits.  With delays up to 40 chips users interfere; up to Zc = 3
+    only the observed users are drawn, and at 4 some of the others.  The
+    q = 8 statistics may differ in the last place."""
     fam = make_family()
     cfg = SimulationConfig(
         clusters=clusters, users_per_cluster=users, observed_per_cluster=observed,
-        max_delay_chips=40, snr_db=snr_db, noiseless=not snr_db, seed=61 + clusters * users,
-        bits_per_iteration=n_bits(_width(clusters * users)), iterations=3,
+        max_delay_chips=max_delay, snr_db=snr_db, noiseless=not snr_db,
+        seed=61 + clusters * users, bits_per_iteration=n_bits(_width(clusters * users)),
+        iterations=3,
     )
+    drawn = _spy_on_the_draw(monkeypatch)
     res = simulate_ber(fam, cfg)
     got = np.array([[pt.errors for pt in curve.points] for curve in res.curves]).T
     want = oracle_simulation_errors(fam, cfg)
     assert np.array_equal(got, want), (got, want)
     assert want.any()
+    assert drawn == [res.interfering_users] * (3 * max(1, len(snr_db)))
+    observed_rows = {c * users + u for c in range(clusters) for u in range(observed)}
+    if max_delay <= fam.Zc:
+        assert set(res.interfering_users) == observed_rows
+    elif max_delay == fam.Zc + 1:
+        assert observed_rows < set(res.interfering_users) < set(range(clusters * users))
+
+
+@pytest.mark.parametrize(
+    "max_delay, observed, seed, rows",
+    [(3, 1, seed, (0, 8, 16, 24)) for seed in range(1, 11)]
+    + [(40, 8, 34, tuple(range(32)))],
+    ids=[f"bench-seed-{seed}" for seed in range(1, 11)] + ["delays-40"],
+)
+def test_simulation_draws_only_the_interfering_users(monkeypatch, max_delay, observed, seed, rows):
+    """The four-cluster (2,4,2,2) system of 4 x 8 users: within Zc each
+    iteration draws the observed users' rows alone; at delays up to 40
+    chips, with every user observed, it draws all 32."""
+    cfg = SimulationConfig(
+        clusters=4, users_per_cluster=8, observed_per_cluster=observed,
+        max_delay_chips=max_delay, snr_db=(0.0, 2.0), seed=seed,
+        bits_per_iteration=100, iterations=2,
+    )
+    drawn = _spy_on_the_draw(monkeypatch)
+    res = simulate_ber(four_cluster_family(), cfg)
+    assert res.interfering_users == rows
+    assert drawn == [rows] * 4
 
 
 def _traced_peak(fn, *args):
@@ -327,19 +454,29 @@ def _traced_peak(fn, *args):
 
 
 def test_simulate_memory_is_one_iterations_words_plus_noise(monkeypatch):
+    """4 bytes per interfering user-bit of words and 16 per observed
+    user-bit of noise: within Zc the 4 observed users of 32, at delays up
+    to 40 chips with every user observed all 32."""
     fam = four_cluster_family()
-    users, n_obs, n_bits = 32, 4, 200_000
-    cfg = SimulationConfig(clusters=4, users_per_cluster=8, max_delay_chips=3, snr_db=(4.0,),
-                           seed=3, bits_per_iteration=n_bits, iterations=2)
-    bound = 4 * users * n_bits + 16 * n_obs * n_bits + 4 * qscdma._BLOCK_BYTES + 2**20
-    assert _traced_peak(simulate_ber, fam, cfg) < bound
-
-    # negative control: words that outlive their iteration double the peak
+    cases = [  # (config, interfering users)
+        (SimulationConfig(clusters=4, users_per_cluster=8, max_delay_chips=3, snr_db=(4.0,),
+                          seed=3, bits_per_iteration=200_000, iterations=2), 4),
+        (SimulationConfig(clusters=4, users_per_cluster=8, observed_per_cluster=8,
+                          max_delay_chips=40, snr_db=(4.0,), seed=3,
+                          bits_per_iteration=50_000, iterations=2), 32),
+    ]
+    # negative control: words that outlive their iteration double them
     draw, kept = qscdma._bit_words, []
 
-    def keeping_words(rng, users, n_bits):
-        kept[:] = [draw(rng, users, n_bits)]
+    def keeping_words(rng, users, n_bits, live):
+        kept[:] = [draw(rng, users, n_bits, live)]
         return kept[0]
 
-    monkeypatch.setattr(qscdma, "_bit_words", keeping_words)
-    assert _traced_peak(simulate_ber, fam, cfg) > bound
+    for cfg, n_live in cases:
+        n_obs, n_bits = 4 * cfg.observed_per_cluster, cfg.bits_per_iteration
+        assert len(simulate_ber(fam, cfg).interfering_users) == n_live
+        bound = 4 * n_live * n_bits + 16 * n_obs * n_bits + 4 * qscdma._BLOCK_BYTES + 2**20
+        assert _traced_peak(simulate_ber, fam, cfg) < bound
+        with monkeypatch.context() as patch:
+            patch.setattr(qscdma, "_bit_words", keeping_words)
+            assert _traced_peak(simulate_ber, fam, cfg) > bound
