@@ -140,6 +140,13 @@ def _deep_checks(family: construction.MultipleZczFamily) -> dict:
     params = family.params
     if params is None:
         raise CliUsageError("--deep needs construction parameters in the manifest")
+    described = ([params.set_size] * params.num_sets, params.seq_length, params.q)
+    held = ([len(st) for st in family.sets], family.L, family.q)
+    if described != held:
+        raise CliUsageError(
+            f"--deep: the manifest params describe (set sizes, length, q) = {described},"
+            f" but the files hold {held}"
+        )
     cancel = construction.check_seed_cancellation(construction.seed_polynomial(params.h))
     codes = construction.build_ccc_family(params)
     n_sets = len(family.sets)
@@ -169,26 +176,16 @@ def _rho_str(rho: Fraction) -> str:
     return str(rho.numerator) if rho.denominator == 1 else f"{rho.numerator}/{rho.denominator}"
 
 
-def _print_family_summary(family, out=None):
-    out = out if out is not None else sys.stdout
+def _print_family_summary(family):
     K = len(family.sets[0])
-    print(
-        f"sets: {len(family.sets)}  sequences/set: {K}  length: {family.L}",
-        file=out,
-    )
-    print(f"zone width Z: {family.Z}  inter-set zone Zc: {family.Zc}", file=out)
+    print(f"sets: {len(family.sets)}  sequences/set: {K}  length: {family.L}")
+    print(f"zone width Z: {family.Z}  inter-set zone Zc: {family.Zc}")
     binary = family.q == 2
     rho, cls = correlation.performance_parameter(K, family.Z, family.L, binary=binary)
-    print(
-        f"per-set rho ({'binary' if binary else 'general'}): {_rho_str(rho)} ({cls})",
-        file=out,
-    )
+    print(f"per-set rho ({'binary' if binary else 'general'}): {_rho_str(rho)} ({cls})")
     union_k = sum(len(st) for st in family.sets)
     urho, ucls = correlation.performance_parameter(union_k, family.Zc, family.L, binary=binary)
-    print(
-        f"union: ({union_k},{family.Zc},{family.L})  rho: {_rho_str(urho)} ({ucls})",
-        file=out,
-    )
+    print(f"union: ({union_k},{family.Zc},{family.L})  rho: {_rho_str(urho)} ({ucls})")
 
 
 def _sha256_file(path: Path) -> str:
@@ -228,6 +225,18 @@ def _digest_failures(digests: dict) -> str:
         for kind in ("mismatched", "missing", "extra")
         if digests[kind]
     )
+
+
+def _load_matching_family(directory):
+    """The family in ``directory``, or None after reporting on stderr that
+    its files disagree with the digests of its manifest."""
+    loaded = construction.load_family(directory)
+    digests = loaded.digest_report()
+    if digests is not None and not digests["pass"]:
+        print(f"error: family files disagree with manifest.json ({_digest_failures(digests)})",
+              file=sys.stderr)
+        return None
+    return loaded
 
 
 def cmd_verify(args) -> int:
@@ -284,7 +293,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    loaded = construction.load_family(args.directory)
+    loaded = _load_matching_family(args.directory)
+    if loaded is None:
+        return EXIT_CERT_FAIL
     seqs = [z for st in loaded.family.sets for z in st]
     table = correlation.correlation_spectrum(seqs, max_cells=args.max_cells)
     table.write_csv(args.out)
@@ -329,11 +340,8 @@ def cmd_simulate(args) -> int:
                 f"simulation config key 'family_dir' must be a path string, got {family_dir!r}"
             )
         family_dir = Path(family_dir)
-        loaded = construction.load_family(family_dir)
-        digests = loaded.digest_report()
-        if digests is not None and not digests["pass"]:
-            print(f"error: family files disagree with manifest.json ({_digest_failures(digests)})",
-                  file=sys.stderr)
+        loaded = _load_matching_family(family_dir)
+        if loaded is None:
             return EXIT_CERT_FAIL
         family = loaded.family
         inputs.update((str(family_dir / name), d) for name, d in loaded.digests.items())

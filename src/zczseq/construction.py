@@ -30,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correlation
+from . import __version__, correlation
 from .gbf import (
     GeneralizedBooleanFunction,
     UnimodularSequence,
+    _vertex_layout,
     psi,
     validate_restricted_path_form,
 )
@@ -202,8 +203,7 @@ def check_seed_cancellation(h: GeneralizedBooleanFunction) -> CancellationReport
 def path_gbf(q: int, m: int, k: int, s: int, J, pi) -> GeneralizedBooleanFunction:
     """Minimal valid base function: q/2 times the path on the free
     vertices in the order given by ``pi``."""
-    free = tuple(sorted(set(range(m - s)) - set(J)))
-    path = tuple(free[p] for p in pi)
+    _, _, path = _vertex_layout(m, k, s, J, pi)
     half = q // 2
     terms = {
         tuple(sorted((path[b], path[b + 1]))): half for b in range(len(path) - 1)
@@ -234,10 +234,6 @@ class ConstructionParams:
     def __post_init__(self):
         if self.q < 2 or self.q % 2 or self.q > MAX_MODULUS:
             raise ValueError(f"q must be even and in [2, {MAX_MODULUS}], got {self.q}")
-        if not 0 <= self.s <= self.k <= self.m - 2:
-            raise ValueError(
-                f"need 0 <= s <= k <= m-2, got s={self.s}, k={self.k}, m={self.m}"
-            )
         object.__setattr__(self, "J", tuple(self.J))
         object.__setattr__(self, "pi", tuple(self.pi))
         if self.h.k != self.k:
@@ -255,13 +251,18 @@ class ConstructionParams:
 
     # -- derived quantities -------------------------------------------------
 
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[int, ...], ...]:
+        """(isolated, free vertices, path), from :func:`gbf._vertex_layout`."""
+        return _vertex_layout(self.m, self.k, self.s, self.J, self.pi)
+
     @property
     def isolated(self) -> tuple[int, ...]:
-        return tuple(range(self.m - self.s, self.m))
+        return self._layout[0]
 
     @property
     def free_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(set(range(self.m - self.s)) - set(self.J)))
+        return self._layout[1]
 
     @property
     def j_order(self) -> tuple[int, ...]:
@@ -270,8 +271,7 @@ class ConstructionParams:
 
     @property
     def path(self) -> tuple[int, ...]:
-        free = self.free_vertices
-        return tuple(free[p] for p in self.pi)
+        return self._layout[2]
 
     @property
     def gamma1(self) -> int:
@@ -353,8 +353,6 @@ def default_params(
 ) -> ConstructionParams:
     """Fill the free choices with deterministic defaults: J is the first
     k-s indices, pi the identity, f the bare path, h the minimal seed."""
-    if not 0 <= s <= k <= m - 2:
-        raise ValueError(f"need 0 <= s <= k <= m-2, got s={s}, k={k}, m={m}")
     J = tuple(J) if J is not None else tuple(range(k - s))
     pi = tuple(pi) if pi is not None else tuple(range(m - k))
     f = f if f is not None else path_gbf(q, m, k, s, J, pi)
@@ -528,7 +526,7 @@ def check_chunk_decomposition(
 
     The check passes when ``correlation.is_zero`` holds for lhs - rhs at
     the sequence length L: equality for q in {1, 2, 4}, where both sides
-    are exact.
+    are exact.  lhs - rhs sums at most 3L roots of unity.
     """
     params = family.params
     if params is None:
@@ -536,10 +534,12 @@ def check_chunk_decomposition(
     chunk_len = 1 << params.m
     if not 0 <= tau <= chunk_len:
         raise ValueError(f"tau must lie in [0, {chunk_len}], got {tau}")
+    L = chunk_len << (params.k + 2)  # 2^{k+2} chunks make the sequence
+    seq_a = family.sets[t1][i]
+    correlation._check_decidable(seq_a.q, L, 3 * L)
     if codes is None:
         codes = build_ccc_family(params)
     rows_a, rows_b = codes[t1][i], codes[t1_other][j]
-    seq_a = family.sets[t1][i]
     lhs = correlation.pccf(seq_a, family.sets[t1_other][j], tau)
     rhs = 0j
     for row_a, row_b in zip(rows_a, rows_b):
@@ -548,8 +548,7 @@ def check_chunk_decomposition(
     shift = chunk_len - tau
     for nu, weight in params._boundary_weights:
         rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
-    # 2l chunks of chunk_len make the sequence length L
-    passed = correlation.is_zero(lhs - rhs, seq_a.exact, 2 * l * chunk_len)
+    passed = correlation.is_zero(lhs - rhs, seq_a.exact, L)
     return ChunkDecompositionReport(lhs, rhs, passed)
 
 
@@ -660,7 +659,7 @@ def export_family(
             digests[f"{t1}/{t2}.seq"] = _sha256(payload)
     manifest = {
         "tool": "zczseq",
-        "version": _tool_version(),
+        "version": __version__,
         "command": command,
         "declared": {
             "num_sets": len(family.sets),
@@ -680,33 +679,39 @@ def export_family(
     return manifest
 
 
+def _family_files(root: Path) -> list[tuple[Path, list[Path]]]:
+    """The numbered set directories of ``root``, each with its numbered
+    ``.seq`` files, both in numeric order: the files of a family directory
+    as :func:`load_family` reads them."""
+    set_dirs = sorted(
+        (p for p in root.iterdir() if p.is_dir() and p.name.isdecimal()),
+        key=lambda p: int(p.name),
+    )
+    return [
+        (sub, sorted((p for p in sub.glob("*.seq") if p.stem.isdecimal()), key=lambda p: int(p.stem)))
+        for sub in set_dirs
+    ]
+
+
 def _refuse_stale_files(root: Path, sizes) -> None:
     """Raise if ``root`` holds set directories or ``.seq`` files, as
-    :func:`load_family` picks them, that a family of ``sizes`` (sequences
+    :func:`_family_files` lists them, that a family of ``sizes`` (sequences
     per set) would not overwrite."""
     if not root.is_dir():
         return
     sizes = {str(t1): size for t1, size in enumerate(sizes)}
     stale = []
-    for sub in sorted(p for p in root.iterdir() if p.is_dir() and p.name.isdigit()):
+    for sub, files in _family_files(root):
         if sub.name not in sizes:
             stale.append(sub)
-            continue
-        written = {f"{t2}.seq" for t2 in range(sizes[sub.name])}
-        stale.extend(
-            sorted(p for p in sub.glob("*.seq") if p.stem.isdigit() and p.name not in written)
-        )
+        else:
+            written = {f"{t2}.seq" for t2 in range(sizes[sub.name])}
+            stale.extend(p for p in files if p.name not in written)
     if stale:
         raise ValueError(
             f"{stale[0]} is left from another family and would not be overwritten"
             f" ({len(stale)} such path(s) in {root}); remove them or choose another directory"
         )
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -750,20 +755,13 @@ def load_family(directory) -> LoadedFamily:
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"{root} is not a directory")
-    set_dirs = sorted(
-        (p for p in root.iterdir() if p.is_dir() and p.name.isdigit()),
-        key=lambda p: int(p.name),
-    )
-    if not set_dirs:
+    listing = _family_files(root)
+    if not listing:
         raise ValueError(f"{root} holds no sequence-set subdirectories")
     sets = []
     header = None
     digests = {}
-    for sub in set_dirs:
-        files = sorted(
-            (p for p in sub.glob("*.seq") if p.stem.isdigit()),
-            key=lambda p: int(p.stem),
-        )
+    for sub, files in listing:
         if not files:
             raise ValueError(f"{sub} holds no .seq files")
         seqs = []
@@ -782,7 +780,12 @@ def load_family(directory) -> LoadedFamily:
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{manifest_path}: expected a JSON object")
         if manifest.get("params"):
-            params = ConstructionParams.from_json_dict(manifest["params"])
+            try:
+                params = ConstructionParams.from_json_dict(manifest["params"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{manifest_path}: malformed 'params' ({exc})") from None
     family = MultipleZczFamily(params, tuple(sets), Z=header["Z"], Zc=header["Zc"])
     return LoadedFamily(family, manifest, digests)

@@ -11,8 +11,10 @@ Periodic correlation is assembled from two aperiodic terms:
 
 For q in {1, 2, 4} every value is a Gaussian integer and all zone tests
 are exact; for other moduli values are complex doubles with an absolute
-zero tolerance of 1e-9 * L.  ``is_zero`` is the one zero rule that every
-verdict uses, the zone scans and ``check_chunk_decomposition`` alike.
+zero tolerance of 1e-9 * L, and a verdict is refused where that tolerance
+could hide a nonzero value (``_check_decidable``).  ``is_zero`` is the one
+zero rule that every verdict uses, the zone scans and
+``check_chunk_decomposition`` alike.
 
 Whole sets go through one batch kernel, ``_periodic_table``.  Each set is
 stacked as one matrix, real unless an entry has a nonzero imaginary part,
@@ -61,6 +63,7 @@ exact integers, so ``==`` compares them exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -142,6 +145,25 @@ def is_zero(value, exact: bool, L: int):
     if isinstance(value, complex) or np.iscomplexobj(value):
         dev += abs(value.imag)
     return dev <= (0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L)
+
+
+def _check_decidable(q: int, L: int, N: int) -> None:
+    """Refuse verdicts that :func:`is_zero` cannot decide at length L for
+    values that each sum N q-th roots of unity.
+
+    For q outside {1, 2, 4} a nonzero value has a norm of magnitude at
+    least 1, and each of its phi(q)/2 conjugate pairs has magnitude at most
+    N, so the value itself has magnitude at least N^-(phi(q)/2 - 1); the
+    tolerance ``FLOAT_ZERO_TOL_PER_CHIP * L`` must stay below that bound.
+    """
+    if q in (1, 2, 4):
+        return
+    pairs = sum(math.gcd(j, q) == 1 for j in range(1, q)) // 2
+    if (pairs - 1) * math.log(N) + math.log(FLOAT_ZERO_TOL_PER_CHIP * L) >= 0:
+        raise ValueError(
+            f"q={q} at L={L}: the float zero test cannot tell every nonzero correlation"
+            " from zero; exact zero tests for this modulus are item 1 of ROADMAP.md"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +485,7 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
     """
     block = _stack(seqs)
     _check_zone(Z, block.L)
+    _check_decidable(block.q, block.L, block.L)
     shifts = np.arange(Z + 1, dtype=np.int64)
     return _zcz_certificate(block, Z, _periodic_table(block, block, shifts))
 
@@ -523,6 +546,7 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     if A.L != B.L or A.q != B.q:
         raise ValueError("sets must share length and modulus")
     _check_zone(Zc, A.L)
+    _check_decidable(A.q, A.L, A.L)
     shifts = np.arange(Zc + 1, dtype=np.int64)
     return _inter_report(
         A, Zc, _periodic_table(A, B, shifts), _periodic_table(B, A, shifts)
@@ -547,6 +571,7 @@ def certify_family(sets, Z: int, Zc: int):
     L = union.L
     _check_zone(Z, L)
     _check_zone(Zc, L)
+    _check_decidable(union.q, L, L)
     bounds = np.cumsum([0] + [len(st) for st in sets])
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     blocks = [_Block(union.mat[sl], union.q, union.exact) for sl in rows]
@@ -619,6 +644,7 @@ def verify_ccc(codes) -> CccReport:
         raise ValueError("codes must share one row count")
     rows = _stack(r for code in codes for r in code)
     L = rows.L
+    _check_decidable(rows.q, L, M * L)
     padded = np.zeros((P * M, 2 * L), dtype=rows.mat.dtype)
     padded[:, :L] = rows.mat
     block = _Block(padded.reshape(P, 2 * M * L), rows.q, rows.exact)

@@ -89,9 +89,6 @@ class GeneralizedBooleanFunction:
     def degree(self) -> int:
         return max((len(t) for t in self._terms), default=0)
 
-    def coefficient(self, indices) -> int:
-        return self._terms.get(tuple(sorted(set(indices))), 0)
-
     def evaluate(self, x) -> int:
         """Value at a binary assignment ``x`` of length m."""
         x = tuple(x)
@@ -295,6 +292,25 @@ class PathFormReport:
     violations: tuple[tuple[tuple[int, ...], str], ...]
 
 
+def _vertex_layout(m: int, k: int, s: int, J, pi):
+    """The vertex layout of a quadratic GBF in m variables: the isolated
+    vertices m-s..m-1, the free vertices (those of [0, m-s) not in the
+    removable set J, ascending) and the path, the free vertices in the
+    order ``pi``.  Returns ``(isolated, free, path)``; raises ValueError
+    when k, s, J or pi cannot describe a layout."""
+    J, pi = tuple(J), tuple(pi)
+    if not (0 <= s <= k <= m - 2):
+        raise ValueError(f"need 0 <= s <= k <= m-2, got s={s}, k={k}, m={m}")
+    if len(J) != k - s or len(set(J)) != len(J):
+        raise ValueError(f"J must hold {k - s} distinct indices, got {J}")
+    if any(not 0 <= i < m - s for i in J):
+        raise ValueError(f"J must be a subset of [0, {m - s}), got {J}")
+    if len(pi) != m - k or sorted(pi) != list(range(m - k)):
+        raise ValueError(f"pi must permute 0..{m - k - 1}, got {pi}")
+    free = tuple(sorted(set(range(m - s)) - set(J)))
+    return tuple(range(m - s, m)), free, tuple(free[p] for p in pi)
+
+
 def validate_restricted_path_form(
     f: GeneralizedBooleanFunction, k: int, s: int, J, pi
 ) -> PathFormReport:
@@ -305,21 +321,8 @@ def validate_restricted_path_form(
     Structural misuse (bad k/s/J/pi) raises; defects of f itself are
     reported, not thrown, so near-misses can be observed.
     """
-    m = f.m
     J = tuple(J)
-    pi = tuple(pi)
-    if not (0 <= s <= k <= m - 2):
-        raise ValueError(f"need 0 <= s <= k <= m-2, got s={s}, k={k}, m={m}")
-    if len(J) != k - s or len(set(J)) != len(J):
-        raise ValueError(f"J must hold {k - s} distinct indices, got {J}")
-    if any(not 0 <= i < m - s for i in J):
-        raise ValueError(f"J must be a subset of [0, {m - s}), got {J}")
-    if sorted(pi) != list(range(m - k)):
-        raise ValueError(f"pi must permute 0..{m - k - 1}, got {pi}")
-
-    isolated = tuple(range(m - s, m))
-    free = tuple(sorted(set(range(m - s)) - set(J)))
-    path = tuple(free[p] for p in pi)
+    isolated, free, path = _vertex_layout(f.m, k, s, J, pi)
     path_edges = {
         tuple(sorted((path[b], path[b + 1]))) for b in range(len(path) - 1)
     }

@@ -70,6 +70,17 @@ def csv_module_spectrum(table, path) -> None:
         w.writerows(zip(i, j, u, re, im))
 
 
+def undecidable_q8_pair() -> tuple[UnimodularSequence, UnimodularSequence]:
+    """Two q = 8 sequences of length 2^16 whose shift-0 correlation is
+    alpha = (1 - w)(sqrt(2) - 1)^11, w = exp(2 pi i / 8): nonzero, but of
+    magnitude about 4.7e-5, inside the float zero tolerance 1e-9 * L.  Its
+    conjugate under w -> w^3 has magnitude about 30,004.  ``a`` holds the
+    exponent counts below and ``b`` is all zeros."""
+    counts = {0: 13167, 1: 13860, 4: 27027, 6: 5741, 7: 5741}
+    a = UnimodularSequence(8, np.repeat(list(counts), list(counts.values())))
+    return a, UnimodularSequence(8, np.zeros(len(a), dtype=np.int64))
+
+
 def random_sequence(rng, q: int, L: int) -> UnimodularSequence:
     return UnimodularSequence(q, rng.integers(0, q, size=L))
 

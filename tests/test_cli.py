@@ -536,3 +536,79 @@ def test_console_entry_point_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert "wrote:" in result.stdout
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("pi", [0, 1, 5], "pi must permute 0..1, got (0, 1, 5)"),
+    ("J", [0, 1], "J must hold 1 distinct indices, got (0, 1)"),
+], ids=["pi", "J"])
+def test_a_bad_vertex_layout_is_an_error_line(tmp_path, capsys, key, value, message):
+    con = {"q": 2, "m": 4, "k": 2, "s": 1, key: value}
+    argv = ("construct", "-q", "2", "-m", "4", "-k", "2", "-s", "1",
+            f"--{key}", ",".join(map(str, value)), "-o", str(tmp_path / "fam"))
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_SIM, construction=con)))
+    assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "o")) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "fam").exists() and not (tmp_path / "o").exists()
+
+
+def _family_commands(tmp_path, fam_dir):
+    """argv of each command that reads a family directory."""
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({
+        "family_dir": str(fam_dir), "clusters": 2, "users_per_cluster": 8,
+        "max_delay_chips": 3, "noiseless": True, "bits_per_iteration": 100, "iterations": 1,
+    }))
+    return {
+        "verify": ("verify", str(fam_dir)),
+        "spectrum": ("spectrum", str(fam_dir), "-o", str(tmp_path / "spec.csv")),
+        "simulate": ("simulate", str(cfg_path), "-o", str(tmp_path / "run")),
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "simulate"])
+@pytest.mark.parametrize("edit, detail", [
+    (lambda m: [1], "expected a JSON object"),
+    (lambda m: {**m, "params": {**m["params"], "q": "x"}}, "malformed 'params'"),
+    (lambda m: {**m, "params": {**m["params"], "f_terms": 5}}, "malformed 'params'"),
+], ids=["not-an-object", "q-string", "f-terms-int"])
+def test_a_malformed_manifest_is_an_error_line(tmp_path, capsys, edit, detail, command):
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    manifest = fam_dir / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    assert run_cli(*_family_commands(tmp_path, fam_dir)[command]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: {detail}") and err.count("\n") == 1
+
+
+def test_verify_deep_refuses_params_that_describe_other_files(tmp_path, capsys):
+    fam_dir, other = tmp_path / "fam", tmp_path / "other"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    run_cli("construct", "-q", "2", "-m", "4", "-k", "1", "-s", "1", "-o", str(other),
+            "--no-certify")
+    manifest = json.loads((fam_dir / "manifest.json").read_text())
+    manifest["params"] = json.loads((other / "manifest.json").read_text())["params"]
+    (fam_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("verify", str(fam_dir), "--deep") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --deep: the manifest params describe")
+    assert "([4, 4], 128, 2)" in err and "([8, 8], 256, 2)" in err
+    assert run_cli("verify", str(fam_dir)) == EXIT_OK  # only --deep reads the params
+
+
+def test_spectrum_refuses_a_family_that_disagrees_with_its_manifest(tmp_path, capsys):
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    _swap(fam_dir / "0" / "0.seq", fam_dir / "0" / "1.seq")
+    capsys.readouterr()
+    assert run_cli(*_family_commands(tmp_path, fam_dir)["spectrum"]) == EXIT_CERT_FAIL
+    assert capsys.readouterr().err == (
+        "error: family files disagree with manifest.json (mismatched: 0/0.seq, 0/1.seq)\n"
+    )
+    assert not (tmp_path / "spec.csv").exists()

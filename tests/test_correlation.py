@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csv_module_spectrum, naive_circular, random_sequence, random_valid_params
+from conftest import (
+    csv_module_spectrum,
+    naive_circular,
+    random_sequence,
+    random_valid_params,
+    undecidable_q8_pair,
+)
 from zczseq import (
     GeneralizedBooleanFunction,
     HCoeffs,
@@ -794,3 +800,65 @@ def test_q6_q8_constructions_certify_like_the_separate_calls(params):
         for a in range(len(sets)) for b in range(a + 1, len(sets))
     }
     assert union_cert == verify_zcz([z for st in sets for z in st], fam.Zc)
+
+
+# ---------------------------------------------------------------------------
+# verdicts the float zero test cannot decide
+
+
+def test_verdicts_on_a_value_below_the_float_tolerance_are_refused():
+    """Negative control: the pair's shift-0 correlation is nonzero but
+    passes ``is_zero``, so every verdict on it must refuse, not pass."""
+    a, b = undecidable_q8_pair()
+    alpha = accf(a, b, 0)
+    assert correlation.is_zero(alpha, False, len(a))
+    conjugate = accf(UnimodularSequence(8, 3 * a.exponents % 8), b, 0)
+    assert abs(conjugate) > 30_000  # so alpha is not zero
+    verdicts = [
+        lambda: verify_zcz([a, b], 0),
+        lambda: verify_inter_zccz([a], [b], 0),
+        lambda: certify_family([[a], [b]], 0, 0),
+    ]
+    for verdict in verdicts:
+        with pytest.raises(ValueError, match=r"^q=8 at L=65536: .* ROADMAP\.md$"):
+            verdict()
+
+
+@pytest.mark.parametrize("q, L, refused", [
+    (6, 2**15, False), (8, 2**14, False), (8, 2**15, True), (12, 2**15, True),
+    (16, 128, False), (16, 256, True),
+])
+def test_the_refusal_starts_where_the_tolerance_can_hide_a_nonzero_value(q, L, refused):
+    seqs = [random_sequence(np.random.default_rng(seed), q, L) for seed in (1, 2)]
+    if refused:
+        with pytest.raises(ValueError, match=f"^q={q} at L={L}: "):
+            verify_zcz(seqs, 0)
+    else:
+        verify_zcz(seqs, 0)
+
+
+def test_code_and_chunk_verdicts_bound_their_values_by_the_terms_they_sum():
+    """verify_ccc sums M * L terms per value and the chunk check 3L, so
+    both refuse where the periodic tables of the same length do not."""
+    rng = np.random.default_rng(3)
+    rows = [random_sequence(rng, 8, 4096) for _ in range(64)]
+    verify_zcz(rows[:2], 0)
+    with pytest.raises(ValueError, match="^q=8 at L=4096: "):
+        verify_ccc([rows])
+    fam = build_multiple_zcz(random_valid_params(rng, 16, 4, 1, 0))
+    assert fam.L == 128
+    set_certs, inter, union_cert = certify_family(fam.sets, fam.Z, fam.Zc)
+    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+    with pytest.raises(ValueError, match="^q=16 at L=128: "):
+        check_chunk_decomposition(fam, 0, 0, 0, 1, 3)
+
+
+@pytest.mark.parametrize("q", [6, 8])
+def test_q6_q8_families_up_to_length_512_still_certify(q):
+    p = random_valid_params(np.random.default_rng(q), q, 5, 2, 1, randomize_structure=True)
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    assert fam.L == 512
+    set_certs, inter, union_cert = certify_family(fam.sets, fam.Z, fam.Zc)
+    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+    taus = range((1 << p.m) + 1)
+    assert all(check_chunk_decomposition(fam, 0, 1, 2, 5, t, codes=codes).passed for t in taus)
