@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -137,33 +138,20 @@ def _certify(family: construction.MultipleZczFamily, deep: bool = False) -> dict
 
 
 def _deep_checks(family: construction.MultipleZczFamily) -> dict:
-    params = family.params
-    if params is None:
+    if family.params is None:
         raise CliUsageError("--deep needs construction parameters in the manifest")
-    described = ([params.set_size] * params.num_sets, params.seq_length, params.q)
-    held = ([len(st) for st in family.sets], family.L, family.q)
-    if described != held:
-        raise CliUsageError(
-            f"--deep: the manifest params describe (set sizes, length, q) = {described},"
-            f" but the files hold {held}"
-        )
+    try:
+        params = family._params
+    except ValueError as exc:
+        raise CliUsageError(f"--deep: the manifest {exc}") from None
     cancel = construction.check_seed_cancellation(construction.seed_polynomial(params.h))
     codes = construction.build_ccc_family(params)
-    n_sets = len(family.sets)
-    K = len(family.sets[0])
-    checked = 0
-    mismatches = []
-    for t1 in range(n_sets):
-        for t1b in range(n_sets):
-            for i in range(K):
-                for j in range(K):
-                    for tau in range(0, (1 << params.m) + 1):
-                        rep = construction.check_chunk_decomposition(
-                            family, t1, t1b, i, j, tau, codes=codes
-                        )
-                        checked += 1
-                        if not rep.passed:
-                            mismatches.append([t1, t1b, i, j, tau])
+    sets, seqs = range(len(family.sets)), range(len(family.sets[0]))
+    checked, mismatches = 0, []
+    for cell in itertools.product(sets, sets, seqs, seqs, range((1 << params.m) + 1)):
+        checked += 1
+        if not construction.check_chunk_decomposition(family, *cell, codes=codes).passed:
+            mismatches.append(list(cell))
     return {
         "pass": cancel.passed and not mismatches,
         "seed_cancellation": {"pass": cancel.passed, "failures": list(cancel.failures)},
@@ -329,7 +317,10 @@ def cmd_simulate(args) -> int:
     config_path = Path(args.config)
     # parsed, copied into summary.json and hashed for the manifest: one read
     config_bytes = config_path.read_bytes()
-    raw = json.loads(config_bytes)
+    try:
+        raw = json.loads(config_bytes)
+    except json.JSONDecodeError as exc:
+        raise CliUsageError(f"{config_path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise CliUsageError("simulation config must be a JSON object")
     inputs = {str(config_path): hashlib.sha256(config_bytes).hexdigest()}
@@ -410,10 +401,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (CliUsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -445,6 +445,19 @@ class MultipleZczFamily:
     Z: int
     Zc: int
 
+    @functools.cached_property
+    def _params(self) -> ConstructionParams:
+        """``params``, checked once to describe these sets' sizes, length and q."""
+        p = self.params
+        if p is None:
+            raise ValueError("family carries no construction parameters")
+        described = ([p.set_size] * p.num_sets, p.seq_length, p.q)
+        held = ([len(st) for st in self.sets], self.L, self.q)
+        if described != held:
+            raise ValueError(f"params describe (set sizes, length, q) = {described},"
+                             f" but the family holds {held}")
+        return p
+
     @property
     def q(self) -> int:
         return self.sets[0][0].q
@@ -524,32 +537,26 @@ def check_chunk_decomposition(
     (-1)^{h_c + h_{c+1}} sign pairs; chunk subscripts wrap mod 2^{k+2} and
     row subscripts mod 2^{k+1}.  Valid for 0 <= tau <= 2^m.
 
-    The check passes when ``correlation.is_zero`` holds for lhs - rhs at
-    the sequence length L: equality for q in {1, 2, 4}, where both sides
-    are exact.  lhs - rhs sums at most 3L roots of unity.
+    It passes when ``correlation.is_zero`` holds for lhs - rhs at every unit
+    of ``correlation.conjugates(q)``; lhs and rhs are the sigma_1 values.
     """
-    params = family.params
-    if params is None:
-        raise ValueError("family carries no construction parameters")
+    params = family._params
     chunk_len = 1 << params.m
     if not 0 <= tau <= chunk_len:
         raise ValueError(f"tau must lie in [0, {chunk_len}], got {tau}")
-    L = chunk_len << (params.k + 2)  # 2^{k+2} chunks make the sequence
-    seq_a = family.sets[t1][i]
-    correlation._check_decidable(seq_a.q, L, 3 * L)
     if codes is None:
         codes = build_ccc_family(params)
-    rows_a, rows_b = codes[t1][i], codes[t1_other][j]
-    lhs = correlation.pccf(seq_a, family.sets[t1_other][j], tau)
-    rhs = 0j
-    for row_a, row_b in zip(rows_a, rows_b):
-        rhs += 2 * correlation.accf(row_a, row_b, tau)
-    l = len(rows_a)
-    shift = chunk_len - tau
-    for nu, weight in params._boundary_weights:
-        rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
-    passed = correlation.is_zero(lhs - rhs, seq_a.exact, L)
-    return ChunkDecompositionReport(lhs, rhs, passed)
+    terms = (family.sets[t1][i], family.sets[t1_other][j], codes[t1][i], codes[t1_other][j])
+    sides = []
+    for unit in correlation.conjugates(params.q):
+        seq_a, seq_b, rows_a, rows_b = terms if unit == 1 else correlation._conjugate(terms, unit)
+        lhs = correlation.pccf(seq_a, seq_b, tau)
+        rhs = 2 * correlation.code_accf(rows_a, rows_b, tau)
+        l, shift = len(rows_a), chunk_len - tau
+        for nu, weight in params._boundary_weights:
+            rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
+        sides.append((lhs, rhs))
+    return ChunkDecompositionReport(*sides[0], correlation.is_zero([lhs - rhs for lhs, rhs in sides]))
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +782,13 @@ def load_family(directory) -> LoadedFamily:
                 raise ValueError(f"{path}: header disagrees with the rest of the family")
             seqs.append(seq)
         sets.append(tuple(seqs))
-    manifest = None
-    params = None
+    manifest = params = None
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
         if not isinstance(manifest, dict):
             raise ValueError(f"{manifest_path}: expected a JSON object")
         if manifest.get("params"):

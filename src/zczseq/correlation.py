@@ -9,59 +9,38 @@ Periodic correlation is assembled from two aperiodic terms:
 
     pccf(a, b)(u) = accf(a, b)(u) + conj(accf(b, a)(L - u)).
 
-For q in {1, 2, 4} every value is a Gaussian integer and all zone tests
-are exact; for other moduli values are complex doubles with an absolute
-zero tolerance of 1e-9 * L, and a verdict is refused where that tolerance
-could hide a nonzero value (``_check_decidable``).  ``is_zero`` is the one
-zero rule that every verdict uses, the zone scans and
-``check_chunk_decomposition`` alike.
+Zero rule.  A correlation value alpha lies in Z[omega_q], and its Galois
+conjugate sigma_j(alpha), j a unit mod q, is the same correlation with
+every exponent multiplied by j.  Every verdict, the zone scans and
+``check_chunk_decomposition`` alike, reads one value or table per unit in
+``conjugates(q)`` and decides zero by ``is_zero``, exactly for every even
+q; witness values are the sigma_1 values.
 
-Whole sets go through one batch kernel, ``_periodic_table``.  Each set is
-stacked as one matrix, real unless an entry has a nonzero imaginary part,
-by gathering from the table of the q roots of unity; the shifts are walked
-in blocks of cyclically shifted rows, ``_SHIFT_BLOCK_BYTES`` at a time,
-with one BLAS GEMM per block; so working memory is O(K * block * L) beyond
-the output table.  Aperiodic code tables are periodic tables too:
-``verify_ccc`` lays each code's rows end to end, every row followed by L
-zeros, so shifts below L never carry one row into the next.
-``certify_family`` serves a whole family from the union's table at shifts
-0..Zc, where every inter-set correlation (both orientations) and every
-per-set one up to shift min(Z, Zc) is a slice; only each set's shifts
-Zc+1..Z take one more call (one call for all sets when folded).
+Whole sets go through one batch kernel, ``_periodic_table``: each set is
+stacked once as exponents (``_Stack``) and gathered per conjugate into one
+matrix from the roots of unity permuted by j, real unless an entry has a
+nonzero imaginary part; the shifts are walked in blocks of
+``_SHIFT_BLOCK_BYTES`` of cyclically shifted rows, one GEMM per block.
 
-Those calls take a cheaper exact kernel when the family splits into the
-construction's two layers.  With S sets of K sequences, C = 2K chunks of
-P = L / C positions and t = c * P + p, union row (t1, t2) splits when it
-is z0[t] * X[t1][c] * Y[t2][p]: the chunk terms pick the set, the
-within-chunk terms the sequence.  ``_split`` checks that on every entry in
-O(K_u * L), and ``_folded_table`` then sums over the chunks first and the
-positions second: S^2 L + S^2 K^2 P multiply-adds per shift instead of
-S^2 K^2 L.  Path rule: q in {1, 2, 4} and the split holds, folded;
-anything else (q = 6 or 8, a corrupted chip, any family that does not
-split), GEMM.  Both paths feed the same scans.
+Path rule.  A family whose exponents split into the construction's two
+layers (``_split``, checked on every exponent for every q) takes the
+chunk fold, ``_folded_table``; any other family (a corrupted chip,
+unequal sets) takes the GEMM.  Both paths feed the same scans.
 
-Every floating-point dot product here, the scalar ``accf`` included, is
-exact for q in {1, 2, 4}: every entry and every product is a Gaussian
-integer with components in {-1, 0, 1}, and every partial sum (and every
-real part the complex products form) is an integer of magnitude at most
-twice the row length N.  float32 holds and adds every integer below 2**24
-without rounding in any order, float64 every one below 2**53; so exact
-blocks are float32/complex64 while 2N < 2**24 and float64/complex128
-beyond, and blocks of other moduli are always float64/complex128.  The
-fold is exact by the same argument: its factors are roots of unity, so
-every partial sum over the chunks has components of magnitude at most C,
-and every partial sum over the positions (with every real part its
-products form) at most 2L; it runs in the union's dtype, picked with
-N = L.  Both kernels return their table as one array in the dtype they
-computed it in, real for real blocks; the scans read it as it is, and
-witness values become int64 (exact) or float64 only where a witness is
-built.  ``accf``, ``pccf`` and ``code_accf``
-return Python complex numbers; for q in {1, 2, 4} their components are
-exact integers, so ``==`` compares them exactly.
+For q in {1, 2, 4} every float product here, ``accf``'s included, is
+exact: entries and products are Gaussian integers with components in
+{-1, 0, 1}, and every partial sum is an integer of magnitude at most
+twice the row length N (the fold's at most 2L).  So exact matrices are
+float32/complex64 while 2N < 2**24 and float64/complex128 beyond, those
+of other moduli always float64/complex128, and each kernel returns its
+table in that dtype, real for real matrices.  ``accf``, ``pccf`` and
+``code_accf`` return Python complex numbers, with exact integer
+components for q in {1, 2, 4}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,6 +61,7 @@ __all__ = [
     "accf",
     "pccf",
     "code_accf",
+    "conjugates",
     "is_zero",
     "verify_ccc",
     "verify_zcz",
@@ -91,7 +71,8 @@ __all__ = [
     "correlation_spectrum",
 ]
 
-FLOAT_ZERO_TOL_PER_CHIP = 1e-9
+# The most conjugate tables one verdict may compute.
+CONJUGATE_BUDGET = 8
 DEFAULT_SPECTRUM_CELL_CAP = 1 << 24
 
 
@@ -135,35 +116,41 @@ def code_accf(code1, code2, u: int) -> complex:
     return sum((accf(r1, r2, u) for r1, r2 in zip(code1, code2)), 0j)
 
 
-def is_zero(value, exact: bool, L: int):
-    """The zero rule of every verdict: ``value`` (a complex number, or an
-    array of correlation values) is zero iff |re| + |im| is at most 0 when
-    ``exact`` (q in {1, 2, 4}) and ``FLOAT_ZERO_TOL_PER_CHIP * L``
-    otherwise, L the correlation length.  Elementwise for arrays."""
-    dev = abs(value.real)
-    # the imaginary part of a real array would be a fresh array of zeros
-    if isinstance(value, complex) or np.iscomplexobj(value):
-        dev += abs(value.imag)
-    return dev <= (0 if exact else FLOAT_ZERO_TOL_PER_CHIP * L)
+@functools.lru_cache(maxsize=16)
+def conjugates(q: int) -> tuple[int, ...]:
+    """The units j mod q, one per pair {j, -j}, that every verdict reads: (1,)
+    for even q <= 6, 2 for q = 8, 10, 12, 4 for q = 16; at most ``CONJUGATE_BUDGET``."""
+    units = tuple(j for j in range(1, q // 2 + 1) if math.gcd(j, q) == 1) or (1,)
+    if len(units) > CONJUGATE_BUDGET:
+        raise ValueError(f"q={q} needs {len(units)} conjugate tables per verdict,"
+                         f" over the budget of {CONJUGATE_BUDGET}")
+    return units
 
 
-def _check_decidable(q: int, L: int, N: int) -> None:
-    """Refuse verdicts that :func:`is_zero` cannot decide at length L for
-    values that each sum N q-th roots of unity.
+def is_zero(values):
+    """The zero rule of every verdict: alpha is zero iff every conjugate in
+    ``values`` (sigma_j(alpha) for each j in ``conjugates(q)``: numbers, or
+    equal-shape arrays elementwise) has |re| + |im| < 1/2.  Sound: the norm
+    of a nonzero alpha, the product of all its conjugates, is a nonzero
+    integer, and sigma_{-j} = conj(sigma_j), so some listed conjugate is at
+    least 1.  A zero value that sums N roots of unity computes to within
+    about N**2 * 2**-53 of zero (to 0 exactly for q in {1, 2, 4})."""
+    zero = None
+    for value in values:
+        dev = abs(value.real)
+        # the imaginary part of a real array would be a fresh array of zeros
+        if isinstance(value, complex) or np.iscomplexobj(value):
+            dev += abs(value.imag)
+        zero = dev < 0.5 if zero is None else zero & (dev < 0.5)
+    return zero
 
-    For q outside {1, 2, 4} a nonzero value has a norm of magnitude at
-    least 1, and each of its phi(q)/2 conjugate pairs has magnitude at most
-    N, so the value itself has magnitude at least N^-(phi(q)/2 - 1); the
-    tolerance ``FLOAT_ZERO_TOL_PER_CHIP * L`` must stay below that bound.
-    """
-    if q in (1, 2, 4):
-        return
-    pairs = sum(math.gcd(j, q) == 1 for j in range(1, q)) // 2
-    if (pairs - 1) * math.log(N) + math.log(FLOAT_ZERO_TOL_PER_CHIP * L) >= 0:
-        raise ValueError(
-            f"q={q} at L={L}: the float zero test cannot tell every nonzero correlation"
-            " from zero; exact zero tests for this modulus are item 1 of ROADMAP.md"
-        )
+
+def _conjugate(seqs, unit: int):
+    """sigma_unit of a sequence, or of each in nested tuples: every
+    exponent multiplied by ``unit`` mod q."""
+    if isinstance(seqs, UnimodularSequence):
+        return UnimodularSequence(seqs.q, seqs.exponents * unit % seqs.q)
+    return tuple(_conjugate(z, unit) for z in seqs)
 
 
 # ---------------------------------------------------------------------------
@@ -184,101 +171,110 @@ def _kernel_dtype(is_complex, exact, N):
     return np.dtype(np.float32 if single else np.float64)
 
 
-class _Block:
-    """K rows of length L stacked as one matrix: real when every entry is
-    real, complex otherwise; see ``_kernel_dtype`` for the precision."""
+class _Stack(NamedTuple):
+    """K rows of q-th roots of unity, held as (K, L) exponents in the
+    narrowest unsigned dtype that holds the sum of two; ``real`` when every
+    root they use is real (then so is every root of every conjugate)."""
 
-    __slots__ = ("K", "L", "q", "exact", "mat")
+    exps: np.ndarray
+    q: int
+    real: bool
 
-    def __init__(self, mat, q, exact):
-        self.K, self.L = mat.shape
-        self.q = q
-        self.exact = exact
-        dtype = _kernel_dtype(np.iscomplexobj(mat), exact, self.L)
-        self.mat = np.ascontiguousarray(mat, dtype=dtype)
+    K = property(lambda self: self.exps.shape[0])
+    L = property(lambda self: self.exps.shape[1])
+    exact = property(lambda self: self.q in (1, 2, 4))
+
+    def rows(self, sl) -> "_Stack":
+        return self._replace(exps=self.exps[sl])
+
+    def roots(self, unit: int = 1) -> np.ndarray:
+        """omega^(unit * e) at index e, in these rows' ``_kernel_dtype``."""
+        roots = roots_of_unity(self.q)[np.arange(self.q) * unit % self.q]
+        if self.real:
+            roots = roots.real
+        return roots.astype(_kernel_dtype(not self.real, self.exact, self.L))
+
+    def matrix(self, unit: int = 1) -> np.ndarray:
+        """sigma_unit of the rows as one matrix for the kernels."""
+        return self.roots(unit)[self.exps]
 
 
-def _stack(seqs) -> _Block:
-    """A sequence set as one block; the sequences must share q and L.
-
-    Entries are gathered from the q roots of unity, so no per-sequence
-    complex vector is built; the block is real when every root the set
-    uses is real.
-    """
+def _stack(seqs) -> _Stack:
+    """A sequence set as one stack; the sequences must share q and L."""
     seqs = list(seqs)
     if not seqs:
         raise ValueError("empty sequence set")
-    q = seqs[0].q
-    L = len(seqs[0])
-    for z in seqs:
+    q, L = seqs[0].q, len(seqs[0])
+    exps = np.empty((len(seqs), L), dtype=np.min_scalar_type(2 * q - 1))
+    used = np.zeros(q, dtype=bool)
+    for n, z in enumerate(seqs):
         if z.q != q:
             raise ValueError("sequences must share one modulus")
         if len(z) != L:
             raise ValueError("sequences must share one length")
-    exact = seqs[0].exact
-    exps = np.stack([z.exponents for z in seqs])
-    roots = roots_of_unity(q)
-    if not roots.imag[np.bincount(exps.ravel(), minlength=q) > 0].any():
-        roots = roots.real
-    roots = roots.astype(_kernel_dtype(np.iscomplexobj(roots), exact, L))
-    return _Block(roots[exps], q, exact)
+        exps[n] = z.exponents
+        used[z.exponents] = True
+    return _Stack(exps, q, not roots_of_unity(q).imag[used].any())
 
 
-def _periodic_table(A: _Block, B: _Block, shifts) -> np.ndarray:
+def _periodic_table(A: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
     """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L]).
 
     Shifts are taken in blocks; each block stacks its cyclically shifted B
     rows into one contiguous matrix and costs one GEMM.  The table is one
-    array in the blocks' dtype: real when both blocks are real.
+    array in the matrices' dtype: real when both matrices are real.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.size == 0:
         raise ValueError("no shifts requested")
-    if np.any((shifts < 0) | (shifts >= A.L)):
+    (KA, L), KB = A.shape, B.shape[0]
+    if np.any((shifts < 0) | (shifts >= L)):
         raise ValueError("periodic shifts must lie in [0, L)")
-    L = A.L
-    ext = np.concatenate([B.mat, B.mat[:, : int(shifts.max())]], axis=1).conj()
+    ext = np.concatenate([B, B[:, : int(shifts.max())]], axis=1).conj()
     # rows[u, j] is B_j cyclically shifted left by u (a view, no copy)
     rows = np.lib.stride_tricks.sliding_window_view(ext, L, axis=1).transpose(1, 0, 2)
-    phi = np.empty((shifts.size, A.K, B.K), dtype=np.result_type(A.mat, ext))
-    step = max(1, _SHIFT_BLOCK_BYTES // (B.K * L * ext.itemsize))
+    phi = np.empty((shifts.size, KA, KB), dtype=np.result_type(A, ext))
+    step = max(1, _SHIFT_BLOCK_BYTES // (KB * L * ext.itemsize))
     for lo in range(0, shifts.size, step):
         part = shifts[lo : lo + step]
         W = rows[part].reshape(-1, L)
-        phi[lo : lo + part.size] = (A.mat @ W.T).reshape(A.K, part.size, B.K).transpose(1, 0, 2)
+        phi[lo : lo + part.size] = (A @ W.T).reshape(KA, part.size, KB).transpose(1, 0, 2)
     return phi
 
 
 class _Fold(NamedTuple):
     """A family whose union row (t1, t2) is z0 * X[t1] * Y[t2]: with
     t = c * P + p, z0[c, p] is common to every row, X[t1, c] depends on the
-    chunk c only and Y[t2, p] on the position p within the chunk only."""
+    chunk c only and Y[t2, p] on the position p within the chunk only.
+    ``_split`` returns the factors as exponents mod q, with X[0] and Y[0]
+    all zero; ``gather`` turns them into roots."""
 
     z0: np.ndarray
     X: np.ndarray
     Y: np.ndarray
 
+    def gather(self, roots) -> "_Fold":
+        return _Fold(*(roots[f] for f in self))
 
-def _split(union: _Block, sizes) -> _Fold | None:
-    """The chunk fold of a stacked family when its rows split exactly.
 
-    The chunk length P = L / (2K) follows from the shapes alone: S sets of
-    K sequences each.  The split is checked on every entry, in O(K_u * L):
-    for q in {1, 2, 4} the roots are exactly +-1 and +-i, distinct, and
-    closed under products, so comparing entries compares exponents mod q.
-    Returns None for an inexact block (other moduli), unequal set sizes, a
-    length that is not a multiple of 2K, or any entry off the split.
-    """
-    K = sizes[0]
-    if not union.exact or any(n != K for n in sizes) or union.L % (2 * K):
+def _split(stack: _Stack, sizes) -> _Fold | None:
+    """The chunk fold of a stacked family, as exponents, when every exponent
+    is z0 + X[t1] + Y[t2] mod q (P = L / (2K) for S sets of K sequences),
+    checked in O(K_u * L) in the stack's dtype; None for unequal set sizes,
+    a length not a multiple of 2K, or any exponent off the split."""
+    K, q = sizes[0], stack.q
+    if any(n != K for n in sizes) or stack.L % (2 * K):
         return None
-    rows = union.mat.reshape(len(sizes), K, 2 * K, union.L // (2 * K))
+    def mod_q(x):
+        # for 0 <= x < 2q: x - q wraps around to above x unless x >= q
+        return np.minimum(x, x - q)
+
+    rows = stack.exps.reshape(len(sizes), K, 2 * K, stack.L // (2 * K))
     z0 = rows[0, 0]
-    # normalised so that X[0] and Y[0] are all ones; conj is the inverse of a root
-    Y = rows[0, :, 0, :] * z0[0].conj()
-    X = rows[:, 0, :, 0] * z0[:, 0].conj()
-    common = z0 * Y[:, None, :]
-    if all(np.array_equal(common * X[n][:, None], rows[n]) for n in range(len(sizes))):
+    Y = mod_q(rows[0, :, 0, :] + (q - z0[0]))
+    X = mod_q(rows[:, 0, :, 0] + (q - z0[:, 0]))
+    common = mod_q(z0 + Y[:, None, :])
+    if all(np.array_equal(mod_q(common + X[n][:, None]), rows[n]) for n in range(len(sizes))):
         return _Fold(z0, X, Y)
     return None
 
@@ -360,9 +356,9 @@ class Violation:
         }
 
 
-def _scan_block(phi, shifts, block: _Block, peak, pair_major=False):
-    """Collect zone violations from one periodic-correlation table, zero
-    by :func:`is_zero` at ``block``'s exactness and row length.
+def _scan_block(phis, shifts, exact: bool, peak, pair_major=False):
+    """Collect zone violations from one periodic-correlation table, given
+    as its conjugate tables ``phis`` (sigma_1's, first, gives the values).
 
     Every entry must be zero except phi(i,i)(0), which must equal ``peak``
     (a ``peak`` of 0 demands zero there too).  Returns the worst violation
@@ -370,17 +366,18 @@ def _scan_block(phi, shifts, block: _Block, peak, pair_major=False):
     the first violation in scan order: shift-major, then i, then j; or,
     with ``pair_major``, i, then j, then shift.
     """
-    zero = is_zero(phi, block.exact, block.L)
+    zero = is_zero(phis)
+    phi = phis[0]
     if peak:
         diag = np.arange(phi.shape[1])
         for u_idx in np.flatnonzero(shifts == 0):
-            zero[u_idx, diag, diag] = is_zero(phi[u_idx, diag, diag] - peak, block.exact, block.L)
+            zero[u_idx, diag, diag] = is_zero([c[u_idx, diag, diag] - peak for c in phis])
     bad = np.argwhere(~zero)
     if not bad.size:
         return (), None
     u_idx, i, j = bad.T
     vals = phi[u_idx, i, j]
-    dtype = np.int64 if block.exact else np.float64
+    dtype = np.int64 if exact else np.float64
     vals_re, vals_im = vals.real.astype(dtype), vals.imag.astype(dtype)
     pair = i * phi.shape[2] + j
     order = np.lexsort((-np.hypot(vals_re, vals_im), pair))  # stable: scan order breaks ties
@@ -454,22 +451,22 @@ def _check_zone(width: int, L: int) -> None:
         raise ValueError(f"zone width {width} outside [0, {L})")
 
 
-def _zcz_certificate(block: _Block, Z: int, phi) -> ZczCertificate:
-    """Scan the self table of ``block`` at shifts 0..Z into a certificate."""
+def _zcz_certificate(stack: _Stack, Z: int, phis) -> ZczCertificate:
+    """Scan the conjugate self tables of ``stack`` into a certificate."""
     shifts = np.arange(Z + 1, dtype=np.int64)
-    violations, witness = _scan_block(phi, shifts, block, peak=block.L)
+    violations, witness = _scan_block(phis, shifts, stack.exact, peak=stack.L)
     rho, classification = performance_parameter(
-        block.K, Z, block.L, binary=(block.q == 2)
+        stack.K, Z, stack.L, binary=(stack.q == 2)
     )
     return ZczCertificate(
-        K=block.K,
+        K=stack.K,
         Z=Z,
-        L=block.L,
-        q=block.q,
+        L=stack.L,
+        q=stack.q,
         passed=not violations,
         rho=rho,
         classification=classification,
-        formula="binary" if block.q == 2 else "general",
+        formula="binary" if stack.q == 2 else "general",
         violations=violations,
         witness=witness,
     )
@@ -483,11 +480,11 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
     phi(i, j)(u) = 0 for i != j, 0 <= u <= Z, over all ordered pairs;
     negative shifts follow from conjugate symmetry.
     """
-    block = _stack(seqs)
-    _check_zone(Z, block.L)
-    _check_decidable(block.q, block.L, block.L)
+    stack = _stack(seqs)
+    _check_zone(Z, stack.L)
     shifts = np.arange(Z + 1, dtype=np.int64)
-    return _zcz_certificate(block, Z, _periodic_table(block, block, shifts))
+    mats = map(stack.matrix, conjugates(stack.q))
+    return _zcz_certificate(stack, Z, [_periodic_table(m, m, shifts) for m in mats])
 
 
 @dataclass(frozen=True)
@@ -510,14 +507,13 @@ class InterSetReport:
         }
 
 
-def _inter_report(block: _Block, Zc: int, forward, reverse) -> InterSetReport:
-    """Scan the tables of A against B (``forward``) and of B against A
-    (``reverse``) at shifts 0..Zc into one report; ``block`` supplies L, q
-    and exactness."""
+def _inter_report(stack: _Stack, Zc: int, forward, reverse) -> InterSetReport:
+    """Scan the conjugate tables of A against B (``forward``) and of B against
+    A (``reverse``) at shifts 0..Zc into one report; ``stack`` gives L and q."""
     shifts = np.arange(Zc + 1, dtype=np.int64)
     collected = []
-    for phi, sign in ((forward, 1), (reverse, -1)):
-        vio, _ = _scan_block(phi, shifts, block, peak=0)
+    for phis, sign in ((forward, 1), (reverse, -1)):
+        vio, _ = _scan_block(phis, shifts, stack.exact, peak=0)
         if sign < 0:
             # shift-0 entries mirror the forward orientation; drop duplicates
             vio = tuple(
@@ -527,8 +523,8 @@ def _inter_report(block: _Block, Zc: int, forward, reverse) -> InterSetReport:
     witness = collected[0] if collected else None
     return InterSetReport(
         Zc=Zc,
-        L=block.L,
-        q=block.q,
+        L=stack.L,
+        q=stack.q,
         passed=not collected,
         violations=tuple(collected),
         witness=witness,
@@ -546,11 +542,10 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     if A.L != B.L or A.q != B.q:
         raise ValueError("sets must share length and modulus")
     _check_zone(Zc, A.L)
-    _check_decidable(A.q, A.L, A.L)
     shifts = np.arange(Zc + 1, dtype=np.int64)
-    return _inter_report(
-        A, Zc, _periodic_table(A, B, shifts), _periodic_table(B, A, shifts)
-    )
+    pairs = [(A.matrix(u), B.matrix(u)) for u in conjugates(A.q)]
+    forward = [_periodic_table(a, b, shifts) for a, b in pairs]
+    return _inter_report(A, Zc, forward, [_periodic_table(b, a, shifts) for a, b in pairs])
 
 
 def certify_family(sets, Z: int, Zc: int):
@@ -568,38 +563,44 @@ def certify_family(sets, Z: int, Zc: int):
     """
     sets = [list(st) for st in sets]
     union = _stack(z for st in sets for z in st)
-    L = union.L
-    _check_zone(Z, L)
-    _check_zone(Zc, L)
-    _check_decidable(union.q, L, L)
-    bounds = np.cumsum([0] + [len(st) for st in sets])
+    _check_zone(Z, union.L)
+    _check_zone(Zc, union.L)
+    units = conjugates(union.q)
+    sizes = [len(st) for st in sets]
+    bounds = np.cumsum([0] + sizes)
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    blocks = [_Block(union.mat[sl], union.q, union.exact) for sl in rows]
-    fold = _split(union, [len(st) for st in sets])
+    fold = _split(union, sizes)
 
-    def own_tables(shifts):
-        """Each set's table against itself, in set order."""
-        if fold is None:
-            return [_periodic_table(block, block, shifts) for block in blocks]
-        phi = _folded_table(fold, shifts, diagonal=True)
-        return [phi[:, n] for n in range(len(sets))]
+    def table(unit, shifts, own=False):
+        """sigma_unit's union table, or with ``own`` each set's own table."""
+        if fold is not None:
+            phi = _folded_table(fold.gather(union.roots(unit)), shifts, diagonal=own)
+            return [phi[:, n] for n in range(len(sets))] if own else phi
+        if own:
+            mats = (union.rows(sl).matrix(unit) for sl in rows)
+            return [_periodic_table(m, m, shifts) for m in mats]
+        mat = union.matrix(unit)
+        return _periodic_table(mat, mat, shifts)
 
     # each set's shifts Zc+1..Z before the union table, so that the table
     # is never held while these calls run: this keeps the peak memory low
-    extra = own_tables(np.arange(Zc + 1, Z + 1, dtype=np.int64)) if Z > Zc else []
+    high = np.arange(Zc + 1, Z + 1, dtype=np.int64)
+    extra = [table(u, high, own=True) for u in units] if Z > Zc else []
     low = np.arange(Zc + 1, dtype=np.int64)
-    phi = _periodic_table(union, union, low) if fold is None else _folded_table(fold, low)
+    phis = [table(u, low) for u in units]
     set_certs = []
-    for n, (sl, block) in enumerate(zip(rows, blocks)):
-        own = phi[: min(Z, Zc) + 1, sl, sl]
+    for n, sl in enumerate(rows):
+        own = [phi[: min(Z, Zc) + 1, sl, sl] for phi in phis]
         if extra:
-            own = np.concatenate([own, extra[n]])
-        set_certs.append(_zcz_certificate(block, Z, own))
+            own = [np.concatenate([o, e[n]]) for o, e in zip(own, extra)]
+        set_certs.append(_zcz_certificate(union.rows(sl), Z, own))
     inter = {}
     for a, b in itertools.combinations(range(len(sets)), 2):
         sa, sb = rows[a], rows[b]
-        inter[a, b] = _inter_report(union, Zc, phi[:, sa, sb], phi[:, sb, sa])
-    return set_certs, inter, _zcz_certificate(union, Zc, phi)
+        inter[a, b] = _inter_report(
+            union, Zc, [phi[:, sa, sb] for phi in phis], [phi[:, sb, sa] for phi in phis]
+        )
+    return set_certs, inter, _zcz_certificate(union, Zc, phis)
 
 
 @dataclass(frozen=True)
@@ -644,14 +645,15 @@ def verify_ccc(codes) -> CccReport:
         raise ValueError("codes must share one row count")
     rows = _stack(r for code in codes for r in code)
     L = rows.L
-    _check_decidable(rows.q, L, M * L)
-    padded = np.zeros((P * M, 2 * L), dtype=rows.mat.dtype)
-    padded[:, :L] = rows.mat
-    block = _Block(padded.reshape(P, 2 * M * L), rows.q, rows.exact)
     shifts = np.arange(L, dtype=np.int64)
-    phi = _periodic_table(block, block, shifts)
-    # the zero rule scales with the code-row length L, not the padded 2ML
-    violations, witness = _scan_block(phi, shifts, rows, peak=L * M, pair_major=True)
+    dtype = _kernel_dtype(not rows.real, rows.exact, 2 * M * L)  # rows of length 2ML
+    phis = []
+    for unit in conjugates(rows.q):
+        padded = np.zeros((P * M, 2 * L), dtype=dtype)
+        padded[:, :L] = rows.matrix(unit)
+        padded = padded.reshape(P, 2 * M * L)
+        phis.append(_periodic_table(padded, padded, shifts))
+    violations, witness = _scan_block(phis, shifts, rows.exact, peak=L * M, pair_major=True)
     return CccReport(
         P=P,
         M=M,
@@ -717,18 +719,19 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
 
     Refuses to allocate more than ``max_cells`` table entries (K * K * L).
     """
-    block = _stack(seqs)
-    cells = block.K * block.K * block.L
+    stack = _stack(seqs)
+    cells = stack.K * stack.K * stack.L
     if cells > max_cells:
         raise SpectrumCapError(
             f"spectrum needs {cells} cells, cap is {max_cells}; raise max_cells to override"
         )
-    shifts = np.arange(block.L, dtype=np.int64)
-    phi = _periodic_table(block, block, shifts)
-    dtype = np.int64 if block.exact else np.float64
+    shifts = np.arange(stack.L, dtype=np.int64)
+    mat = stack.matrix()
+    phi = _periodic_table(mat, mat, shifts)
+    dtype = np.int64 if stack.exact else np.float64
     re = phi.real.astype(dtype, copy=False)
     if np.iscomplexobj(phi):
         im = phi.imag.astype(dtype)
     else:  # a read-only zero view, not a second table
         im = np.broadcast_to(re.dtype.type(0), re.shape)
-    return SpectrumTable(K=block.K, L=block.L, q=block.q, exact=block.exact, re=re, im=im)
+    return SpectrumTable(K=stack.K, L=stack.L, q=stack.q, exact=stack.exact, re=re, im=im)

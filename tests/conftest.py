@@ -8,11 +8,15 @@ table per sequence and per code row, where the library offsets one shared
 truth table by q/2-weighted parities.  The uplink oracle simulates every
 chip, where the library draws the matched-filter statistics directly; the
 loop oracle draws those statistics from int64 bits in one product per
-iteration, where the library reads raw bit words in blocks.
+iteration, where the library reads raw bit words in blocks.  The
+exact-zero oracle decides a sum of q-th roots of unity by integer
+polynomial division modulo the cyclotomic polynomial, where the library
+reads floating-point Galois conjugates.
 """
 
 import cmath
 import csv
+import functools
 import math
 
 import numpy as np
@@ -73,12 +77,43 @@ def csv_module_spectrum(table, path) -> None:
 def undecidable_q8_pair() -> tuple[UnimodularSequence, UnimodularSequence]:
     """Two q = 8 sequences of length 2^16 whose shift-0 correlation is
     alpha = (1 - w)(sqrt(2) - 1)^11, w = exp(2 pi i / 8): nonzero, but of
-    magnitude about 4.7e-5, inside the float zero tolerance 1e-9 * L.  Its
+    magnitude about 4.7e-5, below a float zero tolerance of 1e-9 * L.  Its
     conjugate under w -> w^3 has magnitude about 30,004.  ``a`` holds the
     exponent counts below and ``b`` is all zeros."""
     counts = {0: 13167, 1: 13860, 4: 27027, 6: 5741, 7: 5741}
     a = UnimodularSequence(8, np.repeat(list(counts), list(counts.values())))
     return a, UnimodularSequence(8, np.zeros(len(a), dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
+    """Phi_q as integer coefficients, lowest degree first: x^q - 1 divided
+    exactly by Phi_d for every proper divisor d of q."""
+    poly = [-1] + [0] * (q - 1) + [1]
+    for d in range(1, q):
+        if q % d == 0:
+            poly = _poly_divmod(poly, cyclotomic_polynomial(d))[0]
+    return tuple(poly)
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of integer polynomials, lowest degree first,
+    by a monic ``den``: Python ints throughout, so both are exact."""
+    num = [int(c) for c in num]
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = num[k + len(den) - 1]
+        for n, d in enumerate(den):
+            num[k + n] -= c * d
+    return quot, num[: len(den) - 1]
+
+
+def exactly_zero(counts) -> bool:
+    """Whether sum_e counts[e] * omega^e is zero, omega = exp(2 pi i / q)
+    with q = len(counts): the oracle reduces sum_e counts[e] x^e modulo the
+    minimal polynomial Phi_q of omega, and the sum is zero iff nothing is
+    left."""
+    return not any(_poly_divmod(counts, cyclotomic_polynomial(len(counts)))[1])
 
 
 def random_sequence(rng, q: int, L: int) -> UnimodularSequence:

@@ -586,6 +586,41 @@ def test_a_malformed_manifest_is_an_error_line(tmp_path, capsys, edit, detail, c
     assert err.startswith(f"error: {manifest}: {detail}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum", "simulate"])
+def test_a_manifest_that_is_not_json_is_named(tmp_path, capsys, command):
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    manifest = fam_dir / "manifest.json"
+    manifest.write_text("{bad")
+    capsys.readouterr()
+    assert run_cli(*_family_commands(tmp_path, fam_dir)[command]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: not valid JSON (") and err.count("\n") == 1
+
+
+def test_a_simulate_config_that_is_not_json_is_named(tmp_path, capsys):
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text("{bad")
+    assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "o")) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not valid JSON (")
+    assert not (tmp_path / "o").exists()
+
+
+def test_q16_families_certify_beyond_length_128(tmp_path):
+    out = tmp_path / "fam"
+    assert run_cli("construct", "-q", "16", "-m", "5", "-k", "2", "-s", "1", "-o", str(out)) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["declared"]["length"] == 512
+    assert run_cli("verify", str(out)) == EXIT_OK
+
+
+def test_a_modulus_over_the_conjugate_budget_exits_one(tmp_path, capsys):
+    out = tmp_path / "fam"
+    assert run_cli("construct", "-q", "38", "-m", "3", "-k", "1", "-s", "1", "-o", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: q=38 ") and "budget of 8" in err
+    assert not out.exists()
+
+
 def test_verify_deep_refuses_params_that_describe_other_files(tmp_path, capsys):
     fam_dir, other = tmp_path / "fam", tmp_path / "other"
     run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")

@@ -335,7 +335,7 @@ def test_chunk_decomposition_float_compare_fails_on_a_flipped_chip():
 ], ids=["example", "q4", "q8"])
 def test_one_check_calls_accf_once_per_term(params, weighted, monkeypatch):
     """2 calls through pccf, one per code row and one per nonzero boundary
-    weight, every one through ``correlation.accf``."""
+    weight, every one through ``correlation.accf``, once per conjugate."""
     p = params()
     if weighted:  # non-cancelling signs, as in the test above
         sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
@@ -354,7 +354,15 @@ def test_one_check_calls_accf_once_per_term(params, weighted, monkeypatch):
     for tau in (0, 1, 1 << p.m):
         calls.clear()
         check_chunk_decomposition(fam, 0, len(fam.sets) - 1, 1, 0, tau, codes=codes)
-        assert len(calls) == 2 + (1 << (p.k + 1)) + n_weights
+        per_conjugate = 2 + (1 << (p.k + 1)) + n_weights
+        assert len(calls) == len(correlation.conjugates(p.q)) * per_conjugate
+
+
+def test_chunk_decomposition_refuses_params_of_another_shape():
+    fam = dataclasses.replace(build_multiple_zcz(example1_params()), params=default_params(2, 4, 1, 1))
+    with pytest.raises(ValueError, match=r"^params describe .* = \(\[4, 4\], 128, 2\), "
+                                         r"but the family holds \(\[8, 8\], 256, 2\)$"):
+        check_chunk_decomposition(fam, 0, 1, 7, 7, 0)
 
 
 def test_chunk_decomposition_needs_params():

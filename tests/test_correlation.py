@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     csv_module_spectrum,
+    exactly_zero,
     naive_circular,
     random_sequence,
     random_valid_params,
@@ -49,6 +50,9 @@ def binary(*chips):
 
 PERFECT4 = binary(1, 1, 1, -1)
 
+# float moduli: how far two summation orders of one correlation may differ
+FLOAT_AGREEMENT_PER_CHIP = 1e-9
+
 
 def test_accf_all_ones():
     ones = binary(1, 1, 1, 1)
@@ -67,7 +71,7 @@ def test_accf_peak_is_length_without_mask():
     rng = np.random.default_rng(0)
     for q in (2, 4, 6):
         seq = random_sequence(rng, q, 17)
-        assert abs(accf(seq, seq, 0) - 17) <= correlation.FLOAT_ZERO_TOL_PER_CHIP * 17
+        assert abs(accf(seq, seq, 0) - 17) <= FLOAT_AGREEMENT_PER_CHIP * 17
 
 
 def test_accf_errors():
@@ -140,7 +144,7 @@ def test_pccf_symmetry_and_oracle():
         L = int(rng.integers(2, 65))
         a = random_sequence(rng, q, L)
         b = random_sequence(rng, q, L)
-        tol = correlation.FLOAT_ZERO_TOL_PER_CHIP * L
+        tol = FLOAT_AGREEMENT_PER_CHIP * L
         for u in sorted(set(int(x) for x in rng.integers(0, L, size=4))):
             v = pccf(a, b, u)
             w = pccf(b, a, (L - u) % L).conjugate()
@@ -223,7 +227,7 @@ def _ccc_oracle(codes):
     """Every violation by direct row sums through code_accf, in (e1, e2, u)
     order, and the worst violation per pair (the first wins ties)."""
     M, L = len(codes[0]), len(codes[0][0])
-    tol = correlation.FLOAT_ZERO_TOL_PER_CHIP * L
+    tol = FLOAT_AGREEMENT_PER_CHIP * L
     found, worst = [], {}
     for e1, code1 in enumerate(codes):
         for e2, code2 in enumerate(codes):
@@ -402,11 +406,11 @@ def test_certificate_json_shapes():
 
 
 def _assert_table_matches_pccf(set_a, set_b, shifts):
-    A, B = correlation._stack(set_a), correlation._stack(set_b)
+    A, B = correlation._stack(set_a).matrix(), correlation._stack(set_b).matrix()
     phi = correlation._periodic_table(A, B, shifts)
-    # one array in the kernel's dtype: real when both blocks are real
-    assert phi.dtype == np.result_type(A.mat, B.mat)
-    assert (phi.dtype.kind == "f") == (A.mat.dtype.kind == B.mat.dtype.kind == "f")
+    # one array in the kernel's dtype: real when both matrices are real
+    assert phi.dtype == np.result_type(A, B)
+    assert (phi.dtype.kind == "f") == (A.dtype.kind == B.dtype.kind == "f")
     assert phi.shape == (len(shifts), len(set_a), len(set_b))
     exact = set_a[0].exact
     for n, u in enumerate(shifts):
@@ -416,7 +420,7 @@ def _assert_table_matches_pccf(set_a, set_b, shifts):
                 if exact:
                     assert got == want
                 else:
-                    assert abs(got - want) <= correlation.FLOAT_ZERO_TOL_PER_CHIP * len(a)
+                    assert abs(got - want) <= FLOAT_AGREEMENT_PER_CHIP * len(a)
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8])
@@ -444,8 +448,8 @@ def test_periodic_table_crosses_block_boundaries(q, monkeypatch):
     set_a = [random_sequence(rng, 2, 2048) for _ in range(2)]
     set_b = [random_sequence(rng, 2, 2048) for _ in range(4)]
     shifts = list(range(0, 2048, 11))
-    block = correlation._stack(set_b)
-    assert len(shifts) > correlation._SHIFT_BLOCK_BYTES // block.mat.nbytes
+    mat = correlation._stack(set_b).matrix()
+    assert len(shifts) > correlation._SHIFT_BLOCK_BYTES // mat.nbytes
     _assert_table_matches_pccf(set_a, set_b, shifts)
 
 
@@ -581,7 +585,7 @@ def test_exact_blocks_are_single_precision_below_two_to_the_24():
                            (4, [0, 2], np.float32), (4, [0, 1], np.complex64),
                            (6, [0, 3], np.complex128), (8, [0, 0], np.float64)):
         seqs = [UnimodularSequence(q, exps), UnimodularSequence(q, exps[::-1])]
-        assert correlation._stack(seqs).mat.dtype == dtype, (q, exps)
+        assert correlation._stack(seqs).matrix().dtype == dtype, (q, exps)
 
 
 def test_verify_zcz_memory_is_bounded_by_the_shift_block():
@@ -671,21 +675,22 @@ def _assert_fold_matches_gemm(sets, union_shifts, set_shifts):
     fold and from the diagonal call over all sets, equal
     ``_periodic_table``'s bit for bit and in the same dtype, real tables
     for real blocks on both paths."""
-    union = correlation._stack(z for st in sets for z in st)
-    fold = correlation._split(union, [len(st) for st in sets])
-    assert fold is not None
+    stack = correlation._stack(z for st in sets for z in st)
+    split = correlation._split(stack, [len(st) for st in sets])
+    assert split is not None
+    fold, union = split.gather(stack.roots()), stack.matrix()
     cases = [(correlation._folded_table(fold, union_shifts), union, union_shifts)]
     diag = correlation._folded_table(fold, set_shifts, diagonal=True)
     assert diag.shape == (len(set_shifts), len(sets), len(sets[0]), len(sets[0]))
     lo = 0
     for n, st in enumerate(sets):
-        block = correlation._Block(union.mat[lo : lo + len(st)], union.q, True)
+        block = union[lo : lo + len(st)]
         own = correlation._folded_table(fold._replace(X=fold.X[n : n + 1]), set_shifts)
         cases += [(own, block, set_shifts), (diag[:, n], block, set_shifts)]
         lo += len(st)
     for got, block, shifts in cases:
         want = correlation._periodic_table(block, block, shifts)
-        assert got.dtype == want.dtype == block.mat.dtype
+        assert got.dtype == want.dtype == block.dtype
         assert np.array_equal(got, want)
 
 
@@ -803,54 +808,183 @@ def test_q6_q8_constructions_certify_like_the_separate_calls(params):
 
 
 # ---------------------------------------------------------------------------
-# verdicts the float zero test cannot decide
+# exact zero tests for every even q: Galois conjugates
 
 
-def test_verdicts_on_a_value_below_the_float_tolerance_are_refused():
-    """Negative control: the pair's shift-0 correlation is nonzero but
-    passes ``is_zero``, so every verdict on it must refuse, not pass."""
+def test_conjugates_hold_one_unit_per_pair_up_to_the_budget():
+    assert [len(correlation.conjugates(q)) for q in (1, 2, 4, 6, 8, 10, 12, 16)] == [
+        1, 1, 1, 1, 2, 2, 2, 4
+    ]
+    assert correlation.conjugates(16) == (1, 3, 5, 7)
+    with pytest.raises(ValueError, match=r"^q=38 needs 9 conjugate tables .* budget of 8$"):
+        correlation.conjugates(38)
+
+
+def test_verdicts_fail_a_nonzero_value_below_a_float_tolerance(monkeypatch):
+    """The pair's shift-0 correlation alpha is nonzero but below 1e-9 * L;
+    its conjugate under w -> w^3 is not small, so every verdict fails with
+    a shift-0 witness whose value is the computed alpha.  Negative control: with the
+    conjugate set forced to [1], the same pair passes."""
     a, b = undecidable_q8_pair()
     alpha = accf(a, b, 0)
-    assert correlation.is_zero(alpha, False, len(a))
+    assert 0 < abs(alpha) < 1e-9 * len(a)
     conjugate = accf(UnimodularSequence(8, 3 * a.exponents % 8), b, 0)
-    assert abs(conjugate) > 30_000  # so alpha is not zero
-    verdicts = [
-        lambda: verify_zcz([a, b], 0),
-        lambda: verify_inter_zccz([a], [b], 0),
-        lambda: certify_family([[a], [b]], 0, 0),
-    ]
-    for verdict in verdicts:
-        with pytest.raises(ValueError, match=r"^q=8 at L=65536: .* ROADMAP\.md$"):
-            verdict()
+    assert abs(conjugate) > 30_000
+    assert correlation.is_zero([alpha]) and not correlation.is_zero([alpha, conjugate])
+
+    def verdicts():
+        set_certs, inter, union_cert = certify_family([[a], [b]], 0, 0)
+        return [verify_zcz([a, b], 0), verify_inter_zccz([a], [b], 0), inter[0, 1], union_cert]
+
+    reports = verdicts()
+    assert not any(r.passed for r in reports)
+    assert [r.witness.shift for r in reports] == [0] * 4
+    # two summation orders of 2^16 roots agree to about L**2 * 2**-53
+    assert all(abs(complex(r.witness.re, r.witness.im) - alpha) < 5e-7 for r in reports)
+    monkeypatch.setattr(correlation, "conjugates", lambda q: (1,))
+    assert all(r.passed for r in verdicts())
 
 
-@pytest.mark.parametrize("q, L, refused", [
-    (6, 2**15, False), (8, 2**14, False), (8, 2**15, True), (12, 2**15, True),
-    (16, 128, False), (16, 256, True),
-])
-def test_the_refusal_starts_where_the_tolerance_can_hide_a_nonzero_value(q, L, refused):
-    seqs = [random_sequence(np.random.default_rng(seed), q, L) for seed in (1, 2)]
-    if refused:
-        with pytest.raises(ValueError, match=f"^q={q} at L={L}: "):
-            verify_zcz(seqs, 0)
-    else:
-        verify_zcz(seqs, 0)
+@pytest.mark.parametrize("q, L", [(6, 2**15), (8, 2**14), (8, 2**15), (12, 2**15),
+                                  (16, 128), (16, 256)])
+def test_verdicts_decide_where_a_tolerance_could_hide_a_nonzero_value(q, L):
+    """b is a with its first half moved by q/2, so the shift-0 cross value
+    is exactly zero; moving one more root makes it nonzero."""
+    a = random_sequence(np.random.default_rng(q + L), q, L)
+    exps = a.exponents.copy()
+    exps[: L // 2] = (exps[: L // 2] + q // 2) % q
+    assert verify_zcz([a, UnimodularSequence(q, exps)], 0).passed
+    exps[0] = (exps[0] + 1) % q
+    cert = verify_zcz([a, UnimodularSequence(q, exps)], 0)
+    assert not cert.passed and (cert.witness.i, cert.witness.j, cert.witness.shift) == (0, 1, 0)
 
 
-def test_code_and_chunk_verdicts_bound_their_values_by_the_terms_they_sum():
-    """verify_ccc sums M * L terms per value and the chunk check 3L, so
-    both refuse where the periodic tables of the same length do not."""
+def test_code_and_chunk_verdicts_decide_where_a_float_tolerance_refused():
+    """verify_ccc sums M * L roots per value and the chunk check 3L, where
+    a tolerance of 1e-9 * L could no longer tell every nonzero value."""
     rng = np.random.default_rng(3)
     rows = [random_sequence(rng, 8, 4096) for _ in range(64)]
-    verify_zcz(rows[:2], 0)
-    with pytest.raises(ValueError, match="^q=8 at L=4096: "):
-        verify_ccc([rows])
-    fam = build_multiple_zcz(random_valid_params(rng, 16, 4, 1, 0))
+    rep = verify_ccc([rows])
+    w = rep.witness
+    assert not rep.passed and (w.i, w.j, w.shift) == (0, 0, 1)
+    assert abs(complex(w.re, w.im) - code_accf(rows, rows, 1)) <= 1e-9 * 4096
+    p = random_valid_params(rng, 16, 4, 1, 0)
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
     assert fam.L == 128
     set_certs, inter, union_cert = certify_family(fam.sets, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
-    with pytest.raises(ValueError, match="^q=16 at L=128: "):
-        check_chunk_decomposition(fam, 0, 0, 0, 1, 3)
+    taus = range((1 << p.m) + 1)
+    assert all(check_chunk_decomposition(fam, 0, 0, 0, 1, t, codes=codes).passed for t in taus)
+
+
+def _periodic_counts(a, b, u, q):
+    """The multiplicity of each q-th root in pccf(a, b)(u)."""
+    return np.bincount((a.exponents - np.roll(b.exponents, -u)) % q, minlength=q)
+
+
+def _aperiodic_counts(a, b, u, q):
+    """The multiplicity of each q-th root in accf(a, b)(u), 0 <= u <= L."""
+    L = len(a)
+    return np.bincount((a.exponents[: L - u] - b.exponents[u:]) % q, minlength=q)
+
+
+def _chunk_check_counts(p, fam, codes, t1, t1b, i, j, tau):
+    """The multiplicity of each q-th root in lhs - rhs of one chunk check;
+    a conjugated sum takes the negated exponents."""
+    q, L = p.q, fam.L
+    a, b = fam.sets[t1][i], fam.sets[t1b][j]
+    rows_a, rows_b = codes[t1][i], codes[t1b][j]
+    neg = (-np.arange(q)) % q
+    counts = _aperiodic_counts(a, b, tau, q)
+    counts += _aperiodic_counts(b, a, L - tau, q)[neg]
+    for ra, rb in zip(rows_a, rows_b):
+        counts -= 2 * _aperiodic_counts(ra, rb, tau, q)
+    shift = (1 << p.m) - tau
+    for nu, weight in p._boundary_weights:
+        row_b = rows_b[(nu + 1) % len(rows_a)]
+        counts -= weight * _aperiodic_counts(row_b, rows_a[nu], shift, q)[neg]
+    return counts
+
+
+@st.composite
+def _root_sums(draw):
+    """A modulus and the exponents of a sum of its roots of unity: exact
+    zeros built from e, e + q/2 pairs and full cosets of subgroups, with
+    one root moved half of the time."""
+    q = draw(st.sampled_from([6, 8, 10, 12, 16]))
+    exps = []
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.sampled_from([d for d in range(2, q + 1) if q % d == 0]))
+        e = draw(st.integers(0, q - 1))
+        exps += [(e + n * q // d) % q for n in range(d)]
+    if draw(st.booleans()):
+        n = draw(st.integers(0, len(exps) - 1))
+        exps[n] = (exps[n] + draw(st.integers(1, q - 1))) % q
+    return q, draw(st.permutations(exps))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_root_sums(), st.integers(0, 2**32 - 1))
+def test_is_zero_on_kernel_cells_matches_the_cyclotomic_oracle(sums, seed):
+    q, exps = sums
+    L = len(exps)
+    seqs = [UnimodularSequence(q, exps), UnimodularSequence(q, np.zeros(L, np.int64)),
+            random_sequence(np.random.default_rng(seed), q, L)]
+    stack = correlation._stack(seqs)
+    shifts = np.arange(L)
+    mats = map(stack.matrix, correlation.conjugates(q))
+    zero = correlation.is_zero([correlation._periodic_table(m, m, shifts) for m in mats])
+    for i, a in enumerate(seqs):
+        for j, b in enumerate(seqs):
+            for u in shifts:
+                assert zero[u, i, j] == exactly_zero(_periodic_counts(a, b, u, q)), (i, j, u)
+    # the second sequence is all ones: the cross value at shift 0 is the sum
+    assert verify_zcz(seqs[:2], 0).passed == exactly_zero(np.bincount(exps, minlength=q))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([6, 8, 10, 12, 16]), st.integers(0, 2**32 - 1), st.booleans())
+def test_is_zero_on_chunk_checks_matches_the_cyclotomic_oracle(q, seed, flip):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 2))
+    p = random_valid_params(rng, q, k + 2, k, int(rng.integers(0, k + 1)),
+                            randomize_structure=True)
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    if flip:  # one root moved: a chip of sequence (0, 0)
+        exps = fam.sets[0][0].exponents.copy()
+        n = int(rng.integers(len(exps)))
+        exps[n] = (exps[n] + int(rng.integers(1, q))) % q
+        sets = ((UnimodularSequence(q, exps),) + fam.sets[0][1:],) + fam.sets[1:]
+        fam = dataclasses.replace(fam, sets=sets)
+    S, K = len(fam.sets), len(fam.sets[0])
+    for _ in range(6):
+        t1, t1b = (int(t) for t in rng.integers(0, S, 2))
+        i, j = (int(t) for t in rng.integers(0, K, 2))
+        tau = int(rng.integers(0, (1 << p.m) + 1))
+        rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
+        want = exactly_zero(_chunk_check_counts(p, fam, codes, t1, t1b, i, j, tau))
+        assert rep.passed == want, (t1, t1b, i, j, tau)
+
+
+@pytest.mark.parametrize("q", [6, 8, 10, 12])
+def test_every_even_q_takes_the_fold_and_a_flipped_chip_the_gemm(q, monkeypatch):
+    p = random_valid_params(np.random.default_rng(q), q, 4, 1, 1, randomize_structure=True)
+    fam = build_multiple_zcz(p)
+    sets = [list(st) for st in fam.sets]
+    calls = _spy_kernels(monkeypatch)
+    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    assert set(calls) == {"_folded_table"}
+    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+    exps = sets[0][1].exponents.copy()
+    exps[9] = (exps[9] + 1) % q
+    sets[0][1] = UnimodularSequence(q, exps)
+    calls.clear()
+    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    assert set(calls) == {"_periodic_table"}
+    want = verify_zcz(sets[0], fam.Z)
+    assert not set_certs[0].passed and not want.passed
+    cells = [(v.i, v.j, v.shift) for v in (set_certs[0].witness, want.witness)]
+    assert cells[0] == cells[1]
 
 
 @pytest.mark.parametrize("q", [6, 8])
