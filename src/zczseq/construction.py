@@ -374,31 +374,39 @@ def example1_params() -> ConstructionParams:
     return ConstructionParams(q=2, m=4, k=2, s=1, J=(0,), pi=(1, 0), f=f, h=h)
 
 
-def _bits(value: int, count: int) -> tuple[int, ...]:
-    return tuple((value >> b) & 1 for b in range(count))
-
-
-def _mask(variables, bits) -> int:
-    """Bit mask of the variables whose bit is set; a variable named twice
+def _masks(variables, count: int) -> np.ndarray:
+    """For r = 0..count-1, the bit mask of the variables whose bit of r is
+    set (bit b of r goes with ``variables[b]``); a variable named twice
     cancels, as two (q/2)-weighted terms do mod q."""
-    mask = 0
-    for v, bit in zip(variables, bits):
-        mask ^= bit << v
-    return mask
+    r = np.arange(count, dtype=np.int64)
+    masks = np.zeros(count, dtype=np.int64)
+    for b, v in enumerate(variables):
+        masks ^= ((r >> b) & 1) << v
+    return masks
 
 
-def _parity_offset(base: np.ndarray, mask: int, flip: int, q: int) -> np.ndarray:
-    """(base + (q/2) * (parity(j & mask) ^ flip)) mod q for j = 0..len(base)-1:
-    the truth table of base's function plus the (q/2)-weighted linear terms
-    on the variables in ``mask`` and a (q/2)-weighted constant ``flip``."""
-    j = np.arange(len(base))
-    parity = np.full(len(base), flip)
-    for v in range(mask.bit_length()):
-        if (mask >> v) & 1:
-            parity ^= (j >> v) & 1
-    out = base + (q // 2) * parity
-    out -= q * (out >= q)  # base < q, so one subtraction reduces mod q
-    return out
+def _parity_offsets(base: np.ndarray, masks, flips, q: int) -> np.ndarray:
+    """Row r is (base + (q/2) * (parity(j & masks[r]) ^ flips[r])) mod q for
+    j = 0..len(base)-1: the truth table of base's function plus the
+    (q/2)-weighted linear terms on the variables in the mask and a
+    (q/2)-weighted constant.  len(base) is a power of two, so the parities
+    of every row form one table, doubled up one bit of j at a time (index
+    j + 2^v is index j XOR bit v of the mask), in the narrowest unsigned
+    dtype that holds 2q - 1."""
+    masks = np.asarray(masks, dtype=np.int64)[:, None]
+    dtype = np.min_scalar_type(2 * q - 1)
+    out = np.empty(masks.shape, dtype=dtype)
+    out[:, 0] = flips
+    for v in range(len(base).bit_length() - 1):
+        out = np.concatenate([out, out ^ ((masks >> v) & 1).astype(dtype)], axis=1)
+    out *= q // 2
+    out += base.astype(dtype)
+    return np.minimum(out, out - q)  # for 0 <= x < 2q, x - q wraps unless x >= q
+
+
+def _groups(items, size: int) -> tuple:
+    """``items`` as consecutive tuples of ``size``."""
+    return tuple(tuple(items[lo : lo + size]) for lo in range(0, len(items), size))
 
 
 def build_ccc_family(params: ConstructionParams):
@@ -412,27 +420,24 @@ def build_ccc_family(params: ConstructionParams):
         f + (q/2) * ( sum_beta (d_beta + b_beta) x_{j_beta} + d x_{gamma1}
                       + b_k x_{gamma2} + sum_{beta=k-s}^{k-1} d_beta b_{s+1+beta} )
 
-    so every row is psi(f) plus q/2 times a parity of its index bits.
+    so every row is psi(f) plus q/2 times a parity of its index bits: the
+    mask is nu's part XOR (t1, t2)'s part, and the constant the parity of
+    d_{k-s..k-1} & t1.
     """
     q, k, s = params.q, params.k, params.s
     base = psi(params.f).exponents
-    variables = params.j_order + (params.gamma1, params.gamma2)
-    n_codes = 1 << (k + 1)
-    families = []
-    for t1 in range(1 << s):
-        codes = []
-        for t2 in range(n_codes):
-            b = _bits(t2, k + 1) + _bits(t1, s)
-            rows = []
-            for nu in range(n_codes):
-                d_bits = _bits(nu, k)
-                d = (nu >> k) & 1
-                mask = _mask(variables, [x ^ y for x, y in zip(d_bits, b)] + [d, b[k]])
-                flip = sum(x & y for x, y in zip(d_bits[k - s:], b[k + 1:])) & 1
-                rows.append(UnimodularSequence(q, _parity_offset(base, mask, flip, q)))
-            codes.append(tuple(rows))
-        families.append(tuple(codes))
-    return tuple(families)
+    n_codes, n_families = 1 << (k + 1), 1 << s
+    by_nu = _masks(params.j_order + (params.gamma1,), n_codes)
+    by_t2 = _masks(params.j_order + (params.gamma2,), n_codes)
+    masks = np.broadcast_to(by_t2[:, None] ^ by_nu, (n_families, n_codes, n_codes))
+    shared = (np.arange(n_codes) >> (k - s)) & np.arange(n_families)[:, None]
+    flips = np.zeros_like(shared)
+    for b in range(s):
+        flips ^= (shared >> b) & 1
+    flips = np.broadcast_to(flips[:, None, :], masks.shape)
+    table = _parity_offsets(base, masks.ravel(), flips.ravel(), q)
+    codes = _groups([UnimodularSequence(q, row) for row in table], n_codes)
+    return _groups(codes, n_codes)
 
 
 @dataclass(frozen=True)
@@ -498,16 +503,13 @@ def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
     )
 
     base = psi(static).exponents
+    # bits of the union index t1 * 2^(k+1) + t2: those of t2, then of t1
     variables = params.j_order + (params.gamma2,) + tuple(range(m + k - s, m + k))
-    sets = []
-    for t1 in range(1 << s):
-        seqs = []
-        for t2 in range(1 << (k + 1)):
-            mask = _mask(variables, _bits(t2, k + 1) + _bits(t1, s))
-            seqs.append(UnimodularSequence(q, _parity_offset(base, mask, 0, q)))
-        sets.append(tuple(seqs))
+    n_seqs = params.set_size
+    table = _parity_offsets(base, _masks(variables, n_seqs * params.num_sets), 0, q)
+    sets = _groups([UnimodularSequence(q, row) for row in table], n_seqs)
     return MultipleZczFamily(
-        params=params, sets=tuple(sets), Z=params.zcz_width, Zc=params.inter_zccz_width
+        params=params, sets=sets, Z=params.zcz_width, Zc=params.inter_zccz_width
     )
 
 

@@ -19,13 +19,21 @@ q; witness values are the sigma_1 values.
 Whole sets go through one batch kernel, ``_periodic_table``: each set is
 stacked once as exponents (``_Stack``) and gathered per conjugate into one
 matrix from the roots of unity permuted by j, real unless an entry has a
-nonzero imaginary part; the shifts are walked in blocks of
-``_SHIFT_BLOCK_BYTES`` of cyclically shifted rows, one GEMM per block.
+nonzero imaginary part; one GEMM per block of shifts.
 
 Path rule.  A family whose exponents split into the construction's two
 layers (``_split``, checked on every exponent for every q) takes the
 chunk fold, ``_folded_table``; any other family (a corrupted chip,
-unequal sets) takes the GEMM.  Both paths feed the same scans.
+unequal sets) takes the GEMM.  Both paths feed the same scans.  With S
+sets of K sequences of length L = C * P (C = 2K chunks of P chips), the
+GEMM costs S^2 K^2 L multiply-adds per shift and the fold S^2 L +
+S^2 K P + S^2 K^2 R, R = K bins of the Walsh characters in the fold
+(R = P when the positions do not bin evenly).
+
+Budget rule.  Every kernel walks its shifts in blocks, and ``is_zero``
+its tables in blocks along the leading axis; each sizes a block so that
+all of its temporaries, counted per shift, fit ``_SHIFT_BLOCK_BYTES``
+(512 KiB, a cache-sized block).  The tables themselves are not counted.
 
 For q in {1, 2, 4} every float product here, ``accf``'s included, is
 exact: entries and products are Gaussian integers with components in
@@ -134,7 +142,22 @@ def is_zero(values):
     of a nonzero alpha, the product of all its conjugates, is a nonzero
     integer, and sigma_{-j} = conj(sigma_j), so some listed conjugate is at
     least 1.  A zero value that sums N roots of unity computes to within
-    about N**2 * 2**-53 of zero (to 0 exactly for q in {1, 2, 4})."""
+    about N**2 * 2**-53 of zero (to 0 exactly for q in {1, 2, 4}).
+
+    Arrays are decided in blocks along their leading axis, at most
+    ``_SHIFT_BLOCK_BYTES`` of each at a time, into one bool array."""
+    values = list(values)
+    if not isinstance(values[0], np.ndarray) or values[0].ndim == 0:
+        return _all_below_half(values)
+    zero = np.empty(values[0].shape, dtype=bool)
+    step = max(1, _SHIFT_BLOCK_BYTES // max(1, values[0][:1].nbytes))
+    for lo in range(0, len(zero), step):
+        zero[lo : lo + step] = _all_below_half([v[lo : lo + step] for v in values])
+    return zero
+
+
+def _all_below_half(values):
+    """|re| + |im| < 1/2 for every value, elementwise for arrays."""
     zero = None
     for value in values:
         dev = abs(value.real)
@@ -156,8 +179,8 @@ def _conjugate(seqs, unit: int):
 # ---------------------------------------------------------------------------
 # batch engine: stacked periodic correlations for whole sets at once
 
-# Working-set target for one block of cyclically shifted rows.
-_SHIFT_BLOCK_BYTES = 4 << 20
+# Every temporary of one block of shifts (or of table rows in ``is_zero``).
+_SHIFT_BLOCK_BYTES = 512 << 10
 # float32 holds every integer of magnitude up to 2**24 exactly.
 _SINGLE_EXACT_LIMIT = 1 << 24
 
@@ -221,7 +244,8 @@ def _periodic_table(A: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
     """phi[u_idx, i, j] = sum_t A_i[t] * conj(B_j[(t + u) mod L]).
 
     Shifts are taken in blocks; each block stacks its cyclically shifted B
-    rows into one contiguous matrix and costs one GEMM.  The table is one
+    rows into one contiguous matrix and costs one GEMM, and its temporaries
+    (the rows and the product) fit ``_SHIFT_BLOCK_BYTES``.  The table is one
     array in the matrices' dtype: real when both matrices are real.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
@@ -234,7 +258,8 @@ def _periodic_table(A: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
     # rows[u, j] is B_j cyclically shifted left by u (a view, no copy)
     rows = np.lib.stride_tricks.sliding_window_view(ext, L, axis=1).transpose(1, 0, 2)
     phi = np.empty((shifts.size, KA, KB), dtype=np.result_type(A, ext))
-    step = max(1, _SHIFT_BLOCK_BYTES // (KB * L * ext.itemsize))
+    # a shift's temporaries: its KB gathered rows and its KA x KB product
+    step = max(1, _SHIFT_BLOCK_BYTES // (KB * L * ext.itemsize + KA * KB * phi.itemsize))
     for lo in range(0, shifts.size, step):
         part = shifts[lo : lo + step]
         W = rows[part].reshape(-1, L)
@@ -247,21 +272,32 @@ class _Fold(NamedTuple):
     t = c * P + p, z0[c, p] is common to every row, X[t1, c] depends on the
     chunk c only and Y[t2, p] on the position p within the chunk only.
     ``_split`` returns the factors as exponents mod q, with X[0] and Y[0]
-    all zero; ``gather`` turns them into roots."""
+    all zero; ``gather`` turns them into roots.
+
+    The positions fall into R bins of P / R positions each, listed bin by
+    bin in ``order``; every position of bin r has the column H[:, r] of Y.
+    For a constructed family each row of Y is a Walsh character of a few
+    position bits, so R = K; otherwise the bins may be the P positions
+    themselves (R = P)."""
 
     z0: np.ndarray
     X: np.ndarray
     Y: np.ndarray
+    H: np.ndarray
+    order: np.ndarray
 
     def gather(self, roots) -> "_Fold":
-        return _Fold(*(roots[f] for f in self))
+        z0, X, Y, H = (roots[f] for f in self[:4])
+        return _Fold(z0, X, Y, H, self.order)
 
 
 def _split(stack: _Stack, sizes) -> _Fold | None:
     """The chunk fold of a stacked family, as exponents, when every exponent
     is z0 + X[t1] + Y[t2] mod q (P = L / (2K) for S sets of K sequences),
     checked in O(K_u * L) in the stack's dtype; None for unequal set sizes,
-    a length not a multiple of 2K, or any exponent off the split."""
+    a length not a multiple of 2K, or any exponent off the split.  The bins
+    are the classes of equal columns of Y when they are all of one size,
+    and single positions otherwise."""
     K, q = sizes[0], stack.q
     if any(n != K for n in sizes) or stack.L % (2 * K):
         return None
@@ -274,9 +310,16 @@ def _split(stack: _Stack, sizes) -> _Fold | None:
     Y = mod_q(rows[0, :, 0, :] + (q - z0[0]))
     X = mod_q(rows[:, 0, :, 0] + (q - z0[:, 0]))
     common = mod_q(z0 + Y[:, None, :])
-    if all(np.array_equal(mod_q(common + X[n][:, None]), rows[n]) for n in range(len(sizes))):
-        return _Fold(z0, X, Y)
-    return None
+    if not all(np.array_equal(mod_q(common + X[n][:, None]), rows[n]) for n in range(len(sizes))):
+        return None
+    P = Y.shape[1]
+    _, inverse = np.unique(Y, axis=1, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    counts = np.bincount(inverse)
+    equal = (counts == counts[0]).all()
+    order = np.argsort(inverse, kind="stable") if equal else np.arange(P)
+    R = counts.size if equal else P
+    return _Fold(z0, X, Y, Y[:, order[:: P // R]], order)
 
 
 def _folded_table(fold: _Fold, shifts, diagonal: bool = False) -> np.ndarray:
@@ -286,49 +329,62 @@ def _folded_table(fold: _Fold, shifts, diagonal: bool = False) -> np.ndarray:
 
         V[c, p]       = z0[c, p] * conj(z0 at t + u)
         G[a1, b1, p]  = sum_c X[a1, c] * V[c, p] * conj(X[b1, c + uc + carry(p)])
+        F[r, a1, b1, b2]
+                      = sum_{p in bin r} G[a1, b1, p] * conj(Y[b2, (p + up) mod P])
         phi(u)[(a1, a2), (b1, b2)]
-                      = sum_p Y[a2, p] * G[a1, b1, p] * conj(Y[b2, (p + up) mod P])
+                      = sum_r H[a2, r] * F[r, a1, b1, b2]
 
-    G is one small GEMM per carry value, and phi one GEMM of S^2 K x P x K,
-    so a shift costs S^2 L + S^2 K^2 P multiply-adds instead of
-    S^2 K^2 L.  Shifts are walked in blocks as in ``_periodic_table``.
+    since Y[a2, p] = H[a2, r] for every p in bin r.  G is one small GEMM per
+    carry value, F one GEMM per bin and phi one GEMM of K x R by R x S^2 K,
+    so a shift costs S^2 L + S^2 K P + S^2 K^2 R multiply-adds (R = K for a
+    constructed family) instead of S^2 K^2 L.  Every partial sum has
+    components of magnitude at most 2L, as in the GEMM, so exact tables
+    stay exact.  Shifts are walked in blocks whose temporaries, all of them
+    counted per shift, fit ``_SHIFT_BLOCK_BYTES``.
 
     With ``diagonal``, only the set pairs a1 = b1 are formed: the tables
     come as (shifts, S, K, K), set n's own table at ``[:, n]``, from one
     V and one rolled Y per shift block for all S sets.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
-    z0, X, Y = fold
+    z0, X, Y, H, order = fold
     S, C = X.shape
-    K, P = Y.shape
+    (K, P), R = Y.shape, H.shape[1]
     L = C * P
     z0 = z0.ravel()
     ext = np.concatenate([z0, z0[: int(shifts.max())]]).conj()
     rows = np.lib.stride_tricks.sliding_window_view(ext, L)  # rows[u] = z0 shifted by u
-    # conj(X) over chunk indices c + uc + carry, wrapped, for uc < C
-    Xc = np.concatenate([X, X], axis=1).conj()
     a1, b1 = (np.arange(S),) * 2 if diagonal else np.divmod(np.arange(S * S), S)
-    Xa, Xb = X[a1], Xc[b1]
-    c, p = np.arange(C), np.arange(P)
-    shape = (S, K, K) if diagonal else (S * K, S * K)
+    n = a1.size
+    # W[d, (a1, b1), c] = X[a1, c] * conj(X[b1, c + d]), c + d wrapped, for
+    # every chunk offset d = uc + carry the shifts reach
+    d = np.arange(int(shifts.max()) // P + 2)
+    Xb = np.concatenate([X, X], axis=1).conj()[b1]
+    W = X[a1] * Xb[:, np.arange(C) + d[:, None]].transpose(1, 0, 2)
+    # conj(Y) by position, twice over, so that rows order + up are Y rolled by up
+    Yc = np.concatenate([Y.T, Y.T]).conj()
+    p = np.arange(P)
+    shape = (S, K, K) if diagonal else (S, K, S, K)
     phi = np.empty((shifts.size, *shape), dtype=z0.dtype)
-    # the largest temporaries of a shift: two rows of V and a1.size K P of Y * G
-    step = max(1, _SHIFT_BLOCK_BYTES // (z0.itemsize * (2 * L + a1.size * K * P)))
+    # a shift's temporaries: V and its gather, two W, the two G and G
+    # binned, rolled Y, F and the block, plus rolled Y's indices
+    items = 2 * L + 2 * n * C + 3 * n * P + K * P + n * K * (R + K)
+    step = max(1, _SHIFT_BLOCK_BYTES // (z0.itemsize * items + 8 * P))
     for lo in range(0, shifts.size, step):
         part = shifts[lo : lo + step]
         uc, up = np.divmod(part, P)
         V = (z0 * rows[part]).reshape(-1, C, P)
-        chunk = c + uc[:, None]
-        W0 = Xa * Xb[:, chunk].transpose(1, 0, 2)
-        W1 = Xa * Xb[:, chunk + 1].transpose(1, 0, 2)
-        G = np.where(p < (P - up)[:, None, None], W0 @ V, W1 @ V)
-        M = (G[:, :, None, :] * Y).reshape(part.size, a1.size * K, P)
-        Yr = Y.conj()[:, (p + up[:, None]) % P].transpose(1, 2, 0)
-        block = (M @ Yr).reshape(-1, a1.size, K, K)
-        if not diagonal:
-            block = block.reshape(-1, S, S, K, K).transpose(0, 1, 3, 2, 4)
-        phi[lo : lo + part.size] = block.reshape(-1, *shape)
-    return phi
+        G = W[uc] @ V
+        np.copyto(G, W[uc + 1] @ V, where=p >= (P - up)[:, None, None])
+        G = G[:, :, order].reshape(-1, n, R, P // R).transpose(0, 2, 1, 3)
+        F = G @ Yc[order + up[:, None]].reshape(-1, R, P // R, K)
+        block = (H @ F.reshape(-1, R, n * K)).reshape(-1, K, n, K)
+        if diagonal:
+            block = block.transpose(0, 2, 1, 3)
+        else:
+            block = block.reshape(-1, K, S, S, K).transpose(0, 2, 1, 3, 4)
+        phi[lo : lo + part.size] = block
+    return phi if diagonal else phi.reshape(shifts.size, S * K, S * K)
 
 
 @dataclass(frozen=True)
@@ -372,7 +428,7 @@ def _scan_block(phis, shifts, exact: bool, peak, pair_major=False):
         diag = np.arange(phi.shape[1])
         for u_idx in np.flatnonzero(shifts == 0):
             zero[u_idx, diag, diag] = is_zero([c[u_idx, diag, diag] - peak for c in phis])
-    bad = np.argwhere(~zero)
+    bad = np.argwhere(np.logical_not(zero, out=zero))  # in place: no second bool table
     if not bad.size:
         return (), None
     u_idx, i, j = bad.T
@@ -594,6 +650,7 @@ def certify_family(sets, Z: int, Zc: int):
         if extra:
             own = [np.concatenate([o, e[n]]) for o, e in zip(own, extra)]
         set_certs.append(_zcz_certificate(union.rows(sl), Z, own))
+    del extra, own  # no set table is held while the union table is scanned
     inter = {}
     for a, b in itertools.combinations(range(len(sets)), 2):
         sa, sb = rows[a], rows[b]

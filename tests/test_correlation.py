@@ -444,7 +444,7 @@ def test_periodic_table_crosses_block_boundaries(q, monkeypatch):
     monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 3 * 3 * L * 16 + 1)
     _assert_table_matches_pccf(set_a, set_b, list(range(13)))
     monkeypatch.undo()
-    # the default block size: 4 x 2048 float32 rows give 128 shifts per block
+    # the default block size: 4 x 2048 float32 rows give 15 shifts per block
     set_a = [random_sequence(rng, 2, 2048) for _ in range(2)]
     set_b = [random_sequence(rng, 2, 2048) for _ in range(4)]
     shifts = list(range(0, 2048, 11))
@@ -604,14 +604,9 @@ def test_verify_zcz_memory_is_bounded_by_the_shift_block():
     assert peak < 24 * 2**20
 
 
-def test_certify_family_memory_peaks_at_stacking_the_union():
-    """The tables stay in the kernel's dtype, so stacking the union (its
-    int64 exponents and the float32 matrix gathered from them) is the peak;
-    int64 copies of the union table would add about 9 MiB more."""
-    fam = build_multiple_zcz(default_params(2, 8, 4, 2))
+def _certify_family_peak(fam):
+    """tracemalloc's peak over one ``certify_family`` call, and its verdicts."""
     sets = fam.sets
-    K_u = sum(len(st) for st in sets)
-    assert (K_u, fam.Z, fam.Zc, fam.L) == (128, 256, 63, 16384)
     certify_family([st[:2] for st in sets], 3, 1)  # warm up lazy imports outside the trace
     tracemalloc.start()
     try:
@@ -619,9 +614,62 @@ def test_certify_family_memory_peaks_at_stacking_the_union():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
-    exponents, union = K_u * fam.L * 8, K_u * fam.L * 4
-    assert peak <= exponents + union + 2**20
+    return peak, all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+
+
+def test_certify_family_memory_peaks_at_the_tables_plus_one_block(monkeypatch):
+    """The tables stay in the kernel's dtype and every kernel's and
+    verdict's temporaries fit one ``_SHIFT_BLOCK_BYTES`` block, so the peak
+    is the uint8 exponent stack, the float32 union table (shifts 0..Zc), the
+    diagonal table (shifts Zc+1..Z of every set), one set's table with its
+    verdict, and one block.  Negative control: the former 4 MiB block
+    budget exceeds that bound."""
+    fam = build_multiple_zcz(default_params(2, 8, 4, 2))
+    S, K = len(fam.sets), len(fam.sets[0])
+    K_u = S * K
+    assert (K_u, fam.Z, fam.Zc, fam.L) == (128, 256, 63, 16384)
+    stack = K_u * fam.L
+    union = (fam.Zc + 1) * K_u * K_u * 4
+    diagonal = (fam.Z - fam.Zc) * S * K * K * 4
+    own_set = (fam.Z + 1) * K * K * (4 + 1)
+    bound = stack + union + diagonal + own_set + correlation._SHIFT_BLOCK_BYTES + 2**19
+    peak, passed = _certify_family_peak(fam)
+    assert passed and peak <= bound
+    monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 4 << 20)
+    peak, passed = _certify_family_peak(fam)
+    assert passed and peak > bound
+
+
+def test_is_zero_decides_a_table_in_blocks(monkeypatch):
+    """``is_zero`` holds one bool result and one block of temporaries, not a
+    float copy of the table; its verdicts do not depend on the blocks.
+    Negative control: with one block for the whole table, the peak exceeds
+    the bound."""
+    rng = np.random.default_rng(70)
+    table = rng.integers(-1, 2, (64, 128, 128)).astype(np.complex64)
+    conjugate = table.conj()
+    want = (np.abs(table.real) + np.abs(table.imag) < 0.5)
+    bound = want.nbytes + 3 * correlation._SHIFT_BLOCK_BYTES
+
+    def decide():
+        tracemalloc.start()
+        try:
+            zero = correlation.is_zero([table, conjugate])
+            return zero, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    zero, peak = decide()
+    assert np.array_equal(zero, want) and peak <= bound
+    monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 1)  # one row per block
+    assert np.array_equal(correlation.is_zero([table, conjugate]), want)
+    monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", table.nbytes)
+    zero, peak = decide()
+    assert np.array_equal(zero, want) and peak > bound
+    # numbers: Python complex, numpy scalars
+    assert correlation.is_zero([0.25j, 0.2]) is True
+    assert correlation.is_zero([complex(0.3, 0.3)]) is False
+    assert bool(correlation.is_zero([np.complex64(0.4), np.float32(-0.1)]))
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
@@ -704,6 +752,99 @@ def test_folded_table_matches_gemm_at_every_shift(params, block_bytes, monkeypat
     sets = fam.sets
     every = np.arange(fam.L)
     _assert_fold_matches_gemm(sets, every, every[::-1])
+
+
+@st.composite
+def _layouts(draw):
+    """Valid vertex layouts (J, path order) of length at most 2^9 over q in
+    {2, 4, 6, 8}, with the default f and seed."""
+    q = draw(st.sampled_from([2, 4, 6, 8]))
+    k = draw(st.integers(0, 2))
+    s = draw(st.integers(0, k))
+    m = draw(st.integers(k + 2, 7 - k))
+    J = tuple(draw(st.permutations(range(m - s)))[: k - s])
+    pi = tuple(draw(st.permutations(range(m - k))))
+    return default_params(q, m, k, s, J, pi)
+
+
+def _assert_binned_fold_matches_union(stack, fold_exps, union_shifts, set_shifts, exact):
+    """Every conjugate's folded union and diagonal tables against
+    ``_periodic_table`` on the gathered union: equal arrays when ``exact``,
+    equal ``is_zero`` verdicts otherwise."""
+    K = fold_exps.Y.shape[0]
+    for unit in correlation.conjugates(stack.q):
+        fold, union = fold_exps.gather(stack.roots(unit)), stack.matrix(unit)
+        diag = correlation._folded_table(fold, set_shifts, diagonal=True)
+        cases = [(correlation._folded_table(fold, union_shifts), union, union_shifts)]
+        cases += [(diag[:, n], union[n * K : (n + 1) * K], set_shifts)
+                  for n in range(diag.shape[1])]
+        for got, rows, shifts in cases:
+            want = correlation._periodic_table(rows, rows, shifts)
+            assert got.dtype == want.dtype
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.array_equal(correlation.is_zero([got]), correlation.is_zero([want]))
+                assert np.abs(got - want).max() <= FLOAT_AGREEMENT_PER_CHIP * stack.L
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_layouts())
+def test_binned_fold_matches_the_gemm_on_every_layout(params):
+    """A constructed family's Y rows are Walsh characters of k + 1 position
+    bits, so its P positions fall into K equal bins."""
+    fam = build_multiple_zcz(params)
+    stack = correlation._stack(z for st in fam.sets for z in st)
+    fold = correlation._split(stack, [len(st) for st in fam.sets])
+    K, P = fold.Y.shape
+    assert fold.H.shape == (K, K)
+    bins = fold.order.reshape(K, P // K)
+    assert all(np.unique(fold.Y[:, b], axis=1).shape[1] == 1 for b in bins)
+    _assert_binned_fold_matches_union(
+        stack, fold, np.arange(fam.Zc + 1), np.arange(fam.Zc + 1, fam.Z + 1), stack.exact
+    )
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_unequal_column_classes_take_single_position_bins(q):
+    """A hand-made split family: S = 2 sets of K = 2 sequences, chunks of
+    P = 4, and Y's columns in classes of 3 and 1, so every position is its
+    own bin, and the fold still equals the GEMM."""
+    rng = np.random.default_rng(q)
+    K, P = 2, 4
+    z0 = rng.integers(0, q, (2 * K, P))
+    X = np.vstack([np.zeros(2 * K, np.int64), rng.integers(0, q, 2 * K)])
+    Y = np.array([[0, 0, 0, 0], [0, 0, 0, q // 2]])
+    sets = [[UnimodularSequence(q, ((z0 + X[t1][:, None] + Y[t2]) % q).ravel())
+             for t2 in range(K)] for t1 in range(2)]
+    stack = correlation._stack(z for st in sets for z in st)
+    fold = correlation._split(stack, [K, K])
+    assert np.array_equal(fold.order, np.arange(P)) and np.array_equal(fold.H, fold.Y)
+    every = np.arange(stack.L)
+    _assert_binned_fold_matches_union(stack, fold, every, every, stack.exact)
+    set_certs, inter, union_cert = certify_family(sets, 3, 1)
+    wants = [verify_zcz(st, 3) for st in sets] + [verify_zcz(sets[0] + sets[1], 1)]
+    for got, want in zip([*set_certs, union_cert], wants):
+        # q = 8 witness floats may move in their last bits with the summation order
+        assert [(v.i, v.j, v.shift) for v in got.violations] == [
+            (v.i, v.j, v.shift) for v in want.violations
+        ]
+        assert got == want or not stack.exact
+
+
+def test_a_permuted_bin_order_breaks_the_fold():
+    """Negative control: positions moved to another bin meet the wrong
+    column of H."""
+    fam = build_multiple_zcz(default_params(2, 5, 2, 1))
+    stack = correlation._stack(z for st in fam.sets for z in st)
+    fold = correlation._split(stack, [len(st) for st in fam.sets])
+    shifts = np.arange(fam.Zc + 1)
+    union = stack.matrix()
+    want = correlation._periodic_table(union, union, shifts)
+    roots = stack.roots()
+    assert np.array_equal(correlation._folded_table(fold.gather(roots), shifts), want)
+    wrong = fold._replace(order=np.roll(fold.order, 1))
+    assert not np.array_equal(correlation._folded_table(wrong.gather(roots), shifts), want)
 
 
 def test_one_chip_corruption_takes_the_gemm_path(monkeypatch):
