@@ -593,11 +593,12 @@ def _decode_exponents(body: bytes, L: int) -> np.ndarray:
     digit and an LF, is decoded directly; every other layout goes to the
     text parser, which alone reports malformed bodies.
     """
-    if len(body) == 2 * L:
-        records = np.frombuffer(body, dtype=np.uint8).reshape(L, 2)
-        digits = records[:, 0] - np.uint8(ord("0"))  # bytes below '0' wrap past 9
-        if np.all(records[:, 1] == ord("\n")) and np.all(digits <= 9):
-            return digits.astype(np.int64)
+    if L > 0 and len(body) == 2 * L:
+        # a record b"<d>\n" read as a little-endian uint16, less b"0\n" read
+        # so, is d; every other byte pair lands outside 0..9 (below by wrapping)
+        digits = np.frombuffer(body, dtype="<u2") - np.uint16(ord("0") + (ord("\n") << 8))
+        if digits.max() <= 9:
+            return digits  # the sequence makes its own int64 copy
     text = body.decode()
     # one exponent per line: a (lines, 1) table, or a parse error
     exps = np.empty((0, 1), np.int64)
@@ -613,13 +614,17 @@ def _decode_exponents(body: bytes, L: int) -> np.ndarray:
 
 def _parse_sequence_file(data: bytes, path) -> tuple[UnimodularSequence, dict]:
     # line ends as text-mode reading gives them: CRLF and a lone CR become LF
-    body = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    head = []
-    while len(head) < 4 and body:
-        ln, _, body = body.partition(b"\n")
-        ln = ln.decode().strip()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, start = [], 0
+    while len(head) < 4 and start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        ln = data[start:end].decode().strip()
+        start = end + 1
         if ln:
             head.append(ln)
+    body = data[start:]
     if len(head) < 4:
         raise ValueError(f"{path}: truncated sequence file")
     header = {}

@@ -170,9 +170,14 @@ def _all_below_half(values):
 
 def _conjugate(seqs, unit: int):
     """sigma_unit of a sequence, or of each in nested tuples: every
-    exponent multiplied by ``unit`` mod q."""
+    exponent multiplied by ``unit`` mod q.  A sequence is immutable, so it
+    keeps each conjugate once built: ``--deep`` reads the same sequences
+    and code rows at every shift."""
     if isinstance(seqs, UnimodularSequence):
-        return UnimodularSequence(seqs.q, seqs.exponents * unit % seqs.q)
+        built = seqs.__dict__.setdefault("_conjugates", {})
+        if unit not in built:
+            built[unit] = UnimodularSequence(seqs.q, seqs.exponents * unit % seqs.q)
+        return built[unit]
     return tuple(_conjugate(z, unit) for z in seqs)
 
 
@@ -229,15 +234,16 @@ def _stack(seqs) -> _Stack:
         raise ValueError("empty sequence set")
     q, L = seqs[0].q, len(seqs[0])
     exps = np.empty((len(seqs), L), dtype=np.min_scalar_type(2 * q - 1))
-    used = np.zeros(q, dtype=bool)
     for n, z in enumerate(seqs):
         if z.q != q:
             raise ValueError("sequences must share one modulus")
         if len(z) != L:
             raise ValueError("sequences must share one length")
         exps[n] = z.exponents
-        used[z.exponents] = True
-    return _Stack(exps, q, not roots_of_unity(q).imag[used].any())
+    # the roots whose imaginary part in roots_of_unity(q) is exactly 0: all
+    # of them for q <= 2, the even exponents for q = 4, omega^0 alone otherwise
+    real = q <= 2 or not (exps & 1 if q == 4 else exps).any()
+    return _Stack(exps, q, real)
 
 
 def _periodic_table(A: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
@@ -428,9 +434,9 @@ def _scan_block(phis, shifts, exact: bool, peak, pair_major=False):
         diag = np.arange(phi.shape[1])
         for u_idx in np.flatnonzero(shifts == 0):
             zero[u_idx, diag, diag] = is_zero([c[u_idx, diag, diag] - peak for c in phis])
-    bad = np.argwhere(np.logical_not(zero, out=zero))  # in place: no second bool table
-    if not bad.size:
+    if zero.all():  # the common case: one reduction, no scan
         return (), None
+    bad = np.argwhere(np.logical_not(zero, out=zero))  # in place: no second bool table
     u_idx, i, j = bad.T
     vals = phi[u_idx, i, j]
     dtype = np.int64 if exact else np.float64

@@ -188,12 +188,11 @@ class UnimodularSequence:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"modulus must be positive, got {self.q}")
-        exps = np.asarray(self.exponents, dtype=np.int64)
+        exps = np.array(self.exponents, dtype=np.int64)  # the sequence's own copy
         if exps.ndim != 1 or exps.size < 1:
             raise ValueError("exponents must be a nonempty 1-d vector")
-        if np.any((exps < 0) | (exps >= self.q)):
+        if exps.min() < 0 or exps.max() >= self.q:
             raise ValueError(f"exponents must lie in [0, {self.q})")
-        exps = exps.copy()
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
 

@@ -11,7 +11,9 @@ loop oracle draws those statistics from int64 bits in one product per
 iteration, where the library reads raw bit words in blocks.  The
 exact-zero oracle decides a sum of q-th roots of unity by integer
 polynomial division modulo the cyclotomic polynomial, where the library
-reads floating-point Galois conjugates.
+reads floating-point Galois conjugates.  The real-stack oracle marks the
+roots each sequence uses, where the library reads the stacked exponents
+once.
 """
 
 import cmath
@@ -30,7 +32,7 @@ from zczseq import (
     verify_zcz,
 )
 from zczseq import qscdma
-from zczseq.gbf import GeneralizedBooleanFunction, UnimodularSequence
+from zczseq.gbf import GeneralizedBooleanFunction, UnimodularSequence, roots_of_unity
 
 
 def seq_values_list(seq: UnimodularSequence) -> list[complex]:
@@ -114,6 +116,18 @@ def exactly_zero(counts) -> bool:
     minimal polynomial Phi_q of omega, and the sum is zero iff nothing is
     left."""
     return not any(_poly_divmod(counts, cyclotomic_polynomial(len(counts)))[1])
+
+
+def used_roots_real(seqs) -> bool:
+    """Whether a stack of ``seqs`` is real, by the rule ``_stack`` once
+    applied sequence by sequence: mark every exponent some sequence uses,
+    and the stack is real when no marked root of ``roots_of_unity(q)`` has
+    a nonzero imaginary part."""
+    q = seqs[0].q
+    used = np.zeros(q, dtype=bool)
+    for z in seqs:
+        used[z.exponents] = True
+    return not roots_of_unity(q).imag[used].any()
 
 
 def random_sequence(rng, q: int, L: int) -> UnimodularSequence:

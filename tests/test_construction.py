@@ -554,6 +554,30 @@ def test_written_bodies_decode_directly_unless_exponents_have_two_digits(
     assert len(calls) == (n_files if parsed_as_text else 0)
 
 
+def test_direct_decode_takes_exactly_the_digit_lf_records(monkeypatch):
+    """The direct path reads each 2-byte record as one uint16; it must take
+    b"<digit>\\n" and hand every other byte pair to the text parser."""
+
+    class TextParsed(Exception):
+        pass
+
+    def loadtxt(*args, **kwargs):
+        raise TextParsed
+
+    monkeypatch.setattr(construction.np, "loadtxt", loadtxt)
+    for b0 in range(256):
+        for b1 in range(256):
+            body = b"7\n" * 3 + bytes([b0, b1])
+            try:
+                exps = construction._decode_exponents(body, 4)
+            except (TextParsed, UnicodeDecodeError):
+                exps = None
+            if b1 == ord("\n") and ord("0") <= b0 <= ord("9"):
+                assert exps.tolist() == [7, 7, 7, b0 - ord("0")]
+            else:
+                assert exps is None, (b0, b1)
+
+
 def test_inter_zone_reports_on_bundled_family():
     fam = build_multiple_zcz(example1_params())
     assert verify_inter_zccz(fam.sets[0], fam.sets[1], 7).passed

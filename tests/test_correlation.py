@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from conftest import (
     random_sequence,
     random_valid_params,
     undecidable_q8_pair,
+    used_roots_real,
 )
 from zczseq import (
     GeneralizedBooleanFunction,
@@ -588,6 +590,63 @@ def test_exact_blocks_are_single_precision_below_two_to_the_24():
         assert correlation._stack(seqs).matrix().dtype == dtype, (q, exps)
 
 
+def _real_rule_misses(rule):
+    """The (q, exponents used) cases where ``rule(seqs)`` disagrees with
+    the used-roots oracle: random exponent subsets for every q, and
+    {0, q/2} for each."""
+    rng = np.random.default_rng(18)
+    misses = []
+    for q in (1, 2, 4, 6, 8, 12):
+        subsets = [[0, q // 2]] + [
+            rng.choice(q, size=rng.integers(1, q + 1), replace=False).tolist() for _ in range(12)
+        ]
+        for used in map(sorted, subsets):
+            exps = rng.choice(used, size=(3, 16))
+            exps[0, : len(used)] = used  # every exponent of the subset occurs
+            seqs = [UnimodularSequence(q, row) for row in exps]
+            if rule(seqs) != used_roots_real(seqs):
+                misses.append((q, tuple(used)))
+    return misses
+
+
+def test_stack_is_real_exactly_when_every_used_root_is():
+    """``_stack`` decides ``real`` once from the stacked exponents; the
+    oracle marks the roots sequence by sequence.  Negative control: a rule
+    that also counts omega^3 = -1 + 1.2e-16j as real for q = 6 misses."""
+    assert _real_rule_misses(lambda seqs: correlation._stack(seqs).real) == []
+
+    def half_is_real(seqs):
+        stack = correlation._stack(seqs)
+        if stack.q == 6:
+            return not np.isin(stack.exps, [0, 3], invert=True).any()
+        return stack.real
+
+    assert (6, (0, 3)) in _real_rule_misses(half_is_real)
+
+
+def test_scan_block_exits_early_only_on_a_clean_table(monkeypatch):
+    """A clean table costs one reduction and no scan; a table whose only
+    nonzero cell comes last in scan order still yields exactly that cell."""
+    K, peak = 3, 8
+    shifts = np.arange(4, dtype=np.int64)
+    clean = np.zeros((shifts.size, K, K), dtype=np.float32)
+    clean[0, np.arange(K), np.arange(K)] = peak
+    dirty = clean.copy()
+    dirty[-1, -1, -1] = 2  # last in shift-major and in pair-major order
+    last = correlation.Violation(K - 1, K - 1, 3, 2, 0)
+    for pair_major in (False, True):
+        scan = correlation._scan_block([dirty], shifts, True, peak, pair_major)
+        assert scan == ((last,), last)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argwhere scanned a table")
+
+    monkeypatch.setattr(correlation.np, "argwhere", refuse)
+    assert correlation._scan_block([clean], shifts, True, peak) == ((), None)
+    with pytest.raises(AssertionError, match="argwhere scanned"):  # control: a dirty table scans
+        correlation._scan_block([dirty], shifts, True, peak)
+
+
 def test_verify_zcz_memory_is_bounded_by_the_shift_block():
     fam = build_multiple_zcz(default_params(2, 7, 3, 2))
     seqs = fam.sets[0]
@@ -670,6 +729,31 @@ def test_is_zero_decides_a_table_in_blocks(monkeypatch):
     assert correlation.is_zero([0.25j, 0.2]) is True
     assert correlation.is_zero([complex(0.3, 0.3)]) is False
     assert bool(correlation.is_zero([np.complex64(0.4), np.float32(-0.1)]))
+
+
+def test_deep_checks_conjugate_each_sequence_once_per_unit(monkeypatch):
+    """Over every chunk check of a q = 8 family, sigma_3 is built once per
+    family sequence and code row, not 2 + 2K times per check."""
+    fam = build_multiple_zcz(default_params(8, 3, 1, 1))
+    codes = build_ccc_family(fam.params)
+    n_rows = sum(len(code) for family_codes in codes for code in family_codes)
+    made = []
+    init = UnimodularSequence.__post_init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(UnimodularSequence, "__post_init__", counted)
+    sets, seqs = range(len(fam.sets)), range(len(fam.sets[0]))
+    cells = list(itertools.product(sets, sets, seqs, seqs, range((1 << fam.params.m) + 1)))
+    assert all(check_chunk_decomposition(fam, *cell, codes=codes).passed for cell in cells)
+    assert correlation.conjugates(8) == (1, 3)
+    assert len(made) == len(fam.sets) * len(fam.sets[0]) + n_rows == 8 + 32
+    seq = fam.sets[1][2]
+    assert correlation._conjugate(seq, 3) is correlation._conjugate(seq, 3)
+    assert correlation._conjugate(seq, 3) == UnimodularSequence(8, seq.exponents * 3 % 8)
+
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])

@@ -198,6 +198,27 @@ def test_sequence_invariants():
     assert not UnimodularSequence(6, np.array([0, 1])).exact
 
 
+def test_sequence_owns_a_read_only_copy_of_its_exponents():
+    exps = np.array([0, 1, 2, 3], dtype=np.int64)
+    seq = UnimodularSequence(4, exps)
+    exps[:] = 0
+    assert seq.exponents.tolist() == [0, 1, 2, 3]
+    table = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)  # a parity table
+    row = UnimodularSequence(2, table[0])
+    table[:] = 0
+    assert row.exponents.tolist() == [1, 0, 1] and row.exponents.dtype == np.int64
+    for stored in (seq.exponents, row.exponents):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 1
+    for bad in ([-1, 0], [0, 4]):
+        with pytest.raises(ValueError, match=r"exponents must lie in \[0, 4\)"):
+            UnimodularSequence(4, np.array(bad))
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            UnimodularSequence(4, bad)
+
+
 def _values_by_formula(q, exps):
     """Reference entries by arithmetic, one formula per modulus."""
     if q == 1:
