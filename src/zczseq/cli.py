@@ -39,7 +39,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected comma-separated integers such as 0,2"
+        ) from None
 
 
 def _pair_list(text: str) -> tuple[tuple[int, int], ...]:
@@ -49,7 +54,12 @@ def _pair_list(text: str) -> tuple[tuple[int, int], ...]:
         if not tok:
             continue
         a, _, b = tok.partition("-")
-        pairs.append((int(a), int(b)))
+        try:
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: expected pairs such as 1-2,2-3"
+            ) from None
     return tuple(pairs)
 
 

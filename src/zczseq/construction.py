@@ -553,8 +553,10 @@ def check_chunk_decomposition(
     for unit in correlation.conjugates(params.q):
         seq_a, seq_b, rows_a, rows_b = terms if unit == 1 else correlation._conjugate(terms, unit)
         lhs = correlation.pccf(seq_a, seq_b, tau)
-        rhs = 2 * correlation.code_accf(rows_a, rows_b, tau)
         l, shift = len(rows_a), chunk_len - tau
+        if len(rows_b) != l:
+            raise ValueError(f"row count mismatch: {l} vs {len(rows_b)}")
+        rhs = 2 * sum(map(correlation.accf, rows_a, rows_b, [tau] * l), 0j)
         for nu, weight in params._boundary_weights:
             rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
         sides.append((lhs, rhs))

@@ -41,9 +41,9 @@ exact: entries and products are Gaussian integers with components in
 twice the row length N (the fold's at most 2L).  So exact matrices are
 float32/complex64 while 2N < 2**24 and float64/complex128 beyond, those
 of other moduli always float64/complex128, and each kernel returns its
-table in that dtype, real for real matrices.  ``accf``, ``pccf`` and
-``code_accf`` return Python complex numbers, with exact integer
-components for q in {1, 2, 4}.
+table in that dtype, real for real matrices.  ``accf`` and ``pccf``
+return Python complex numbers, with exact integer components for q in
+{1, 2, 4}.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ __all__ = [
     "SpectrumCapError",
     "accf",
     "pccf",
-    "code_accf",
     "conjugates",
     "is_zero",
     "verify_ccc",
@@ -114,14 +113,6 @@ def pccf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
     if not 0 <= u < L:
         raise ValueError(f"periodic shift {u} outside [0, {L})")
     return accf(a, b, u) + accf(b, a, L - u).conjugate()
-
-
-def code_accf(code1, code2, u: int) -> complex:
-    """Row-wise sum of aperiodic cross-correlations between two codes,
-    each a sequence of rows."""
-    if len(code1) != len(code2):
-        raise ValueError(f"row count mismatch: {len(code1)} vs {len(code2)}")
-    return sum((accf(r1, r2, u) for r1, r2 in zip(code1, code2)), 0j)
 
 
 @functools.lru_cache(maxsize=16)
@@ -742,9 +733,6 @@ class SpectrumTable:
     exact: bool
     re: np.ndarray
     im: np.ndarray
-
-    def value(self, i: int, j: int, u: int) -> complex:
-        return complex(self.re[u, i, j], self.im[u, i, j])
 
     def write_csv(self, path) -> None:
         """One row per (i, j, u), i slowest, CRLF-ended as the ``csv`` module

@@ -19,23 +19,13 @@ import numpy as np
 __all__ = [
     "GeneralizedBooleanFunction",
     "UnimodularSequence",
-    "QuadraticGraph",
     "PathFormReport",
-    "binvec",
     "psi",
     "roots_of_unity",
-    "quadratic_graph",
     "validate_restricted_path_form",
     "parse_gbf_text",
     "format_gbf_text",
 ]
-
-
-def binvec(j: int, m: int) -> tuple[int, ...]:
-    """Bit vector (j_0, ..., j_{m-1}) of j, least significant bit first."""
-    if not 0 <= j < (1 << m):
-        raise ValueError(f"index {j} out of range for {m} variables")
-    return tuple((j >> beta) & 1 for beta in range(m))
 
 
 def _bit_columns(m: int) -> np.ndarray:
@@ -77,32 +67,9 @@ class GeneralizedBooleanFunction:
     def __setattr__(self, name, value):
         raise AttributeError("GeneralizedBooleanFunction is immutable")
 
-    @classmethod
-    def zero(cls, q: int, m: int) -> "GeneralizedBooleanFunction":
-        return cls(q, m, {})
-
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
-
-    @property
-    def degree(self) -> int:
-        return max((len(t) for t in self._terms), default=0)
-
-    def evaluate(self, x) -> int:
-        """Value at a binary assignment ``x`` of length m."""
-        x = tuple(x)
-        if len(x) != self.m:
-            raise ValueError(f"expected {self.m} inputs, got {len(x)}")
-        total = 0
-        for idx, coeff in self._terms.items():
-            prod = 1
-            for i in idx:
-                prod *= x[i]
-                if not prod:
-                    break
-            total += coeff * prod
-        return total % self.q
 
     def truth_table(self) -> np.ndarray:
         """Values at all 2^m inputs, index j read LSB-first."""
@@ -236,43 +203,9 @@ def roots_of_unity(q: int) -> np.ndarray:
     return roots
 
 
-@dataclass(frozen=True)
-class QuadraticGraph:
-    """Graph of a quadratic GBF: one vertex per variable, one edge per
-    nonzero quadratic coefficient."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
-            if a == b or a not in self.vertices or b not in self.vertices:
-                raise ValueError(f"edge ({a},{b}) not between distinct known vertices")
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in sorted(self.vertices)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
-
 def psi(f: GeneralizedBooleanFunction) -> UnimodularSequence:
     """Unimodular sequence of f: entry j carries exponent f(j_0,...,j_{m-1})."""
     return UnimodularSequence(f.q, f.truth_table())
-
-
-def quadratic_graph(f: GeneralizedBooleanFunction) -> QuadraticGraph:
-    """Edges of the degree-2 part of f.  Raises if any term has degree > 2."""
-    if f.degree > 2:
-        raise ValueError(f"function has degree {f.degree}; graph needs degree <= 2")
-    edges = frozenset(
-        (idx[0], idx[1]) for idx in f.terms if len(idx) == 2
-    )
-    return QuadraticGraph(vertices=frozenset(range(f.m)), edges=edges)
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,12 @@ the blocks; for other q the blocks may change their summation order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import MultipleZczFamily
-from .correlation import verify_inter_zccz
 
 __all__ = [
     "SimulationConfig",
@@ -62,10 +60,6 @@ __all__ = [
     "SimulationResult",
     "assign_signatures",
     "simulate_ber",
-    "theoretical_bpsk_ber",
-    "noiseless_statistics",
-    "find_interference_witness",
-    "InterferenceWitness",
 ]
 
 # Bytes of one block of float64 bit signs.
@@ -183,12 +177,6 @@ def assign_signatures(family: MultipleZczFamily, clusters: int, users_per_cluste
             f"{len(family.sets[0])} sequences"
         )
     return [family.sets[c][:users_per_cluster] for c in range(clusters)]
-
-
-def theoretical_bpsk_ber(ebn0_db: float) -> float:
-    """Matched-filter BPSK error rate Q(sqrt(2 Eb/N0)) on AWGN."""
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    return 0.5 * math.erfc(math.sqrt(2.0 * ebn0) / math.sqrt(2.0))
 
 
 def _signature_matrix(family, clusters, users_per_cluster, delays):
@@ -353,58 +341,3 @@ def simulate_ber(family: MultipleZczFamily, config: SimulationConfig) -> Simulat
         interfering_users=tuple(live.tolist()),
     )
 
-
-def noiseless_statistics(
-    family: MultipleZczFamily,
-    clusters: int,
-    users_per_cluster: int,
-    delays: np.ndarray,
-    bits: np.ndarray,
-) -> np.ndarray:
-    """Noise-free decision statistics bits^T G for every user and bit window.
-
-    ``bits`` has shape (users, n_bits) with entries +-1; the returned
-    float64 array has shape (n_bits, users); its entries are exact
-    integers for q in {1, 2, 4}, and +-L when nothing interferes.
-    """
-    sig = _signature_matrix(family, clusters, users_per_cluster, np.asarray(delays))
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 2 or bits.shape[0] != sig.shape[0]:
-        raise ValueError(f"bits must have shape (users={sig.shape[0]}, n_bits)")
-    if not np.all(np.abs(bits) == 1):
-        raise ValueError("bits must be +-1")
-    return bits.T @ _mai_matrix(sig, np.arange(sig.shape[0]))
-
-
-@dataclass(frozen=True)
-class InterferenceWitness:
-    """A cross-cluster pair whose correlation is nonzero at some reachable
-    delay difference."""
-
-    cluster_a: int
-    user_a: int
-    cluster_b: int
-    user_b: int
-    shift: int
-    value: complex
-
-
-def find_interference_witness(
-    family: MultipleZczFamily, max_delay_chips: int
-) -> InterferenceWitness | None:
-    """The first cross-cluster user pair whose periodic correlation
-    (``value``, pccf at ``shift`` mod L) is nonzero at a delay difference
-    reachable under ``max_delay_chips``, or None when there is none.
-
-    Every set pair is certified at zone min(max_delay_chips, L - 1).  Only
-    shifts beyond the inter-set zone can qualify, so None is returned at
-    once whenever max_delay_chips <= Zc.
-    """
-    if max_delay_chips <= family.Zc:
-        return None
-    zone = min(max_delay_chips, family.L - 1)
-    for a, b in itertools.combinations(range(len(family.sets)), 2):
-        w = verify_inter_zccz(family.sets[a], family.sets[b], zone).witness
-        if w is not None:
-            return InterferenceWitness(a, w.i, b, w.j, w.shift, complex(w.re, w.im))
-    return None

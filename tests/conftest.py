@@ -13,19 +13,27 @@ exact-zero oracle decides a sum of q-th roots of unity by integer
 polynomial division modulo the cyclotomic polynomial, where the library
 reads floating-point Galois conjugates.  The real-stack oracle marks the
 roots each sequence uses, where the library reads the stacked exponents
-once.
+once.  The last section holds oracles that no package code calls, moved
+out of the package as they were, methods turned into plain functions:
+pointwise GBF evaluation and degree, the quadratic graph, the row-summed
+code correlation, single spectrum values, noise-free statistics, the
+interference-witness search and the AWGN BPSK error rate.
 """
 
 import cmath
 import csv
 import functools
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from zczseq import (
     ConstructionParams,
     HCoeffs,
+    MultipleZczFamily,
+    accf,
     build_seed_function,
     psi,
     verify_inter_zccz,
@@ -258,7 +266,7 @@ def oracle_ccc_family(params: ConstructionParams) -> list[list[list[UnimodularSe
 
 def _summed(q: int, m: int, terms) -> GeneralizedBooleanFunction:
     """The sum of (index tuple, coefficient) terms, repeated tuples added."""
-    f = GeneralizedBooleanFunction.zero(q, m)
+    f = GeneralizedBooleanFunction(q, m)
     for idx, coeff in terms:
         f = f + GeneralizedBooleanFunction(q, m, {idx: coeff})
     return f
@@ -374,3 +382,143 @@ def oracle_simulation_errors(family, config) -> np.ndarray:
                 stats += sigma * (rng.standard_normal(stats.shape) @ F)
             errors[p_idx] += ((stats > 0) != (bits[rows].T > 0)).sum(axis=0)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# oracles that no package code calls
+
+
+def evaluate(f: GeneralizedBooleanFunction, x) -> int:
+    """Value of f at a binary assignment ``x`` of length m."""
+    x = tuple(x)
+    if len(x) != f.m:
+        raise ValueError(f"expected {f.m} inputs, got {len(x)}")
+    total = 0
+    for idx, coeff in f.terms.items():
+        prod = 1
+        for i in idx:
+            prod *= x[i]
+            if not prod:
+                break
+        total += coeff * prod
+    return total % f.q
+
+
+def degree(f: GeneralizedBooleanFunction) -> int:
+    return max((len(t) for t in f.terms), default=0)
+
+
+def binvec(j: int, m: int) -> tuple[int, ...]:
+    """Bit vector (j_0, ..., j_{m-1}) of j, least significant bit first."""
+    if not 0 <= j < (1 << m):
+        raise ValueError(f"index {j} out of range for {m} variables")
+    return tuple((j >> beta) & 1 for beta in range(m))
+
+
+@dataclass(frozen=True)
+class QuadraticGraph:
+    """Graph of a quadratic GBF: one vertex per variable, one edge per
+    nonzero quadratic coefficient."""
+
+    vertices: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        for a, b in self.edges:
+            if a == b or a not in self.vertices or b not in self.vertices:
+                raise ValueError(f"edge ({a},{b}) not between distinct known vertices")
+
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        adj: dict[int, list[int]] = {v: [] for v in sorted(self.vertices)}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    def degree(self, v: int) -> int:
+        return sum(1 for a, b in self.edges if v in (a, b))
+
+
+def quadratic_graph(f: GeneralizedBooleanFunction) -> QuadraticGraph:
+    """Edges of the degree-2 part of f.  Raises if any term has degree > 2."""
+    if degree(f) > 2:
+        raise ValueError(f"function has degree {degree(f)}; graph needs degree <= 2")
+    edges = frozenset(
+        (idx[0], idx[1]) for idx in f.terms if len(idx) == 2
+    )
+    return QuadraticGraph(vertices=frozenset(range(f.m)), edges=edges)
+
+
+def code_accf(code1, code2, u: int) -> complex:
+    """Row-wise sum of aperiodic cross-correlations between two codes,
+    each a sequence of rows."""
+    if len(code1) != len(code2):
+        raise ValueError(f"row count mismatch: {len(code1)} vs {len(code2)}")
+    return sum((accf(r1, r2, u) for r1, r2 in zip(code1, code2)), 0j)
+
+
+def spectrum_value(table, i: int, j: int, u: int) -> complex:
+    """phi(i, j)(u) read from a ``SpectrumTable``."""
+    return complex(table.re[u, i, j], table.im[u, i, j])
+
+
+def noiseless_statistics(
+    family: MultipleZczFamily,
+    clusters: int,
+    users_per_cluster: int,
+    delays: np.ndarray,
+    bits: np.ndarray,
+) -> np.ndarray:
+    """Noise-free decision statistics bits^T G for every user and bit window.
+
+    ``bits`` has shape (users, n_bits) with entries +-1; the returned
+    float64 array has shape (n_bits, users); its entries are exact
+    integers for q in {1, 2, 4}, and +-L when nothing interferes.
+    """
+    sig = qscdma._signature_matrix(family, clusters, users_per_cluster, np.asarray(delays))
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.ndim != 2 or bits.shape[0] != sig.shape[0]:
+        raise ValueError(f"bits must have shape (users={sig.shape[0]}, n_bits)")
+    if not np.all(np.abs(bits) == 1):
+        raise ValueError("bits must be +-1")
+    return bits.T @ qscdma._mai_matrix(sig, np.arange(sig.shape[0]))
+
+
+@dataclass(frozen=True)
+class InterferenceWitness:
+    """A cross-cluster pair whose correlation is nonzero at some reachable
+    delay difference."""
+
+    cluster_a: int
+    user_a: int
+    cluster_b: int
+    user_b: int
+    shift: int
+    value: complex
+
+
+def find_interference_witness(
+    family: MultipleZczFamily, max_delay_chips: int
+) -> InterferenceWitness | None:
+    """The first cross-cluster user pair whose periodic correlation
+    (``value``, pccf at ``shift`` mod L) is nonzero at a delay difference
+    reachable under ``max_delay_chips``, or None when there is none.
+
+    Every set pair is certified at zone min(max_delay_chips, L - 1).  Only
+    shifts beyond the inter-set zone can qualify, so None is returned at
+    once whenever max_delay_chips <= Zc.
+    """
+    if max_delay_chips <= family.Zc:
+        return None
+    zone = min(max_delay_chips, family.L - 1)
+    for a, b in itertools.combinations(range(len(family.sets)), 2):
+        w = verify_inter_zccz(family.sets[a], family.sets[b], zone).witness
+        if w is not None:
+            return InterferenceWitness(a, w.i, b, w.j, w.shift, complex(w.re, w.im))
+    return None
+
+
+def theoretical_bpsk_ber(ebn0_db: float) -> float:
+    """Matched-filter BPSK error rate Q(sqrt(2 Eb/N0)) on AWGN."""
+    ebn0 = 10.0 ** (ebn0_db / 10.0)
+    return 0.5 * math.erfc(math.sqrt(2.0 * ebn0) / math.sqrt(2.0))

@@ -12,10 +12,13 @@ import time
 import numpy as np
 
 from conftest import (
+    code_accf,
+    find_interference_witness,
     naive_accf,
     naive_circular,
     random_sequence,
     random_valid_params,
+    theoretical_bpsk_ber,
     two_proportion_z,
 )
 from zczseq import (
@@ -25,10 +28,8 @@ from zczseq import (
     check_chunk_decomposition,
     check_seed_cancellation,
     cli,
-    code_accf,
     default_params,
     example1_params,
-    find_interference_witness,
     pccf,
     performance_parameter,
     seed_polynomial,
@@ -37,7 +38,7 @@ from zczseq import (
     verify_zcz,
 )
 from zczseq.gbf import GeneralizedBooleanFunction
-from zczseq.qscdma import SimulationConfig, simulate_ber, theoretical_bpsk_ber
+from zczseq.qscdma import SimulationConfig, simulate_ber
 
 SIM_SEED = 20260810
 
@@ -157,7 +158,7 @@ def test_acceptance_seed_cancellation():
         rep = check_seed_cancellation(seed_polynomial(params.h))
         assert rep.passed and not rep.failures
         checked += 1
-    zero = check_seed_cancellation(GeneralizedBooleanFunction.zero(2, 4))
+    zero = check_seed_cancellation(GeneralizedBooleanFunction(2, 4))
     assert not zero.passed and len(zero.failures) == 8
     _report("seed cancellation identity", f"{checked} samples + negative control")
 

@@ -51,6 +51,20 @@ def test_construct_constraint_violation(tmp_path, capsys):
     assert "0 <= s <= k <= m-2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, form",
+    [("--J", "a", "comma-separated integers such as 0,2"),
+     ("--h-d", "1", "pairs such as 1-2,2-3")],
+)
+def test_construct_names_the_form_of_a_bad_list_flag(tmp_path, capsys, flag, value, form):
+    code = run_cli("construct", "-q", "2", "-m", "4", "-k", "2", "-s", "1", flag, value,
+                   "-o", str(tmp_path / "x"))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid value {value!r}: expected {form}" in err
+    assert "_list" not in err and not (tmp_path / "x").exists()
+
+
 def test_construct_rebuild_from_manifest_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("construct", "--example1", "-o", str(a), "--no-certify") == EXIT_OK

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     certify_family,
+    code_accf,
+    degree,
     oracle_ccc_family,
     oracle_multiple_zcz,
+    quadratic_graph,
     random_valid_params,
 )
 from zczseq import (
@@ -26,14 +29,12 @@ from zczseq import (
     build_seed_function,
     check_chunk_decomposition,
     check_seed_cancellation,
-    code_accf,
     default_params,
     example1_params,
     export_family,
     load_family,
     path_gbf,
     psi,
-    quadratic_graph,
     seed_polynomial,
     verify_ccc,
     verify_inter_zccz,
@@ -81,11 +82,11 @@ def test_seed_graph_always_couples_ends():
 
 def test_seed_cancellation_bundled_and_zero():
     assert check_seed_cancellation(seed_polynomial(example1_params().h)).passed
-    rep = check_seed_cancellation(G.zero(2, 4))
+    rep = check_seed_cancellation(G(2, 4))
     assert not rep.passed
     assert len(rep.failures) == 8 and all(v == 2 for _, v in rep.failures)
     with pytest.raises(ValueError):
-        check_seed_cancellation(G.zero(4, 4))
+        check_seed_cancellation(G(4, 4))
 
 
 def test_seed_cancellation_random_samples():
@@ -184,8 +185,8 @@ def test_constructed_functions_stay_quadratic():
         fam = build_ccc_family(p)
         # every row's generating function came out of degree <= 2 algebra;
         # the sequences themselves certify the zone claims elsewhere
-        assert p.f.degree <= 2
-        assert seed_polynomial(p.h).degree <= 2
+        assert degree(p.f) <= 2
+        assert degree(seed_polynomial(p.h)) <= 2
         assert len(fam) == 1 << s
 
 
@@ -363,6 +364,14 @@ def test_chunk_decomposition_refuses_params_of_another_shape():
     with pytest.raises(ValueError, match=r"^params describe .* = \(\[4, 4\], 128, 2\), "
                                          r"but the family holds \(\[8, 8\], 256, 2\)$"):
         check_chunk_decomposition(fam, 0, 1, 7, 7, 0)
+
+
+def test_chunk_decomposition_refuses_codes_of_unequal_row_counts():
+    p = example1_params()
+    codes = [list(family) for family in build_ccc_family(p)]
+    codes[1][7] = codes[1][7][:-1]
+    with pytest.raises(ValueError, match=r"^row count mismatch: 8 vs 7$"):
+        check_chunk_decomposition(build_multiple_zcz(p), 0, 1, 7, 7, 0, codes=codes)
 
 
 def test_chunk_decomposition_needs_params():

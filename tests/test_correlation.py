@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    code_accf,
     csv_module_spectrum,
     exactly_zero,
     naive_circular,
     random_sequence,
     random_valid_params,
+    spectrum_value,
     undecidable_q8_pair,
     used_roots_real,
 )
@@ -31,7 +33,6 @@ from zczseq import (
     build_multiple_zcz,
     certify_family,
     check_chunk_decomposition,
-    code_accf,
     correlation,
     correlation_spectrum,
     default_params,
@@ -321,9 +322,9 @@ def test_performance_parameter_goldens():
 def test_spectrum_goldens_and_oracle():
     ones = binary(1, 1, 1, 1)
     table = correlation_spectrum([ones])
-    assert [table.value(0, 0, u) for u in range(4)] == [4, 4, 4, 4]
+    assert [spectrum_value(table, 0, 0, u) for u in range(4)] == [4, 4, 4, 4]
     table = correlation_spectrum([PERFECT4])
-    assert [table.value(0, 0, u) for u in range(4)] == [4, 0, 0, 0]
+    assert [spectrum_value(table, 0, 0, u) for u in range(4)] == [4, 0, 0, 0]
 
     rng = np.random.default_rng(5)
     seqs = [random_sequence(rng, 4, 12) for _ in range(3)]
@@ -331,7 +332,7 @@ def test_spectrum_goldens_and_oracle():
     for i in range(3):
         for j in range(3):
             for u in range(12):
-                assert table.value(i, j, u) == naive_circular(seqs[i], seqs[j], u)
+                assert spectrum_value(table, i, j, u) == naive_circular(seqs[i], seqs[j], u)
 
 
 def test_spectrum_cap():
@@ -370,7 +371,7 @@ def test_spectrum_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 8
     i, j, u, re, im = lines[1 + 8].split(",")
     assert (int(i), int(j), int(u)) == (0, 1, 0)
-    assert complex(int(re), int(im)) == table.value(0, 1, 0)
+    assert complex(int(re), int(im)) == spectrum_value(table, 0, 1, 0)
     # the row format: ints for exact tables, repr() of every float otherwise
     for q in (2, 6):
         table = correlation_spectrum([random_sequence(rng, q, 8) for _ in range(2)])

@@ -10,7 +10,10 @@ import pytest
 from conftest import (
     chip_level_errors,
     chip_signatures,
+    find_interference_witness,
+    noiseless_statistics,
     oracle_simulation_errors,
+    theoretical_bpsk_ber,
     two_proportion_z,
 )
 from zczseq import (
@@ -21,11 +24,8 @@ from zczseq import (
     build_multiple_zcz,
     default_params,
     example1_params,
-    find_interference_witness,
-    noiseless_statistics,
     pccf,
     simulate_ber,
-    theoretical_bpsk_ber,
 )
 from zczseq import qscdma
 from zczseq.construction import path_gbf
