@@ -119,6 +119,7 @@ def _params_from_args(args) -> construction.ConstructionParams:
     if any(v is not None for v in (args.h_c, args.h_d, args.h_e, args.h_ep)):
         if args.h_c is None:
             raise CliUsageError("--h-d/--h-e/--h-ep need --h-c as well")
+        construction._check_seed_k(args.h_c, args.k)
         h = construction.HCoeffs(
             c=args.h_c,
             d_pairs=args.h_d or (),

@@ -131,6 +131,14 @@ class HCoeffs:
         )
 
 
+def _check_seed_k(c, k: int) -> None:
+    """A seed for a given k holds k + 1 coefficients c.  Compared before
+    ``HCoeffs`` reads its cross terms and linear bits against len(c) - 1,
+    so a short c is reported as such, not as a bad d_pairs or e."""
+    if len(c) - 1 != k:
+        raise ValueError(f"seed coefficients are for k={len(c) - 1}, expected {k}")
+
+
 def seed_polynomial(coeffs: HCoeffs) -> GeneralizedBooleanFunction:
     """The seed function as a binary GBF over its own k+2 variables."""
     k = coeffs.k
@@ -236,8 +244,7 @@ class ConstructionParams:
             raise ValueError(f"q must be even and in [2, {MAX_MODULUS}], got {self.q}")
         object.__setattr__(self, "J", tuple(self.J))
         object.__setattr__(self, "pi", tuple(self.pi))
-        if self.h.k != self.k:
-            raise ValueError(f"seed coefficients are for k={self.h.k}, expected {self.k}")
+        _check_seed_k(self.h.c, self.k)
         if self.f.q != self.q or self.f.m != self.m:
             raise ValueError(
                 f"f must be over Z_{self.q} in {self.m} variables, got q={self.f.q}, m={self.f.m}"
@@ -336,6 +343,7 @@ class ConstructionParams:
         f = GeneralizedBooleanFunction(
             data["q"], data["m"], {tuple(idx): coeff for idx, coeff in data["f_terms"]}
         )
+        _check_seed_k(data["h"]["c"], data["k"])
         return cls(
             q=data["q"],
             m=data["m"],

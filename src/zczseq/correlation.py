@@ -86,24 +86,21 @@ DEFAULT_SPECTRUM_CELL_CAP = 1 << 24
 def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
     """Aperiodic cross-correlation of a against b at shift u (|u| <= L).
 
-    Only the overlapping chips are gathered from the shared table of the
-    q roots of unity; no full value vector is built.
+    One dot product of a slice of a's values with a slice of b's
+    conjugates, both read from the vectors each sequence keeps once built
+    (``UnimodularSequence._root_vectors``): nothing is gathered per call.
     """
-    ea, eb = a.exponents, b.exponents
-    L = ea.size
-    if eb.size != L:
-        raise ValueError(f"length mismatch: {L} vs {eb.size}")
-    q = a.q
-    if b.q != q:
-        raise ValueError(f"modulus mismatch: q={q} vs q={b.q}")
+    va, cb = a._root_vectors[0], b._root_vectors[1]
+    L = va.size
+    if cb.size != L:
+        raise ValueError(f"length mismatch: {L} vs {cb.size}")
+    if a.q != b.q:
+        raise ValueError(f"modulus mismatch: q={a.q} vs q={b.q}")
     if not -L <= u <= L:
         raise ValueError(f"shift {u} outside [-{L}, {L}]")
     if u >= 0:
-        ea, eb = ea[: L - u], eb[u:]
-    else:
-        ea, eb = ea[-u:], eb[: L + u]
-    roots = roots_of_unity(q)
-    return complex(np.vdot(roots[eb], roots[ea]))  # vdot conjugates b
+        return complex(va[: L - u].dot(cb[u:]))
+    return complex(va[-u:].dot(cb[: L + u]))
 
 
 def pccf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:

@@ -181,6 +181,22 @@ class UnimodularSequence:
         fresh array."""
         return roots_of_unity(self.q)[self.exponents]
 
+    @functools.cached_property
+    def _root_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, conjugates), read-only and kept once built, since the
+        sequence is immutable.  For q <= 2 every root is real, so one
+        float64 vector serves as both (8 B per chip); otherwise they are
+        two complex128 vectors (32 B per chip)."""
+        roots = roots_of_unity(self.q)
+        if self.q <= 2:
+            values = conj = roots.real[self.exponents]
+        else:
+            values = roots[self.exponents]
+            conj = values.conj()
+            conj.flags.writeable = False
+        values.flags.writeable = False
+        return values, conj
+
 
 @functools.lru_cache(maxsize=16)
 def roots_of_unity(q: int) -> np.ndarray:

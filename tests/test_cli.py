@@ -65,6 +65,17 @@ def test_construct_names_the_form_of_a_bad_list_flag(tmp_path, capsys, flag, val
     assert "_list" not in err and not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("seed_flags", [(), ("--h-d", "0-5"), ("--h-e", "1,1,1,1")],
+                         ids=["c-alone", "with-d", "with-e"])
+def test_construct_reports_a_short_h_c_before_its_other_seed_flags(tmp_path, capsys, seed_flags):
+    # --h-c 1 describes k = 0; the cross terms and linear bits are not read against it
+    code = run_cli("construct", "-q", "2", "-m", "4", "-k", "2", "-s", "1", "--h-c", "1",
+                   *seed_flags, "-o", str(tmp_path / "x"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed coefficients are for k=0, expected 2\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_construct_rebuild_from_manifest_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("construct", "--example1", "-o", str(a), "--no-certify") == EXIT_OK
@@ -588,7 +599,9 @@ def _family_commands(tmp_path, fam_dir):
     (lambda m: [1], "expected a JSON object"),
     (lambda m: {**m, "params": {**m["params"], "q": "x"}}, "malformed 'params'"),
     (lambda m: {**m, "params": {**m["params"], "f_terms": 5}}, "malformed 'params'"),
-], ids=["not-an-object", "q-string", "f-terms-int"])
+    (lambda m: {**m, "params": {**m["params"], "h": {**m["params"]["h"], "c": [1]}}},
+     "malformed 'params' (seed coefficients are for k=0, expected 2)"),
+], ids=["not-an-object", "q-string", "f-terms-int", "short-seed-c"])
 def test_a_malformed_manifest_is_an_error_line(tmp_path, capsys, edit, detail, command):
     fam_dir = tmp_path / "fam"
     run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")

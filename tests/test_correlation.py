@@ -85,42 +85,92 @@ def test_accf_errors():
         accf(a, a, 3)
 
 
-@pytest.mark.parametrize("q", [2, 4, 6, 8])
-def test_accf_equals_dot_with_conjugate_bit_for_bit(q):
-    rng = np.random.default_rng(30 + q)
-    L = 37
-    a, b = random_sequence(rng, q, L), random_sequence(rng, q, L)
+def _same_value(got, want, exact):
+    """``got`` is a Python complex equal to ``want``: as integers for exact
+    moduli (up to the sign of a zero), in every bit otherwise."""
+    assert type(got) is complex
+    if exact:
+        return got == want and got.real.is_integer() and got.imag.is_integer()
+    return np.array_equal(np.array([got.real, got.imag]).view(np.int64),
+                          np.array([want.real, want.imag]).view(np.int64))
+
+
+def _accf_mismatches(a, b):
+    """Shifts -L..L at which ``accf`` differs from np.dot(a, conj(b)) over
+    the overlapping chips, both taken from ``values()``."""
+    L = len(a)
     va, vb = a.values(), b.values()
+    bad = []
     for u in range(-L, L + 1):
         sa, sb = (slice(0, L - u), slice(u, L)) if u >= 0 else (slice(-u, L), slice(0, L + u))
-        want = np.dot(va[sa], np.conj(vb[sb]))
-        got = accf(a, b, u)
-        assert type(got) is complex
-        if a.exact:  # integers, equal up to the sign of a zero
-            assert got == want and got.real.is_integer() and got.imag.is_integer()
-            continue
-        assert np.array_equal(np.array([got.real, got.imag]).view(np.int64),
-                              np.array([want.real, want.imag]).view(np.int64))
+        if not _same_value(accf(a, b, u), np.dot(va[sa], np.conj(vb[sb])), a.exact):
+            bad.append(u)
+    return bad
 
 
-@pytest.mark.parametrize("q", [2, 4, 6, 8])
-def test_pccf_equals_two_dots_bit_for_bit(q):
-    # the forward dot plus the conjugated backward one, as Python complex
-    rng = np.random.default_rng(40 + q)
-    L = 37
-    a, b = random_sequence(rng, q, L), random_sequence(rng, q, L)
+def _pccf_mismatches(a, b):
+    """Shifts 0..L-1 at which ``pccf`` differs from the forward dot plus
+    the conjugated backward one, as Python complex."""
+    L = len(a)
     va, vb = a.values(), b.values()
+    bad = []
     for u in range(L):
         fwd = np.dot(va[: L - u], np.conj(vb[u:]))
         bwd = np.dot(vb[: u], np.conj(va[L - u :]))
-        got = pccf(a, b, u)
-        want = complex(fwd) + complex(bwd).conjugate()
-        assert type(got) is complex
-        if a.exact:  # integers, equal up to the sign of a zero
-            assert got == want and got.real.is_integer() and got.imag.is_integer()
-            continue
-        assert np.array_equal(np.array([got.real, got.imag]).view(np.int64),
-                              np.array([want.real, want.imag]).view(np.int64))
+        if not _same_value(pccf(a, b, u), complex(fwd) + complex(bwd).conjugate(), a.exact):
+            bad.append(u)
+    return bad
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8, 16])
+def test_accf_equals_dot_with_conjugate_bit_for_bit(q):
+    rng = np.random.default_rng(30 + q)
+    a, b = random_sequence(rng, q, 37), random_sequence(rng, q, 37)
+    assert _accf_mismatches(a, b) == [] and _accf_mismatches(b, a) == []
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8, 16])
+def test_pccf_equals_two_dots_bit_for_bit(q):
+    rng = np.random.default_rng(40 + q)
+    a, b = random_sequence(rng, q, 37), random_sequence(rng, q, 37)
+    assert _pccf_mismatches(a, b) == [] and _pccf_mismatches(b, a) == []
+
+
+def test_a_conjugated_q8_pair_correlates_bit_for_bit():
+    # sigma_3 sequences, as --deep builds them for q = 8, keep vectors of their own
+    rng = np.random.default_rng(48)
+    pair = random_sequence(rng, 8, 37), random_sequence(rng, 8, 37)
+    a, b = correlation._conjugate(pair, 3)
+    assert a._root_vectors[0] is not pair[0]._root_vectors[0]
+    assert _accf_mismatches(a, b) == [] and _pccf_mismatches(a, b) == []
+
+
+def test_the_dot_oracle_catches_an_accf_that_skips_the_conjugate():
+    # negative control: b's "conjugates" slot holding its values must not pass
+    rng = np.random.default_rng(34)
+    a, b = random_sequence(rng, 4, 37), random_sequence(rng, 4, 37)
+    assert _accf_mismatches(a, b) == []
+    b.__dict__["_root_vectors"] = (b._root_vectors[0], b._root_vectors[0])
+    assert _accf_mismatches(a, b)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
+def test_a_sequence_keeps_read_only_root_vectors(q):
+    seq = random_sequence(np.random.default_rng(50 + q), q, 29)
+    values, conj = vectors = seq._root_vectors
+    assert seq._root_vectors is vectors  # built once, kept
+    want = seq.values()
+    if q <= 2:
+        assert values is conj and values.dtype == np.float64
+        assert np.array_equal(values, want.real) and not want.imag.any()
+    else:
+        assert values.dtype == conj.dtype == np.complex128
+        assert np.array_equal(values.view(np.int64), want.view(np.int64))
+        assert np.array_equal(conj.view(np.int64), np.conj(want).view(np.int64))
+    for vector in (values, conj):
+        with pytest.raises(ValueError):
+            vector[0] = 0
+    assert not np.shares_memory(seq.values(), values)  # values() stays a fresh copy
 
 
 def test_accf_conjugate_symmetry():
