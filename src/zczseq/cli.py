@@ -296,7 +296,10 @@ def cmd_spectrum(args) -> int:
     if loaded is None:
         return EXIT_CERT_FAIL
     seqs = [z for st in loaded.family.sets for z in st]
-    table = correlation.correlation_spectrum(seqs, max_cells=args.max_cells)
+    try:
+        table = correlation.correlation_spectrum(seqs, max_cells=args.max_cells)
+    except correlation.SpectrumCapError as exc:
+        raise CliUsageError(f"{exc}; raise --max-cells to override") from None
     table.write_csv(args.out)
     print(f"wrote: {args.out} ({table.K * table.K * table.L} rows)")
     return EXIT_OK

@@ -27,6 +27,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,16 +400,15 @@ def _parity_offsets(base: np.ndarray, masks, flips, q: int) -> np.ndarray:
     (q/2)-weighted linear terms on the variables in the mask and a
     (q/2)-weighted constant.  len(base) is a power of two, so the parities
     of every row form one table, doubled up one bit of j at a time (index
-    j + 2^v is index j XOR bit v of the mask), in the narrowest unsigned
-    dtype that holds 2q - 1."""
+    j + 2^v is index j XOR bit v of the mask), in base's dtype, the
+    sequences' exponent dtype, which holds 2q - 1."""
     masks = np.asarray(masks, dtype=np.int64)[:, None]
-    dtype = np.min_scalar_type(2 * q - 1)
-    out = np.empty(masks.shape, dtype=dtype)
+    out = np.empty(masks.shape, dtype=base.dtype)
     out[:, 0] = flips
     for v in range(len(base).bit_length() - 1):
-        out = np.concatenate([out, out ^ ((masks >> v) & 1).astype(dtype)], axis=1)
+        out = np.concatenate([out, out ^ ((masks >> v) & 1).astype(base.dtype)], axis=1)
     out *= q // 2
-    out += base.astype(dtype)
+    out += base
     return np.minimum(out, out - q)  # for 0 <= x < 2q, x - q wraps unless x >= q
 
 
@@ -521,8 +521,7 @@ def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkDecompositionReport:
+class ChunkDecompositionReport(NamedTuple):
     """Direct periodic correlation versus its chunk-level assembly."""
 
     lhs: complex
@@ -592,7 +591,7 @@ def _format_sequence_file(seq: UnimodularSequence, Z: int, Zc: int) -> bytes:
     :func:`_exponent_records`; dropping the NUL padding of the shorter
     records leaves the same bytes as formatting each exponent in turn."""
     header = f"q={seq.q}\nL={len(seq)}\nZ={Z}\nZc={Zc}\n".encode()
-    body = _exponent_records(seq.q)[seq.exponents].view(np.uint8)
+    body = _exponent_records(seq.q).take(seq.exponents).view(np.uint8)
     return header + body[body != 0].tobytes()
 
 
@@ -608,7 +607,7 @@ def _decode_exponents(body: bytes, L: int) -> np.ndarray:
         # so, is d; every other byte pair lands outside 0..9 (below by wrapping)
         digits = np.frombuffer(body, dtype="<u2") - np.uint16(ord("0") + (ord("\n") << 8))
         if digits.max() <= 9:
-            return digits  # the sequence makes its own int64 copy
+            return digits  # the sequence makes its own narrow copy
     text = body.decode()
     # one exponent per line: a (lines, 1) table, or a parse error
     exps = np.empty((0, 1), np.int64)

@@ -164,7 +164,7 @@ def _conjugate(seqs, unit: int):
     if isinstance(seqs, UnimodularSequence):
         built = seqs.__dict__.setdefault("_conjugates", {})
         if unit not in built:
-            built[unit] = UnimodularSequence(seqs.q, seqs.exponents * unit % seqs.q)
+            built[unit] = UnimodularSequence(seqs.q, seqs.exponents.astype(np.int64) * unit % seqs.q)
         return built[unit]
     return tuple(_conjugate(z, unit) for z in seqs)
 
@@ -189,8 +189,8 @@ def _kernel_dtype(is_complex, exact, N):
 
 class _Stack(NamedTuple):
     """K rows of q-th roots of unity, held as (K, L) exponents in the
-    narrowest unsigned dtype that holds the sum of two; ``real`` when every
-    root they use is real (then so is every root of every conjugate)."""
+    sequences' dtype, which holds the sum of two; ``real`` when every root
+    they use is real (then so is every root of every conjugate)."""
 
     exps: np.ndarray
     q: int
@@ -212,7 +212,7 @@ class _Stack(NamedTuple):
 
     def matrix(self, unit: int = 1) -> np.ndarray:
         """sigma_unit of the rows as one matrix for the kernels."""
-        return self.roots(unit)[self.exps]
+        return self.roots(unit).take(self.exps)
 
 
 def _stack(seqs) -> _Stack:
@@ -221,13 +221,12 @@ def _stack(seqs) -> _Stack:
     if not seqs:
         raise ValueError("empty sequence set")
     q, L = seqs[0].q, len(seqs[0])
-    exps = np.empty((len(seqs), L), dtype=np.min_scalar_type(2 * q - 1))
-    for n, z in enumerate(seqs):
+    for z in seqs:
         if z.q != q:
             raise ValueError("sequences must share one modulus")
         if len(z) != L:
             raise ValueError("sequences must share one length")
-        exps[n] = z.exponents
+    exps = np.stack([z.exponents for z in seqs])
     # the roots whose imaginary part in roots_of_unity(q) is exactly 0: all
     # of them for q <= 2, the even exponents for q = 4, omega^0 alone otherwise
     real = q <= 2 or not (exps & 1 if q == 4 else exps).any()
@@ -281,7 +280,7 @@ class _Fold(NamedTuple):
     order: np.ndarray
 
     def gather(self, roots) -> "_Fold":
-        z0, X, Y, H = (roots[f] for f in self[:4])
+        z0, X, Y, H = (roots.take(f) for f in self[:4])
         return _Fold(z0, X, Y, H, self.order)
 
 
@@ -770,9 +769,7 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
     stack = _stack(seqs)
     cells = stack.K * stack.K * stack.L
     if cells > max_cells:
-        raise SpectrumCapError(
-            f"spectrum needs {cells} cells, cap is {max_cells}; raise max_cells to override"
-        )
+        raise SpectrumCapError(f"spectrum needs {cells} cells, cap is {max_cells}")
     shifts = np.arange(stack.L, dtype=np.int64)
     mat = stack.matrix()
     phi = _periodic_table(mat, mat, shifts)

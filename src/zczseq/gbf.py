@@ -147,7 +147,9 @@ class GeneralizedBooleanFunction:
 
 @dataclass(frozen=True, eq=False)
 class UnimodularSequence:
-    """Length-L sequence of q-th roots of unity stored as exponents."""
+    """Length-L sequence of q-th roots of unity, stored as its own read-only
+    exponents in the narrowest unsigned dtype that holds 2q - 1 (one byte for
+    q <= 128): a sum of two is exact, but widen before a difference or product."""
 
     q: int
     exponents: np.ndarray
@@ -155,11 +157,12 @@ class UnimodularSequence:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"modulus must be positive, got {self.q}")
-        exps = np.array(self.exponents, dtype=np.int64)  # the sequence's own copy
+        exps = np.asarray(self.exponents)
         if exps.ndim != 1 or exps.size < 1:
             raise ValueError("exponents must be a nonempty 1-d vector")
         if exps.min() < 0 or exps.max() >= self.q:
             raise ValueError(f"exponents must lie in [0, {self.q})")
+        exps = exps.astype(np.min_scalar_type(2 * self.q - 1))  # astype copies: the sequence owns them
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
 
@@ -179,7 +182,7 @@ class UnimodularSequence:
     def values(self) -> np.ndarray:
         """Complex entries, gathered from :func:`roots_of_unity` into a
         fresh array."""
-        return roots_of_unity(self.q)[self.exponents]
+        return roots_of_unity(self.q).take(self.exponents)
 
     @functools.cached_property
     def _root_vectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +192,9 @@ class UnimodularSequence:
         two complex128 vectors (32 B per chip)."""
         roots = roots_of_unity(self.q)
         if self.q <= 2:
-            values = conj = roots.real[self.exponents]
+            values = conj = roots.real.take(self.exponents)
         else:
-            values = roots[self.exponents]
+            values = roots.take(self.exponents)
             conj = values.conj()
             conj.flags.writeable = False
         values.flags.writeable = False
@@ -210,9 +213,7 @@ def roots_of_unity(q: int) -> np.ndarray:
     if q == 2:
         roots = (1.0 - 2.0 * e).astype(np.complex128)
     elif q == 4:
-        roots = np.array([1, 0, -1, 0], dtype=np.float64) + 1j * np.array(
-            [0, 1, 0, -1], dtype=np.float64
-        )
+        roots = np.array([1.0, 0.0, -1.0, 0.0]) + 1j * np.array([0.0, 1.0, 0.0, -1.0])
     else:
         roots = np.exp(2j * np.pi * e / q)
     roots.flags.writeable = False

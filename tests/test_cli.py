@@ -315,7 +315,9 @@ def test_spectrum_outputs_and_cap(tmp_path, capsys):
     for ln in lines[2:18]:
         assert ln.endswith(",0,0")
     assert run_cli("spectrum", str(out), "-o", str(csv_path), "--max-cells", "10") == EXIT_USAGE
-    assert "cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cap is 10" in err and "raise --max-cells to override" in err
+    assert "max_cells" not in err  # the library argument is not the CLI's to name
 
 
 def test_simulate_round_trip_and_determinism(tmp_path):

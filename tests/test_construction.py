@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,40 @@ def test_export_is_reproducible(tmp_path):
     export_family(fam, tmp_path / "b")
     for rel in ("0/0.seq", "1/7.seq"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def _traced(make):
+    """``make()`` and the memory tracemalloc still counts when it returns."""
+    tracemalloc.start()
+    try:
+        made = make()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return made, held
+
+
+def test_built_and_loaded_sequences_hold_one_byte_per_chip(tmp_path):
+    # 128 sequences of 16,384 chips: int64 exponents would hold 8 B per chip
+    fam, built = _traced(lambda: build_multiple_zcz(default_params(2, 8, 4, 2)))
+    export_family(fam, tmp_path)
+    loaded, read = _traced(lambda: load_family(tmp_path).family)
+    chips = 128 * 16384
+    assert built < 1.5 * chips and read < 1.5 * chips
+    for family in (fam, loaded):
+        assert all(z.exponents.nbytes == len(z) == 16384 for st in family.sets for z in st)
+
+
+@pytest.mark.parametrize("q", [2, 8, 128, 130])
+def test_sequences_store_the_narrowest_unsigned_dtype_for_2q_minus_1(tmp_path, q):
+    fam = build_multiple_zcz(default_params(q, 4, 2, 1))
+    export_family(fam, tmp_path)
+    loaded = load_family(tmp_path).family
+    assert loaded.sets == fam.sets
+    dtype = np.uint8 if q <= 128 else np.uint16
+    codes = [row for family in build_ccc_family(fam.params) for code in family for row in code]
+    stored = [z for family in (fam, loaded) for st in family.sets for z in st] + codes
+    assert all(z.exponents.dtype == dtype and not z.exponents.flags.writeable for z in stored)
 
 
 def test_load_rejects_malformed(tmp_path):

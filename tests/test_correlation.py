@@ -145,6 +145,15 @@ def test_a_conjugated_q8_pair_correlates_bit_for_bit():
     assert _accf_mismatches(a, b) == [] and _pccf_mismatches(a, b) == []
 
 
+def test_conjugate_widens_exponents_before_multiplying():
+    # negative control: sigma_15 of exponent 33 at q = 34 is 495 mod 34 = 19;
+    # multiplied in the stored uint8, 495 would wrap to 239 and give 1
+    seq = UnimodularSequence(34, np.arange(34))
+    assert seq.exponents.dtype == np.uint8
+    conj = correlation._conjugate(seq, 15)
+    assert conj.exponents.tolist() == (np.arange(34, dtype=np.int64) * 15 % 34).tolist()
+
+
 def test_the_dot_oracle_catches_an_accf_that_skips_the_conjugate():
     # negative control: b's "conjugates" slot holding its values must not pass
     rng = np.random.default_rng(34)
@@ -1154,14 +1163,17 @@ def test_code_and_chunk_verdicts_decide_where_a_float_tolerance_refused():
 
 
 def _periodic_counts(a, b, u, q):
-    """The multiplicity of each q-th root in pccf(a, b)(u)."""
-    return np.bincount((a.exponents - np.roll(b.exponents, -u)) % q, minlength=q)
+    """The multiplicity of each q-th root in pccf(a, b)(u); the stored
+    exponents are unsigned, so they are widened before subtracting."""
+    ea, eb = a.exponents.astype(np.int64), b.exponents.astype(np.int64)
+    return np.bincount((ea - np.roll(eb, -u)) % q, minlength=q)
 
 
 def _aperiodic_counts(a, b, u, q):
     """The multiplicity of each q-th root in accf(a, b)(u), 0 <= u <= L."""
     L = len(a)
-    return np.bincount((a.exponents[: L - u] - b.exponents[u:]) % q, minlength=q)
+    ea, eb = a.exponents.astype(np.int64), b.exponents.astype(np.int64)
+    return np.bincount((ea[: L - u] - eb[u:]) % q, minlength=q)
 
 
 def _chunk_check_counts(p, fam, codes, t1, t1b, i, j, tau):

@@ -204,7 +204,12 @@ def test_sequence_owns_a_read_only_copy_of_its_exponents():
     table = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)  # a parity table
     row = UnimodularSequence(2, table[0])
     table[:] = 0
-    assert row.exponents.tolist() == [1, 0, 1] and row.exponents.dtype == np.int64
+    assert row.exponents.tolist() == [1, 0, 1]
+    # the narrowest unsigned dtype that holds 2q - 1, whatever the input's
+    for stored, q in ((seq.exponents, 4), (row.exponents, 2)):
+        assert stored.dtype == np.min_scalar_type(2 * q - 1) == np.uint8
+    wide = UnimodularSequence(256, np.array([0, 255], dtype=np.int64)).exponents
+    assert wide.dtype == np.uint16 and wide.tolist() == [0, 255]
     for stored in (seq.exponents, row.exponents):
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
