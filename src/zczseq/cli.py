@@ -179,7 +179,7 @@ def _print_family_summary(family):
     K = len(family.sets[0])
     print(f"sets: {len(family.sets)}  sequences/set: {K}  length: {family.L}")
     print(f"zone width Z: {family.Z}  inter-set zone Zc: {family.Zc}")
-    binary = family.q == 2
+    binary = all(correlation._is_binary(z.exponents, family.q) for st in family.sets for z in st)
     rho, cls = correlation.performance_parameter(K, family.Z, family.L, binary=binary)
     print(f"per-set rho ({'binary' if binary else 'general'}): {_rho_str(rho)} ({cls})")
     union_k = sum(len(st) for st in family.sets)
@@ -238,7 +238,19 @@ def _load_matching_family(directory):
     return loaded
 
 
+def _refuse_family_output(directory, out) -> None:
+    """Refuse, before any work, an output path that resolves to the family's
+    manifest, to one of its sequence files or to a new one in a set directory."""
+    root, target = Path(directory), Path(out).resolve()
+    sets = construction._family_files(root) if target.suffix == ".seq" and root.is_dir() else []
+    if target == (root / "manifest.json").resolve() or any(
+            target.parent == sub.resolve() or target in map(Path.resolve, seqs) for sub, seqs in sets):
+        raise CliUsageError(f"{out} would overwrite or join the family in {directory}")
+
+
 def cmd_verify(args) -> int:
+    if args.report:  # the default, DIR/certificates.json, is not a family file
+        _refuse_family_output(args.directory, args.report)
     loaded = construction.load_family(args.directory)
     Z = args.zcz if args.zcz is not None else loaded.family.Z
     Zc = args.zccz if args.zccz is not None else loaded.family.Zc
@@ -292,6 +304,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _refuse_family_output(args.directory, args.out)
     loaded = _load_matching_family(args.directory)
     if loaded is None:
         return EXIT_CERT_FAIL

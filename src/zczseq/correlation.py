@@ -199,6 +199,7 @@ class _Stack(NamedTuple):
     K = property(lambda self: self.exps.shape[0])
     L = property(lambda self: self.exps.shape[1])
     exact = property(lambda self: self.q in (1, 2, 4))
+    binary = property(lambda self: _is_binary(self.exps, self.q))
 
     def rows(self, sl) -> "_Stack":
         return self._replace(exps=self.exps[sl])
@@ -213,6 +214,11 @@ class _Stack(NamedTuple):
     def matrix(self, unit: int = 1) -> np.ndarray:
         """sigma_unit of the rows as one matrix for the kernels."""
         return self.roots(unit).take(self.exps)
+
+
+def _is_binary(exps, q: int) -> bool:
+    """Every entry omega^e is +-1: each exponent lies in {0, q/2}."""
+    return q <= 2 or not (2 * exps % q).any()
 
 
 def _stack(seqs) -> _Stack:
@@ -504,9 +510,8 @@ def _zcz_certificate(stack: _Stack, Z: int, phis) -> ZczCertificate:
     """Scan the conjugate self tables of ``stack`` into a certificate."""
     shifts = np.arange(Z + 1, dtype=np.int64)
     violations, witness = _scan_block(phis, shifts, stack.exact, peak=stack.L)
-    rho, classification = performance_parameter(
-        stack.K, Z, stack.L, binary=(stack.q == 2)
-    )
+    binary = stack.binary
+    rho, classification = performance_parameter(stack.K, Z, stack.L, binary=binary)
     return ZczCertificate(
         K=stack.K,
         Z=Z,
@@ -515,7 +520,7 @@ def _zcz_certificate(stack: _Stack, Z: int, phis) -> ZczCertificate:
         passed=not violations,
         rho=rho,
         classification=classification,
-        formula="binary" if stack.q == 2 else "general",
+        formula="binary" if binary else "general",
         violations=violations,
         witness=witness,
     )
@@ -732,33 +737,45 @@ class SpectrumTable:
 
     def write_csv(self, path) -> None:
         """One row per (i, j, u), i slowest, CRLF-ended as the ``csv`` module
-        writes them: int64 tables write ints and float64 tables ``repr``
-        floats (``str(float) == repr(float)``).  Rows are formatted one
-        ``pair_i`` block at a time."""
-        n = self.K * self.L
-        j, u = np.indices((self.K, self.L)).reshape(2, -1)
-        pair = np.hstack([_csv_fields(j, b","), _csv_fields(u, b",")])
+        writes them: ints for int64 tables, ``repr`` floats for float64 ones.
+        Each ``pair_i`` block fills one reused record array of NUL-padded
+        text fields (``pair_j`` and ``shift`` filled once), less its NULs."""
+        pairs, shifts = (np.array([b"%d," % v for v in range(n)]) for n in (self.K, self.L))
+        cols = {"re": _csv_texts(self.re, b","), "im": _csv_texts(self.im, b"\r\n")}
+        fields = [("i", pairs.dtype), ("j", pairs.dtype), ("u", shifts.dtype)]
+        rec = np.empty((self.K, self.L), fields + [(n, d) for n, (d, _) in cols.items()])
+        rec["j"], rec["u"] = pairs[:, None], shifts
         with open(path, "wb") as fh:
             fh.write(b"pair_i,pair_j,shift,re,im\r\n")
             for i in range(self.K):
-                lead = np.frombuffer(b"%d," % i, np.uint8)
-                rows = np.hstack([
-                    np.broadcast_to(lead, (n, lead.size)),
-                    pair,
-                    _csv_fields(self.re[:, i, :].T, b","),
-                    _csv_fields(self.im[:, i, :].T, b"\r\n"),
-                ])
-                fh.write(rows[rows != 0].tobytes())
+                rec["i"] = pairs[i]
+                for name, (_, texts) in cols.items():
+                    rec[name] = texts(getattr(self, name)[:, i, :].T)
+                fh.write(rec.tobytes().translate(None, b"\0"))
 
 
-def _csv_fields(values: np.ndarray, end: bytes) -> np.ndarray:
-    """``str(v) + end`` for every entry of ``values`` (in C order) as the
-    rows of a NUL-padded uint8 table.  Each distinct bit pattern is
-    formatted once, so -0.0 and 0.0 keep their own text."""
-    flat = np.ascontiguousarray(values).reshape(-1)
-    keys, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-    table = np.array([str(v).encode() + end for v in keys.view(flat.dtype).tolist()])
-    return table[inverse.reshape(-1)].view(np.uint8).reshape(flat.size, -1)
+def _csv_texts(values: np.ndarray, end: bytes):
+    """``(dtype, texts)``: ``texts(block)`` is ``str(v) + end`` of each entry of
+    a block of an (L, K, K) table, NUL-padded to ``dtype``.  int64 tables format
+    the range [min, max] within [-L, L] once and index it by v - min; float64
+    tables format each distinct bit pattern of a block (so -0.0 keeps its
+    sign) into fields as wide as the longest float repr, 24 characters."""
+    if values.dtype.kind == "i":
+        lo, hi, L = int(values.min()), int(values.max()), len(values)
+        if lo < -L or hi > L:
+            raise ValueError(f"exact table entries [{lo}, {hi}] outside [-{L}, {L}]")
+        table = np.array([b"%d%s" % (v, end) for v in range(lo, hi + 1)])
+        # one value: the same text in every block, assigned without a gather
+        return table.dtype, (lambda b: table.take(b - lo)) if lo < hi else (lambda _: table[0])
+
+    def texts(block):
+        bits = block.view(np.uint64)
+        keys = np.sort(bits, axis=None)
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # as np.unique, without its hashing
+        table = np.array([str(v).encode() + end for v in keys.view(np.float64).tolist()])
+        return table.take(np.searchsorted(keys, bits))
+
+    return np.dtype(f"S{24 + len(end)}"), texts
 
 
 def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> SpectrumTable:

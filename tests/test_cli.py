@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, file outputs, reproducibility."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zczseq import cli, construction, correlation, format_gbf_text, qscdma
@@ -676,3 +678,68 @@ def test_spectrum_refuses_a_family_that_disagrees_with_its_manifest(tmp_path, ca
         "error: family files disagree with manifest.json (mismatched: 0/0.seq, 0/1.seq)\n"
     )
     assert not (tmp_path / "spec.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["0/0.seq", "manifest.json", "1/../1/7.seq", "0/8.seq", "link"])
+def test_outputs_never_overwrite_the_family_they_read(tmp_path, capsys, monkeypatch, target):
+    # a family file, the manifest, a path through "..", a new sequence file
+    # that the next load would read, and a symlink to a family file
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    out = fam_dir / target
+    if target == "link":
+        out = tmp_path / "spec.csv"
+        out.symlink_to(fam_dir / "1" / "3.seq")
+    before = {p: p.read_bytes() for p in fam_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    with monkeypatch.context() as m:  # refused before any work
+        m.setattr(construction, "load_family", lambda directory: pytest.fail("family read"))
+        for argv in (("spectrum", str(fam_dir), "-o", str(out)),
+                     ("verify", str(fam_dir), "--report", str(out))):
+            assert run_cli(*argv) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: {out} would overwrite or join the family in {fam_dir}\n"
+            )
+    assert {p: p.read_bytes() for p in fam_dir.rglob("*") if p.is_file()} == before
+    # the default report, and outputs beside the sequence files, are written
+    assert run_cli("verify", str(fam_dir)) == EXIT_OK
+    assert (fam_dir / "certificates.json").exists()
+    assert run_cli("verify", str(fam_dir), "--report", str(fam_dir / "0" / "report.json")) == EXIT_OK
+    assert run_cli("spectrum", str(fam_dir), "-o", str(fam_dir / "spec.csv")) == EXIT_OK
+    assert run_cli("verify", str(fam_dir)) == EXIT_OK
+
+
+def test_certificates_rate_the_alphabet_the_sequences_use(tmp_path, capsys):
+    """(4,5,2,1) with the default f has exponents in {0, 2} only: its
+    sequences are those of (2,5,2,1), with every exponent doubled, and they
+    are rated by the binary bound alike.  An odd linear coefficient in f makes
+    the family quaternary, rated by the general bound."""
+    f_odd = tmp_path / "f.gbf"
+    f = construction.default_params(4, 5, 2, 1).f
+    f_odd.write_text(format_gbf_text(GeneralizedBooleanFunction(4, 5, {**f.terms, (0,): 1})))
+    runs = {}
+    for name, q, extra in (("q2", "2", ()), ("q4", "4", ()), ("q4-odd", "4", ("--f", str(f_odd)))):
+        out = tmp_path / name
+        assert run_cli("construct", "-q", q, "-m", "5", "-k", "2", "-s", "1", *extra,
+                       "-o", str(out)) == EXIT_OK
+        certs = json.loads((out / "manifest.json").read_text())["certificates"]
+        runs[name] = capsys.readouterr().out, certs, construction.load_family(out).family
+    for name in ("q2", "q4"):
+        stdout, certs, _ = runs[name]
+        assert "per-set rho (binary): 1 (optimal)" in stdout
+        assert "union: (16,15,512)  rho: 15/16 (near-optimal)" in stdout
+        assert [(c["formula"], c["rho"], c["classification"]) for c in certs["sets"]] == [
+            ("binary", [1, 1], "optimal")] * 2
+        union = certs["union"]
+        assert (union["formula"], union["rho"], union["classification"]) == (
+            "binary", [15, 16], "near-optimal")
+    for z2, z4 in zip(*(itertools.chain(*runs[name][2].sets) for name in ("q2", "q4"))):
+        assert np.array_equal(2 * z2.exponents, z4.exponents)
+    stdout, certs, family = runs["q4-odd"]
+    assert any((z.exponents % 2).any() for z in family.sets[0])
+    assert "per-set rho (general): 33/64 (neither)" in stdout
+    assert "union: (16,15,512)  rho: 1/2 (neither)" in stdout
+    assert {c["formula"] for c in (*certs["sets"], certs["union"])} == {"general"}
+    assert certs["pass"]
+    assert run_cli("verify", str(tmp_path / "q4")) == EXIT_OK
+    assert "set 0: (8,32,512) PASS rho=1 optimal" in capsys.readouterr().out

@@ -459,6 +459,65 @@ def test_spectrum_csv_bytes_match_the_csv_module(q, tmp_path):
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_spectrum_csv_bytes_match_the_csv_module_at_the_bench_shape(q, tmp_path):
+    # 16 sequences of 256 chips, the shape of the bundled example's union:
+    # i and j reach two digits and u three, over 16 pair_i blocks
+    rng = np.random.default_rng(60 + q)
+    L = 256
+    table = correlation_spectrum([random_sequence(rng, q, L) for _ in range(16)])
+    tables = [table]
+    if table.exact:
+        assert (table.re < 0).any() and (q == 2 or (table.im < 0).any())
+        # one-sided ranges reaching -L, and a constant nonzero column
+        tables.append(dataclasses.replace(table, re=-abs(table.re), im=np.full_like(table.re, -L)))
+    else:
+        # -0.0 next to 0.0 and 17-digit reprs, in the first, a middle and the last block
+        re, im = table.re.copy(), table.im.copy()
+        for i in (0, 7, 15):
+            re[0::3, i, 1], re[1::3, i, 1], re[2::3, i, 1] = -0.0, 0.0, 0.1 + 0.2
+            im[0::3, i, 2], im[1::3, i, 2], im[2::3, i, 2] = 0.0, -0.0, -(0.1 + 0.2)
+        tables.append(dataclasses.replace(table, re=re, im=im))
+    for t in tables:
+        t.write_csv(tmp_path / "fast.csv")
+        csv_module_spectrum(t, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+def test_spectrum_csv_refuses_exact_entries_beyond_the_length(tmp_path):
+    # an exact entry has magnitude at most L; the writer formats [min, max] densely
+    table = correlation_spectrum([PERFECT4])
+    re = table.re.copy()
+    re[0, 0, 0] = 5
+    with pytest.raises(ValueError, match=r"exact table entries \[0, 5\] outside \[-4, 4\]"):
+        dataclasses.replace(table, re=re).write_csv(tmp_path / "spec.csv")
+
+
+@pytest.mark.parametrize("q", [2, 8])
+def test_spectrum_csv_memory_is_one_block_whatever_the_block_count(q, tmp_path):
+    """The writer's tracemalloc peak stays below a fixed multiple of one
+    pair_i block (K * L rows at the longest row's width) plus the text
+    tables, and 32 blocks of 2,048 rows peak no higher than 16 do: no
+    temporary is proportional to the whole table."""
+    rng = np.random.default_rng(70 + q)
+    path = tmp_path / "spec.csv"
+    peaks = []
+    for K, L in ((16, 128), (32, 64)):
+        table = correlation_spectrum([random_sequence(rng, q, L) for _ in range(K)])
+        table.write_csv(path)  # warm up lazy imports outside the trace
+        width = max(map(len, path.read_bytes().split(b"\r\n")[1:])) + 2
+        tracemalloc.start()
+        try:
+            table.write_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        texts = (2 * L + 1 + K + L) * 64  # the int texts and the pair_j and shift ones
+        assert peak < 6 * K * L * width + texts
+        peaks.append(peak)
+    assert peaks[1] < 1.25 * peaks[0]
+
+
 def test_certificate_json_shapes():
     cert = verify_zcz([PERFECT4], 0)
     data = cert.to_json_dict()
@@ -565,6 +624,24 @@ def test_quaternary_witnesses_are_pinned():
     assert digest(rep.violations) == (
         "cca6262a142725daf14599fe5f59cd07e01f28303d2babcd8fb58094d1c7927a"
     )
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+def test_the_binary_bound_follows_the_exponents_not_the_modulus(q):
+    # exponents in {0, q/2} make +-1 entries, whatever q: omega^3 for q = 6
+    # is -1, though not exactly real in float64
+    rng = np.random.default_rng(90 + q)
+    signs = [UnimodularSequence(q, q // 2 * rng.integers(0, 2, 64)) for _ in range(2)]
+    other = [UnimodularSequence(q, rng.integers(0, q, 64)) for _ in range(2)]
+    sets, _, union = certify_family([signs, other], 0, 0)
+    mixed = "binary" if q == 2 else "general"
+    assert [c.formula for c in (*sets, union)] == ["binary", mixed, mixed]
+    # each set is rated by its own sequences, as the separate calls rate it
+    certs = (*sets, verify_zcz(signs, 0), verify_zcz(other, 0))
+    labels = [(c.formula, c.rho, c.classification) for c in certs]
+    assert labels[:2] == labels[2:]
+    # rho is 2KZ/L for a +-1 set and K(Z+1)/L otherwise
+    assert [c.rho for c in sets] == [0, 0 if q == 2 else Fraction(1, 32)]
 
 
 def _corrupted_sets(params, t1, t2, chip):
