@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import itertools
 import json
 import math
@@ -187,10 +186,6 @@ def _print_family_summary(family):
     print(f"union: ({union_k},{family.Zc},{family.L})  rho: {_rho_str(urho)} ({ucls})")
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
@@ -239,9 +234,12 @@ def _load_matching_family(directory):
 
 
 def _refuse_family_output(directory, out) -> None:
-    """Refuse, before any work, an output path that resolves to the family's
-    manifest, to one of its sequence files or to a new one in a set directory."""
+    """Refuse, before any work, an output path outside an existing directory,
+    or one that resolves to the family's manifest, to one of its sequence
+    files or to a new one in a set directory."""
     root, target = Path(directory), Path(out).resolve()
+    if not target.parent.is_dir():
+        raise CliUsageError(f"cannot write {out}: {Path(out).parent} is not a directory")
     sets = construction._family_files(root) if target.suffix == ".seq" and root.is_dir() else []
     if target == (root / "manifest.json").resolve() or any(
             target.parent == sub.resolve() or target in map(Path.resolve, seqs) for sub, seqs in sets):
@@ -299,7 +297,7 @@ def cmd_verify(args) -> int:
     print(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
 
     report_path = Path(args.report) if args.report else Path(args.directory) / "certificates.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    construction._write_output(report_path, report)
     return EXIT_OK if report["pass"] else EXIT_CERT_FAIL
 
 
@@ -350,7 +348,7 @@ def cmd_simulate(args) -> int:
         raise CliUsageError(f"{config_path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise CliUsageError("simulation config must be a JSON object")
-    inputs = {str(config_path): hashlib.sha256(config_bytes).hexdigest()}
+    inputs = {str(config_path): construction._sha256(config_bytes)}
     if "family_dir" in raw:
         family_dir = raw.pop("family_dir")
         if not isinstance(family_dir, str):
@@ -377,10 +375,9 @@ def cmd_simulate(args) -> int:
     for curve in result.curves:
         uid = curve.cluster * config.users_per_cluster + curve.user
         for pt in curve.points:
-            lines.append(
-                f"{pt.snr_db!r},{uid},{pt.ber!r},{pt.ci_halfwidth!r},{pt.bits}"
-            )
-    csv_path.write_text("\n".join(lines) + "\n")
+            lines.append(f"{pt.snr_db!r},{uid},{pt.ber!r},{pt.ci_halfwidth!r},{pt.bits}")
+    # the manifest lists the digest of each output as written, not read back
+    outputs = {csv_path.name: construction._write_output(csv_path, ("\n".join(lines) + "\n").encode())}
 
     summary = {
         "config": json.loads(config_bytes),
@@ -400,8 +397,7 @@ def cmd_simulate(args) -> int:
             for c in result.curves
         ],
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    outputs["summary.json"] = construction._write_output(out / "summary.json", summary)
 
     manifest = {
         "tool": "zczseq",
@@ -409,16 +405,13 @@ def cmd_simulate(args) -> int:
         "command": "simulate",
         "created_utc": _utc_now(),
         "inputs": inputs,
-        "outputs": {
-            csv_path.name: _sha256_file(csv_path),
-            summary_path.name: _sha256_file(summary_path),
-        },
+        "outputs": outputs,
         "telemetry": {
             "users": config.clusters * config.users_per_cluster,
             "interfering_users": list(result.interfering_users),
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    construction._write_output(out / "manifest.json", manifest)
     print(f"wrote: {csv_path}")
     return EXIT_OK
 

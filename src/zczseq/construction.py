@@ -311,7 +311,8 @@ class ConstructionParams:
 
     @property
     def inter_zccz_width(self) -> int:
-        return (1 << (self.m - self.s)) - 1
+        # one set (s = 0) has no inter-set pair: the union is the set itself
+        return self.zcz_width if self.s == 0 else (1 << (self.m - self.s)) - 1
 
     @property
     def union_size(self) -> int:
@@ -656,6 +657,15 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_output(path, content) -> str:
+    """Write ``content``, bytes or else a JSON value (indented by 2, keys
+    sorted, newline-ended), to ``path``; returns the SHA-256 of the bytes."""
+    if not isinstance(content, bytes):
+        content = (json.dumps(content, indent=2, sort_keys=True) + "\n").encode()
+    Path(path).write_bytes(content)
+    return _sha256(content)
+
+
 def export_family(
     family: MultipleZczFamily,
     directory,
@@ -678,8 +688,7 @@ def export_family(
         sub.mkdir(exist_ok=True)
         for t2, seq in enumerate(st):
             payload = _format_sequence_file(seq, family.Z, family.Zc)
-            (sub / f"{t2}.seq").write_bytes(payload)
-            digests[f"{t1}/{t2}.seq"] = _sha256(payload)
+            digests[f"{t1}/{t2}.seq"] = _write_output(sub / f"{t2}.seq", payload)
     manifest = {
         "tool": "zczseq",
         "version": __version__,
@@ -698,7 +707,7 @@ def export_family(
     }
     if extra:
         manifest.update(extra)
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_output(root / "manifest.json", manifest)
     return manifest
 
 

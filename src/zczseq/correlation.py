@@ -248,12 +248,10 @@ def _periodic_table(A: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
     array in the matrices' dtype: real when both matrices are real.
     """
     shifts = np.asarray(shifts, dtype=np.int64)
-    if shifts.size == 0:
-        raise ValueError("no shifts requested")
     (KA, L), KB = A.shape, B.shape[0]
     if np.any((shifts < 0) | (shifts >= L)):
         raise ValueError("periodic shifts must lie in [0, L)")
-    ext = np.concatenate([B, B[:, : int(shifts.max())]], axis=1).conj()
+    ext = np.concatenate([B, B[:, : int(shifts.max(initial=0))]], axis=1).conj()
     # rows[u, j] is B_j cyclically shifted left by u (a view, no copy)
     rows = np.lib.stride_tricks.sliding_window_view(ext, L, axis=1).transpose(1, 0, 2)
     phi = np.empty((shifts.size, KA, KB), dtype=np.result_type(A, ext))
@@ -351,13 +349,13 @@ def _folded_table(fold: _Fold, shifts, diagonal: bool = False) -> np.ndarray:
     (K, P), R = Y.shape, H.shape[1]
     L = C * P
     z0 = z0.ravel()
-    ext = np.concatenate([z0, z0[: int(shifts.max())]]).conj()
+    ext = np.concatenate([z0, z0[: int(shifts.max(initial=0))]]).conj()
     rows = np.lib.stride_tricks.sliding_window_view(ext, L)  # rows[u] = z0 shifted by u
     a1, b1 = (np.arange(S),) * 2 if diagonal else np.divmod(np.arange(S * S), S)
     n = a1.size
     # W[d, (a1, b1), c] = X[a1, c] * conj(X[b1, c + d]), c + d wrapped, for
     # every chunk offset d = uc + carry the shifts reach
-    d = np.arange(int(shifts.max()) // P + 2)
+    d = np.arange(int(shifts.max(initial=0)) // P + 2)
     Xb = np.concatenate([X, X], axis=1).conj()[b1]
     W = X[a1] * Xb[:, np.arange(C) + d[:, None]].transpose(1, 0, 2)
     # conj(Y) by position, twice over, so that rows order + up are Y rolled by up
@@ -726,22 +724,26 @@ class SpectrumCapError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Dense periodic-correlation table phi[(u, i, j)] for one sequence set."""
+    """Dense periodic-correlation table phi[u, i, j] of one sequence set, as
+    ``_periodic_table`` returns it: exact tables hold integers in floats."""
 
-    K: int
-    L: int
     q: int
-    exact: bool
-    re: np.ndarray
-    im: np.ndarray
+    phi: np.ndarray
+
+    L = property(lambda self: self.phi.shape[0])
+    K = property(lambda self: self.phi.shape[1])
+    exact = _Stack.exact
 
     def write_csv(self, path) -> None:
         """One row per (i, j, u), i slowest, CRLF-ended as the ``csv`` module
-        writes them: ints for int64 tables, ``repr`` floats for float64 ones.
-        Each ``pair_i`` block fills one reused record array of NUL-padded
-        text fields (``pair_j`` and ``shift`` filled once), less its NULs."""
+        writes them: ints for exact tables, ``repr`` floats otherwise.  Each
+        ``pair_i`` block fills one reused record array of NUL-padded text
+        fields (``pair_j`` and ``shift`` filled once), less its NULs."""
+        phi, exact = self.phi, self.exact
+        # a real table's imaginary part: a read-only zero view, not a second table
+        im = phi.imag if np.iscomplexobj(phi) else np.broadcast_to(phi.dtype.type(0), phi.shape)
+        cols = {"re": _csv_texts(phi.real, exact, b","), "im": _csv_texts(im, exact, b"\r\n")}
         pairs, shifts = (np.array([b"%d," % v for v in range(n)]) for n in (self.K, self.L))
-        cols = {"re": _csv_texts(self.re, b","), "im": _csv_texts(self.im, b"\r\n")}
         fields = [("i", pairs.dtype), ("j", pairs.dtype), ("u", shifts.dtype)]
         rec = np.empty((self.K, self.L), fields + [(n, d) for n, (d, _) in cols.items()])
         rec["j"], rec["u"] = pairs[:, None], shifts
@@ -750,26 +752,27 @@ class SpectrumTable:
             for i in range(self.K):
                 rec["i"] = pairs[i]
                 for name, (_, texts) in cols.items():
-                    rec[name] = texts(getattr(self, name)[:, i, :].T)
+                    rec[name] = texts(i)
                 fh.write(rec.tobytes().translate(None, b"\0"))
 
 
-def _csv_texts(values: np.ndarray, end: bytes):
-    """``(dtype, texts)``: ``texts(block)`` is ``str(v) + end`` of each entry of
-    a block of an (L, K, K) table, NUL-padded to ``dtype``.  int64 tables format
-    the range [min, max] within [-L, L] once and index it by v - min; float64
-    tables format each distinct bit pattern of a block (so -0.0 keeps its
-    sign) into fields as wide as the longest float repr, 24 characters."""
-    if values.dtype.kind == "i":
+def _csv_texts(values: np.ndarray, exact: bool, end: bytes):
+    """``(dtype, texts)``: ``texts(i)`` is ``str(v) + end`` of each entry of the
+    ``pair_i`` block i of an (L, K, K) table, NUL-padded to ``dtype``.  Exact
+    tables format the range [min, max] within [-L, L] once and index it by
+    v - min; others format each distinct float64 bit pattern of a block (so
+    -0.0 keeps its sign) into fields as wide as the longest float repr, 24 characters."""
+    if exact:
         lo, hi, L = int(values.min()), int(values.max()), len(values)
         if lo < -L or hi > L:
             raise ValueError(f"exact table entries [{lo}, {hi}] outside [-{L}, {L}]")
         table = np.array([b"%d%s" % (v, end) for v in range(lo, hi + 1)])
-        # one value: the same text in every block, assigned without a gather
-        return table.dtype, (lambda b: table.take(b - lo)) if lo < hi else (lambda _: table[0])
+        if lo == hi:  # one value: the same text in every block, assigned without a gather
+            return table.dtype, lambda _: table[0]
+        return table.dtype, lambda i: table.take((values[:, i].T - lo).astype(np.intp))
 
-    def texts(block):
-        bits = block.view(np.uint64)
+    def texts(i):
+        bits = values[:, i].T.view(np.uint64)
         keys = np.sort(bits, axis=None)
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # as np.unique, without its hashing
         table = np.array([str(v).encode() + end for v in keys.view(np.float64).tolist()])
@@ -779,7 +782,7 @@ def _csv_texts(values: np.ndarray, end: bytes):
 
 
 def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> SpectrumTable:
-    """All-pairs, all-shifts periodic correlation table.
+    """All-pairs, all-shifts periodic correlation table, the kernel's own.
 
     Refuses to allocate more than ``max_cells`` table entries (K * K * L).
     """
@@ -787,13 +790,5 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
     cells = stack.K * stack.K * stack.L
     if cells > max_cells:
         raise SpectrumCapError(f"spectrum needs {cells} cells, cap is {max_cells}")
-    shifts = np.arange(stack.L, dtype=np.int64)
     mat = stack.matrix()
-    phi = _periodic_table(mat, mat, shifts)
-    dtype = np.int64 if stack.exact else np.float64
-    re = phi.real.astype(dtype, copy=False)
-    if np.iscomplexobj(phi):
-        im = phi.imag.astype(dtype)
-    else:  # a read-only zero view, not a second table
-        im = np.broadcast_to(re.dtype.type(0), re.shape)
-    return SpectrumTable(K=stack.K, L=stack.L, q=stack.q, exact=stack.exact, re=re, im=im)
+    return SpectrumTable(stack.q, _periodic_table(mat, mat, np.arange(stack.L)))

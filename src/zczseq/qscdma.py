@@ -171,11 +171,12 @@ def assign_signatures(family: MultipleZczFamily, clusters: int, users_per_cluste
         raise ValueError(
             f"{clusters} clusters requested but the family holds {len(family.sets)} sets"
         )
-    if users_per_cluster > len(family.sets[0]):
-        raise ValueError(
-            f"{users_per_cluster} users per cluster requested but sets hold "
-            f"{len(family.sets[0])} sequences"
-        )
+    for c in range(clusters):
+        if users_per_cluster > len(family.sets[c]):
+            raise ValueError(
+                f"{users_per_cluster} users per cluster requested but set {c} holds "
+                f"{len(family.sets[c])} sequences"
+            )
     return [family.sets[c][:users_per_cluster] for c in range(clusters)]
 
 

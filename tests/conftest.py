@@ -76,8 +76,10 @@ def csv_module_spectrum(table, path) -> None:
     """The spectrum CSV as the ``csv`` module writes it: one row per
     (i, j, u), i slowest."""
     i, j, u = np.indices((table.K, table.K, table.L)).reshape(3, -1).tolist()
-    re = table.re.transpose(1, 2, 0).ravel().tolist()
-    im = table.im.transpose(1, 2, 0).ravel().tolist()
+    # ints for exact tables, floats otherwise; a real table's im is all zero
+    dtype = np.int64 if table.exact else np.float64
+    re, im = (part.transpose(1, 2, 0).ravel().astype(dtype).tolist()
+              for part in (table.phi.real, table.phi.imag))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["pair_i", "pair_j", "shift", "re", "im"])
@@ -459,7 +461,7 @@ def code_accf(code1, code2, u: int) -> complex:
 
 def spectrum_value(table, i: int, j: int, u: int) -> complex:
     """phi(i, j)(u) read from a ``SpectrumTable``."""
-    return complex(table.re[u, i, j], table.im[u, i, j])
+    return complex(table.phi[u, i, j])
 
 
 def noiseless_statistics(

@@ -743,3 +743,82 @@ def test_certificates_rate_the_alphabet_the_sequences_use(tmp_path, capsys):
     assert certs["pass"]
     assert run_cli("verify", str(tmp_path / "q4")) == EXIT_OK
     assert "set 0: (8,32,512) PASS rho=1 optimal" in capsys.readouterr().out
+
+
+def test_simulate_names_a_set_too_short_for_its_cluster(tmp_path, capsys):
+    # set 1 loses its last sequence, and the manifest that lists it
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    (fam_dir / "1" / "7.seq").unlink()
+    (fam_dir / "manifest.json").unlink()
+    cfg_path = tmp_path / "sim.json"
+    config = {key: v for key, v in SMALL_SIM.items() if key != "construction"}
+    cfg_path.write_text(json.dumps(dict(config, family_dir=str(fam_dir), clusters=2,
+                                        users_per_cluster=8)))
+    capsys.readouterr()
+    assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "run")) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: 8 users per cluster requested but set 1 holds 7 sequences\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
+def test_outputs_in_a_missing_directory_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    fam_dir = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
+    (tmp_path / "file").write_text("")
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        for module, name in ((construction, "load_family"), (correlation, "certify_family"),
+                             (correlation, "correlation_spectrum")):
+            m.setattr(module, name, lambda *a, **k: pytest.fail(f"{name} called"))
+        for parent in (tmp_path / "nodir", tmp_path / "file"):
+            for argv in (("spectrum", str(fam_dir), "-o", str(parent / "x.csv")),
+                         ("verify", str(fam_dir), "--report", str(parent / "r.json"))):
+                assert run_cli(*argv) == EXIT_USAGE
+                out = argv[-1]
+                assert capsys.readouterr().err == (
+                    f"error: cannot write {out}: {parent} is not a directory\n"
+                )
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_a_single_set_family_declares_its_own_zone_for_the_union(tmp_path, capsys):
+    # s = 0: no inter-set pair, so the union is the set, zone Z = 2^m
+    out = tmp_path / "fam"
+    assert run_cli("construct", "-q", "2", "-m", "4", "-k", "2", "-s", "0", "-o", str(out)) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "zone width Z: 16  inter-set zone Zc: 16" in stdout
+    assert "union: (8,16,256)  rho: 1 (optimal)" in stdout
+    assert (out / "0" / "0.seq").read_text().splitlines()[2:4] == ["Z=16", "Zc=16"]
+    assert run_cli("verify", str(out)) == EXIT_OK
+    assert "union: (8,16,256) PASS rho=1 optimal" in capsys.readouterr().out
+    assert run_cli("verify", str(out), "--zccz", "17") == EXIT_CERT_FAIL
+
+
+def test_json_artefacts_are_hashed_as_written(tmp_path, monkeypatch):
+    """Every JSON file is indented by 2, keys sorted and newline-ended, and
+    each manifest digest is that of the bytes written: ``simulate`` hashes
+    its outputs without reading them back."""
+    fam_dir, run = tmp_path / "fam", tmp_path / "run"
+    assert run_cli("construct", "--example1", "-o", str(fam_dir)) == EXIT_OK
+    assert run_cli("verify", str(fam_dir)) == EXIT_OK
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(SMALL_SIM))
+    read_bytes = Path.read_bytes
+
+    def read_no_output(path):
+        assert run not in path.parents, f"{path} read back"
+        return read_bytes(path)
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "read_bytes", read_no_output)
+        assert run_cli("simulate", str(cfg_path), "-o", str(run)) == EXIT_OK
+    for path in (fam_dir / "manifest.json", fam_dir / "certificates.json",
+                 run / "summary.json", run / "manifest.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    for root, key in ((fam_dir, "files"), (run, "outputs")):
+        listed = json.loads((root / "manifest.json").read_text())[key]
+        assert listed == {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+                          for name in listed}

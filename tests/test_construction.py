@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -387,7 +388,9 @@ def test_single_set_reduction():
     assert len(fam.sets) == 1
     assert verify_zcz(fam.sets[0], fam.Z).passed
     union = [z for st in fam.sets for z in st]
-    assert (len(union), fam.Zc, fam.L) == (4, 7, 64)  # union zone drops to 2^m - 1
+    # one set has no inter-set pair: the union is the set, and its zone is Z = 2^m
+    assert (len(union), fam.Zc, fam.L) == (4, 8, 64)
+    assert verify_zcz(union, fam.Zc).passed
 
 
 def test_four_cluster_family():
@@ -637,3 +640,41 @@ def test_manifest_json_is_loadable(tmp_path):
     assert data["declared"]["zcz"] == 16
     assert data["certificates"] == {"pass": True}
     assert data["params"]["J"] == [0]
+
+
+@pytest.mark.parametrize("q, m, k, s", [
+    (2, 4, 2, 1), (2, 4, 2, 2), (2, 5, 2, 1), (2, 5, 3, 1), (2, 6, 3, 2),
+    (4, 5, 2, 1), (8, 5, 2, 1), (2, 6, 2, 0),
+])
+def test_declared_zones_are_certified_and_tight(q, m, k, s):
+    """The paper's claims at the declared zones: each set an optimal
+    (2^(k+1), 2^m, 2^(m+k+2)) set, and the union of the 2^s sets a
+    near-optimal one at Zc = 2^(m-s) - 1 (rho = 1 - 2^(s-m)), or, with one
+    set, the set itself at Zc = Z.  Every zone is tight: one shift more
+    fails, and the witness sits at that shift."""
+    params = default_params(q, m, k, s)
+    fam = build_multiple_zcz(params)
+    K, Z, L = 1 << (k + 1), 1 << m, 1 << (m + k + 2)
+    Zc = Z if s == 0 else (1 << (m - s)) - 1
+    union = ((K << s, Zc, L, 1, "optimal") if s == 0
+             else (K << s, Zc, L, 1 - Fraction(1, 1 << (m - s)), "near-optimal"))
+    assert (fam.Z, fam.Zc) == (Z, Zc)
+
+    def summary(cert):
+        return cert.K, cert.Z, cert.L, cert.rho, cert.classification
+
+    set_certs, inter, union_cert = correlation.certify_family(fam.sets, Z, Zc)
+    assert [summary(c) for c in set_certs] == [(K, Z, L, 1, "optimal")] * (1 << s)
+    assert summary(union_cert) == union
+    assert all(c.passed and c.formula == "binary" for c in (*set_certs, union_cert))
+    assert len(inter) == (1 << s) * ((1 << s) - 1) // 2
+    assert all(rep.passed for rep in inter.values())
+
+    set_certs, _, _ = correlation.certify_family(fam.sets, Z + 1, Zc)
+    assert not all(c.passed for c in set_certs)
+    assert {c.witness.shift for c in set_certs if not c.passed} == {Z + 1}
+    _, inter, union_cert = correlation.certify_family(fam.sets, Z, Zc + 1)
+    assert not union_cert.passed and union_cert.witness.shift == Zc + 1
+    if s:
+        failed = [rep for rep in inter.values() if not rep.passed]
+        assert failed and {abs(rep.witness.shift) for rep in failed} == {Zc + 1}

@@ -401,12 +401,12 @@ def test_spectrum_cap():
         correlation_spectrum(seqs, max_cells=100)
 
 
-def test_real_spectrum_allocates_no_second_table(monkeypatch):
-    # beyond the int64 table, only the float32 kernel table of half its
-    # size: the imaginary part of a real table is a read-only zero view
+def _spectrum_and_peak(monkeypatch, q, seed):
+    """``correlation_spectrum`` of 32 sequences of 1,024 chips and its
+    tracemalloc peak, with 64 KiB shift blocks."""
     monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 1 << 16)
-    rng = np.random.default_rng(50)
-    seqs = [random_sequence(rng, 2, 1024) for _ in range(32)]
+    rng = np.random.default_rng(seed)
+    seqs = [random_sequence(rng, q, 1024) for _ in range(32)]
     correlation_spectrum(seqs[:2])  # warm up lazy imports outside the trace
     tracemalloc.start()
     try:
@@ -414,9 +414,24 @@ def test_real_spectrum_allocates_no_second_table(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not table.im.any() and not table.im.flags.writeable
-    # a second K x K x L int64 table would bring the peak to 2 x re.nbytes
-    assert peak < 1.75 * table.re.nbytes
+    return table, peak
+
+
+def test_real_spectrum_allocates_no_second_table(monkeypatch):
+    # the table is the kernel's float32 one; the stack, its matrix, the
+    # shifted rows (twice: before and after conj) and one shift block add
+    # about 0.17 x its size
+    table, peak = _spectrum_and_peak(monkeypatch, 2, 50)
+    assert table.phi.dtype == np.float32 and table.exact
+    # a K x K x L int64 copy would bring the peak to 3 x phi.nbytes
+    assert peak < 1.25 * table.phi.nbytes
+
+
+def test_complex_spectrum_allocates_no_second_table(monkeypatch):
+    table, peak = _spectrum_and_peak(monkeypatch, 4, 51)
+    assert table.phi.dtype == np.complex64 and table.exact
+    # int64 copies of re and im would bring the peak to 3 x phi.nbytes
+    assert peak < 1.25 * table.phi.nbytes
 
 
 def test_spectrum_csv_round_trip(tmp_path):
@@ -436,23 +451,32 @@ def test_spectrum_csv_round_trip(tmp_path):
         table = correlation_spectrum([random_sequence(rng, q, 8) for _ in range(2)])
         table.write_csv(path)
         fmt = int if table.exact else (lambda x: repr(float(x)))
+        re, im = table.phi.real, table.phi.imag
         assert path.read_text().splitlines()[1:] == [
-            f"{i},{j},{u},{fmt(table.re[u, i, j])},{fmt(table.im[u, i, j])}"
+            f"{i},{j},{u},{fmt(re[u, i, j])},{fmt(im[u, i, j])}"
             for i in range(2) for j in range(2) for u in range(8)
         ]
+
+
+def _complex_table(re, im):
+    """One complex table with parts ``re`` and ``im``, signed zeros kept."""
+    phi = re.astype(np.result_type(re, np.complex64))
+    phi.imag = im
+    return phi
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_spectrum_csv_bytes_match_the_csv_module(q, tmp_path):
     fam = build_multiple_zcz(default_params(q, 3, 1, 1))
     table = correlation_spectrum(fam.sets[0])
-    assert table.re.dtype == (np.int64 if q in (2, 4) else np.float64)
+    # the kernel's table, unconverted: single precision for exact sets
+    assert table.phi.real.dtype == (np.float32 if q in (2, 4) else np.float64)
     tables = [table]
     if not table.exact:
         # signed zeros and floats whose shortest repr needs 17 digits
-        re = table.re.copy()
+        re = table.phi.real.copy()
         re[::2, 0, 0], re[1::2, 0, 0] = -0.0, 0.1 + 0.2
-        tables.append(dataclasses.replace(table, re=re, im=-re))
+        tables.append(dataclasses.replace(table, phi=_complex_table(re, -re)))
     for t in tables:
         t.write_csv(tmp_path / "fast.csv")
         csv_module_spectrum(t, tmp_path / "slow.csv")
@@ -467,17 +491,17 @@ def test_spectrum_csv_bytes_match_the_csv_module_at_the_bench_shape(q, tmp_path)
     L = 256
     table = correlation_spectrum([random_sequence(rng, q, L) for _ in range(16)])
     tables = [table]
+    re, im = table.phi.real.copy(), table.phi.imag.copy()
     if table.exact:
-        assert (table.re < 0).any() and (q == 2 or (table.im < 0).any())
+        assert (re < 0).any() and (q == 2 or (im < 0).any())
         # one-sided ranges reaching -L, and a constant nonzero column
-        tables.append(dataclasses.replace(table, re=-abs(table.re), im=np.full_like(table.re, -L)))
+        tables.append(dataclasses.replace(table, phi=_complex_table(-abs(re), np.full_like(re, -L))))
     else:
         # -0.0 next to 0.0 and 17-digit reprs, in the first, a middle and the last block
-        re, im = table.re.copy(), table.im.copy()
         for i in (0, 7, 15):
             re[0::3, i, 1], re[1::3, i, 1], re[2::3, i, 1] = -0.0, 0.0, 0.1 + 0.2
             im[0::3, i, 2], im[1::3, i, 2], im[2::3, i, 2] = 0.0, -0.0, -(0.1 + 0.2)
-        tables.append(dataclasses.replace(table, re=re, im=im))
+        tables.append(dataclasses.replace(table, phi=_complex_table(re, im)))
     for t in tables:
         t.write_csv(tmp_path / "fast.csv")
         csv_module_spectrum(t, tmp_path / "slow.csv")
@@ -487,10 +511,10 @@ def test_spectrum_csv_bytes_match_the_csv_module_at_the_bench_shape(q, tmp_path)
 def test_spectrum_csv_refuses_exact_entries_beyond_the_length(tmp_path):
     # an exact entry has magnitude at most L; the writer formats [min, max] densely
     table = correlation_spectrum([PERFECT4])
-    re = table.re.copy()
-    re[0, 0, 0] = 5
+    phi = table.phi.copy()
+    phi[0, 0, 0] = 5
     with pytest.raises(ValueError, match=r"exact table entries \[0, 5\] outside \[-4, 4\]"):
-        dataclasses.replace(table, re=re).write_csv(tmp_path / "spec.csv")
+        dataclasses.replace(table, phi=phi).write_csv(tmp_path / "spec.csv")
 
 
 @pytest.mark.parametrize("q", [2, 8])
@@ -1006,7 +1030,8 @@ def _assert_binned_fold_matches_union(stack, fold_exps, union_shifts, set_shifts
                 assert np.array_equal(got, want)
             else:
                 assert np.array_equal(correlation.is_zero([got]), correlation.is_zero([want]))
-                assert np.abs(got - want).max() <= FLOAT_AGREEMENT_PER_CHIP * stack.L
+                # initial=0: at s = 0 the set shifts Zc+1..Z are none (Zc = Z)
+                assert np.abs(got - want).max(initial=0) <= FLOAT_AGREEMENT_PER_CHIP * stack.L
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

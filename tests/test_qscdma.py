@@ -1,5 +1,6 @@
 """Multi-cluster uplink simulation: exactness, baselines, reproducibility."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -71,6 +72,14 @@ def test_assign_signatures_minimal_and_capacity():
         assign_signatures(fam, 5, 8)
     with pytest.raises(ValueError):
         assign_signatures(fam, 4, 9)
+
+
+def test_assign_signatures_checks_every_set():
+    fam = four_cluster_family()
+    short = dataclasses.replace(fam, sets=(*fam.sets[:3], fam.sets[3][:7]))
+    with pytest.raises(ValueError, match="8 users per cluster requested but set 3 holds 7"):
+        assign_signatures(short, 4, 8)
+    assert [len(c) for c in assign_signatures(short, 3, 8)] == [8, 8, 8]
 
 
 def test_theoretical_bpsk_values():
