@@ -419,8 +419,7 @@ def _spectrum_and_peak(monkeypatch, q, seed):
 
 def test_real_spectrum_allocates_no_second_table(monkeypatch):
     # the table is the kernel's float32 one; the stack, its matrix, the
-    # shifted rows (twice: before and after conj) and one shift block add
-    # about 0.17 x its size
+    # extended rows and one shift block's temporaries add about 0.17 x its size
     table, peak = _spectrum_and_peak(monkeypatch, 2, 50)
     assert table.phi.dtype == np.float32 and table.exact
     # a K x K x L int64 copy would bring the peak to 3 x phi.nbytes
