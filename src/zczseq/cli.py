@@ -132,7 +132,8 @@ def _params_from_args(args) -> construction.ConstructionParams:
 
 def _certify(family: construction.MultipleZczFamily, deep: bool = False) -> dict:
     """Run every certificate for a family; returns a JSON-ready summary."""
-    set_certs, inter, union_cert = correlation.certify_family(family.sets, family.Z, family.Zc)
+    set_certs, inter, union_cert = correlation.certify_family(
+        family.union, family.sizes, family.Z, family.Zc)
     report: dict = {
         "sets": [cert.to_json_dict() for cert in set_certs],
         "inter": [{**rep.to_json_dict(), "pair": [a, b]} for (a, b), rep in inter.items()],
@@ -156,7 +157,7 @@ def _deep_checks(family: construction.MultipleZczFamily) -> dict:
         raise CliUsageError(f"--deep: the manifest {exc}") from None
     cancel = construction.check_seed_cancellation(construction.seed_polynomial(params.h))
     codes = construction.build_ccc_family(params)
-    sets, seqs = range(len(family.sets)), range(len(family.sets[0]))
+    sets, seqs = range(len(family.sizes)), range(family.sizes[0])
     checked, mismatches = 0, []
     for cell in itertools.product(sets, sets, seqs, seqs, range((1 << params.m) + 1)):
         checked += 1
@@ -175,15 +176,13 @@ def _rho_str(rho: Fraction) -> str:
 
 
 def _print_family_summary(family):
-    K = len(family.sets[0])
-    print(f"sets: {len(family.sets)}  sequences/set: {K}  length: {family.L}")
+    K, union, binary = family.sizes[0], family.union, family.union.binary
+    print(f"sets: {len(family.sizes)}  sequences/set: {K}  length: {family.L}")
     print(f"zone width Z: {family.Z}  inter-set zone Zc: {family.Zc}")
-    binary = all(correlation._is_binary(z.exponents, family.q) for st in family.sets for z in st)
     rho, cls = correlation.performance_parameter(K, family.Z, family.L, binary=binary)
     print(f"per-set rho ({'binary' if binary else 'general'}): {_rho_str(rho)} ({cls})")
-    union_k = sum(len(st) for st in family.sets)
-    urho, ucls = correlation.performance_parameter(union_k, family.Zc, family.L, binary=binary)
-    print(f"union: ({union_k},{family.Zc},{family.L})  rho: {_rho_str(urho)} ({ucls})")
+    urho, ucls = correlation.performance_parameter(union.K, family.Zc, family.L, binary=binary)
+    print(f"union: ({union.K},{family.Zc},{family.L})  rho: {_rho_str(urho)} ({ucls})")
 
 
 def _utc_now() -> str:
@@ -192,6 +191,7 @@ def _utc_now() -> str:
 
 def cmd_construct(args) -> int:
     params = _params_from_args(args)
+    _refuse_output_dir(args.out)
     # refuse a directory export_family would refuse before building anything
     construction._refuse_stale_files(Path(args.out), [params.set_size] * params.num_sets)
     family = construction.build_multiple_zcz(params)
@@ -233,13 +233,23 @@ def _load_matching_family(directory):
     return loaded
 
 
+def _refuse_output_dir(out) -> None:
+    """Refuse, before any work, an output directory that exists as a file or
+    lies below one."""
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not existing.is_dir():
+        raise CliUsageError(f"cannot write into {out}: {existing} is not a directory")
+
+
 def _refuse_family_output(directory, out) -> None:
-    """Refuse, before any work, an output path outside an existing directory,
-    or one that resolves to the family's manifest, to one of its sequence
-    files or to a new one in a set directory."""
+    """Refuse, before any work, an output path outside an existing directory
+    or naming one, or one that resolves to the family's manifest, to one of
+    its sequence files or to a new one in a set directory."""
     root, target = Path(directory), Path(out).resolve()
     if not target.parent.is_dir():
         raise CliUsageError(f"cannot write {out}: {Path(out).parent} is not a directory")
+    if target.is_dir():
+        raise CliUsageError(f"cannot write {out}: it is a directory")
     sets = construction._family_files(root) if target.suffix == ".seq" and root.is_dir() else []
     if target == (root / "manifest.json").resolve() or any(
             target.parent == sub.resolve() or target in map(Path.resolve, seqs) for sub, seqs in sets):
@@ -247,8 +257,11 @@ def _refuse_family_output(directory, out) -> None:
 
 
 def cmd_verify(args) -> int:
+    report_path = Path(args.report) if args.report else Path(args.directory) / "certificates.json"
     if args.report:  # the default, DIR/certificates.json, is not a family file
         _refuse_family_output(args.directory, args.report)
+    elif report_path.is_dir():
+        raise CliUsageError(f"cannot write {report_path}: it is a directory")
     loaded = construction.load_family(args.directory)
     Z = args.zcz if args.zcz is not None else loaded.family.Z
     Zc = args.zccz if args.zccz is not None else loaded.family.Zc
@@ -296,7 +309,6 @@ def cmd_verify(args) -> int:
             print(f"files: FAIL ({_digest_failures(digests)})")
     print(f"overall: {'PASS' if report['pass'] else 'FAIL'}")
 
-    report_path = Path(args.report) if args.report else Path(args.directory) / "certificates.json"
     construction._write_output(report_path, report)
     return EXIT_OK if report["pass"] else EXIT_CERT_FAIL
 
@@ -306,9 +318,8 @@ def cmd_spectrum(args) -> int:
     loaded = _load_matching_family(args.directory)
     if loaded is None:
         return EXIT_CERT_FAIL
-    seqs = [z for st in loaded.family.sets for z in st]
     try:
-        table = correlation.correlation_spectrum(seqs, max_cells=args.max_cells)
+        table = correlation.correlation_spectrum(loaded.family.union, max_cells=args.max_cells)
     except correlation.SpectrumCapError as exc:
         raise CliUsageError(f"{exc}; raise --max-cells to override") from None
     table.write_csv(args.out)
@@ -339,6 +350,7 @@ def _construction_params(con) -> construction.ConstructionParams:
 
 
 def cmd_simulate(args) -> int:
+    _refuse_output_dir(args.out)
     config_path = Path(args.config)
     # parsed, copied into summary.json and hashed for the manifest: one read
     config_bytes = config_path.read_bytes()

@@ -413,11 +413,6 @@ def _parity_offsets(base: np.ndarray, masks, flips, q: int) -> np.ndarray:
     return np.minimum(out, out - q)  # for 0 <= x < 2q, x - q wraps unless x >= q
 
 
-def _groups(items, size: int) -> tuple:
-    """``items`` as consecutive tuples of ``size``."""
-    return tuple(tuple(items[lo : lo + size]) for lo in range(0, len(items), size))
-
-
 def build_ccc_family(params: ConstructionParams):
     """All 2^s code families; family t1 holds 2^{k+1} codes of 2^{k+1}
     rows of length 2^m, as nested tuples: ``codes[t1][t2][nu]`` is row nu
@@ -445,19 +440,30 @@ def build_ccc_family(params: ConstructionParams):
         flips ^= (shared >> b) & 1
     flips = np.broadcast_to(flips[:, None, :], masks.shape)
     table = _parity_offsets(base, masks.ravel(), flips.ravel(), q)
-    codes = _groups([UnimodularSequence(q, row) for row in table], n_codes)
-    return _groups(codes, n_codes)
+    table.flags.writeable = False  # so that every row is a view, not a copy
+    codes = table.reshape(n_families, n_codes, n_codes, -1)
+    return tuple(tuple(tuple(UnimodularSequence(q, row) for row in c) for c in fam) for fam in codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultipleZczFamily:
     """2^s zone sets with a declared per-set zone Z and inter-set zero
-    cross-correlation zone Zc; ``sets[t1][t2]`` is sequence t2 of set t1."""
+    cross-correlation zone Zc.  The family's one store of exponents is
+    ``union``, a read-only ``correlation._Stack`` of every sequence, set
+    after set; set t1 holds ``sizes[t1]`` of them."""
 
     params: ConstructionParams | None
-    sets: tuple[tuple[UnimodularSequence, ...], ...]
+    union: correlation._Stack
+    sizes: tuple[int, ...]
     Z: int
     Zc: int
+
+    @functools.cached_property
+    def sets(self) -> tuple[tuple[UnimodularSequence, ...], ...]:
+        """``sets[t1][t2]`` is sequence t2 of set t1, a view of its union row."""
+        rows = iter(self.union.exps)
+        return tuple(tuple(UnimodularSequence(self.q, next(rows)) for _ in range(n))
+                     for n in self.sizes)
 
     @functools.cached_property
     def _params(self) -> ConstructionParams:
@@ -466,19 +472,14 @@ class MultipleZczFamily:
         if p is None:
             raise ValueError("family carries no construction parameters")
         described = ([p.set_size] * p.num_sets, p.seq_length, p.q)
-        held = ([len(st) for st in self.sets], self.L, self.q)
+        held = (list(self.sizes), self.L, self.q)
         if described != held:
             raise ValueError(f"params describe (set sizes, length, q) = {described},"
                              f" but the family holds {held}")
         return p
 
-    @property
-    def q(self) -> int:
-        return self.sets[0][0].q
-
-    @property
-    def L(self) -> int:
-        return len(self.sets[0][0])
+    q = property(lambda self: self.union.q)
+    L = property(lambda self: self.union.L)
 
 
 def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
@@ -514,12 +515,10 @@ def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
     base = psi(static).exponents
     # bits of the union index t1 * 2^(k+1) + t2: those of t2, then of t1
     variables = params.j_order + (params.gamma2,) + tuple(range(m + k - s, m + k))
-    n_seqs = params.set_size
-    table = _parity_offsets(base, _masks(variables, n_seqs * params.num_sets), 0, q)
-    sets = _groups([UnimodularSequence(q, row) for row in table], n_seqs)
-    return MultipleZczFamily(
-        params=params, sets=sets, Z=params.zcz_width, Zc=params.inter_zccz_width
-    )
+    table = _parity_offsets(base, _masks(variables, params.union_size), 0, q)
+    sizes = (params.set_size,) * params.num_sets
+    return MultipleZczFamily(params, correlation._as_stack(table, q), sizes,
+                             Z=params.zcz_width, Zc=params.inter_zccz_width)
 
 
 class ChunkDecompositionReport(NamedTuple):
@@ -680,7 +679,7 @@ def export_family(
     :func:`load_family` would read it back as part of the family.
     """
     root = Path(directory)
-    _refuse_stale_files(root, [len(st) for st in family.sets])
+    _refuse_stale_files(root, family.sizes)
     root.mkdir(parents=True, exist_ok=True)
     digests = {}
     for t1, st in enumerate(family.sets):
@@ -694,12 +693,12 @@ def export_family(
         "version": __version__,
         "command": command,
         "declared": {
-            "num_sets": len(family.sets),
-            "set_size": len(family.sets[0]),
+            "num_sets": len(family.sizes),
+            "set_size": family.sizes[0],
             "length": family.L,
             "zcz": family.Z,
             "inter_zccz": family.Zc,
-            "union_size": sum(len(st) for st in family.sets),
+            "union_size": family.union.K,
         },
         "params": family.params.to_json_dict() if family.params else None,
         "files": digests,
@@ -790,23 +789,22 @@ def load_family(directory) -> LoadedFamily:
     listing = _family_files(root)
     if not listing:
         raise ValueError(f"{root} holds no sequence-set subdirectories")
-    sets = []
-    header = None
-    digests = {}
+    sizes, header, digests, n = tuple(len(files) for _, files in listing), None, {}, 0
     for sub, files in listing:
         if not files:
             raise ValueError(f"{sub} holds no .seq files")
-        seqs = []
         for path in files:
             data = path.read_bytes()
             digests[f"{sub.name}/{path.name}"] = _sha256(data)
             seq, hdr = _parse_sequence_file(data, path)
             if header is None:
-                header = hdr
+                # the family's one exponent array, filled a row at a time:
+                # stacking a list of rows at the end would hold each row twice
+                header, union = hdr, np.empty((sum(sizes), len(seq)), seq.exponents.dtype)
             elif hdr != header:
                 raise ValueError(f"{path}: header disagrees with the rest of the family")
-            seqs.append(seq)
-        sets.append(tuple(seqs))
+            union[n] = seq.exponents
+            n += 1
     manifest = params = None
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
@@ -821,5 +819,6 @@ def load_family(directory) -> LoadedFamily:
                 params = ConstructionParams.from_json_dict(manifest["params"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{manifest_path}: malformed 'params' ({exc})") from None
-    family = MultipleZczFamily(params, tuple(sets), Z=header["Z"], Zc=header["Zc"])
-    return LoadedFamily(family, manifest, digests)
+    union = correlation._as_stack(union, header["q"])
+    return LoadedFamily(MultipleZczFamily(params, union, sizes, Z=header["Z"], Zc=header["Zc"]),
+                        manifest, digests)

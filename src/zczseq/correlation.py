@@ -16,10 +16,11 @@ every exponent multiplied by j.  Every verdict, the zone scans and
 ``conjugates(q)`` and decides zero by ``is_zero``, exactly for every even
 q; witness values are the sigma_1 values.
 
-Whole sets go through one batch kernel, ``_periodic_table``: each set is
-stacked once as exponents (``_Stack``) and gathered per conjugate into one
-matrix from the roots of unity permuted by j, real unless an entry has a
-nonzero imaginary part; one GEMM per block of shifts.
+Whole sets go through one batch kernel, ``_periodic_table``: a family
+holds its union as one stack of exponents (``_Stack``), and any other set
+is stacked once; a stack is gathered per conjugate into one matrix from
+the roots of unity permuted by j, real unless an entry has a nonzero
+imaginary part; one GEMM per block of shifts.
 
 Path rule.  A family whose exponents split into the construction's two
 layers (``_split``, checked on every exponent for every q) takes the
@@ -199,7 +200,8 @@ class _Stack(NamedTuple):
     K = property(lambda self: self.exps.shape[0])
     L = property(lambda self: self.exps.shape[1])
     exact = property(lambda self: self.q in (1, 2, 4))
-    binary = property(lambda self: _is_binary(self.exps, self.q))
+    # every entry omega^e is +-1: each exponent lies in {0, q/2}
+    binary = property(lambda self: self.q <= 2 or not (2 * self.exps % self.q).any())
 
     def rows(self, sl) -> "_Stack":
         return self._replace(exps=self.exps[sl])
@@ -216,13 +218,20 @@ class _Stack(NamedTuple):
         return self.roots(unit).take(self.exps)
 
 
-def _is_binary(exps, q: int) -> bool:
-    """Every entry omega^e is +-1: each exponent lies in {0, q/2}."""
-    return q <= 2 or not (2 * exps % q).any()
+def _as_stack(exps: np.ndarray, q: int) -> _Stack:
+    """(K, L) exponents as a stack, not copied but made read-only, so that
+    a ``UnimodularSequence`` of a row is a view of it."""
+    exps.flags.writeable = False
+    # the roots whose imaginary part in roots_of_unity(q) is exactly 0: all
+    # of them for q <= 2, the even exponents for q = 4, omega^0 alone otherwise
+    return _Stack(exps, q, q <= 2 or not (exps & 1 if q == 4 else exps).any())
 
 
 def _stack(seqs) -> _Stack:
-    """A sequence set as one stack; the sequences must share q and L."""
+    """A sequence set as one stack, or a stack as it is; the sequences must
+    share q and L."""
+    if isinstance(seqs, _Stack):
+        return seqs
     seqs = list(seqs)
     if not seqs:
         raise ValueError("empty sequence set")
@@ -232,11 +241,7 @@ def _stack(seqs) -> _Stack:
             raise ValueError("sequences must share one modulus")
         if len(z) != L:
             raise ValueError("sequences must share one length")
-    exps = np.stack([z.exponents for z in seqs])
-    # the roots whose imaginary part in roots_of_unity(q) is exactly 0: all
-    # of them for q <= 2, the even exponents for q = 4, omega^0 alone otherwise
-    real = q <= 2 or not (exps & 1 if q == 4 else exps).any()
-    return _Stack(exps, q, real)
+    return _as_stack(np.stack([z.exponents for z in seqs]), q)
 
 
 def _periodic_table(A: np.ndarray, B: np.ndarray, shifts) -> np.ndarray:
@@ -600,12 +605,14 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     return _inter_report(A, Zc, forward, [_periodic_table(b, a, shifts) for a, b in pairs])
 
 
-def certify_family(sets, Z: int, Zc: int):
+def certify_family(union: _Stack, sizes, Z: int, Zc: int):
     """Every certificate of a multiple-ZCZ family from one union table.
 
+    ``union`` stacks every sequence, set after set, and ``sizes[n]`` is the
+    number of sequences in set n, as ``MultipleZczFamily`` holds them.
     Returns ``(set_certs, inter, union_cert)``: ``verify_zcz(set, Z)`` for
     each set, a dict mapping each pair (a, b) with a < b to
-    ``verify_inter_zccz(sets[a], sets[b], Zc)``, and ``verify_zcz`` of all
+    ``verify_inter_zccz(set a, set b, Zc)``, and ``verify_zcz`` of all
     sequences at zone Zc, equal to those calls in every field.
 
     The union's table at shifts 0..Zc holds every inter-set correlation (in
@@ -613,13 +620,10 @@ def certify_family(sets, Z: int, Zc: int):
     slice; only shifts Zc+1..Z of each set need one more kernel call, or
     one diagonal call for all sets when the family splits.
     """
-    sets = [list(st) for st in sets]
-    union = _stack(z for st in sets for z in st)
     _check_zone(Z, union.L)
     _check_zone(Zc, union.L)
     units = conjugates(union.q)
-    sizes = [len(st) for st in sets]
-    bounds = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0, *sizes])
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     fold = _split(union, sizes)
 
@@ -627,7 +631,7 @@ def certify_family(sets, Z: int, Zc: int):
         """sigma_unit's union table, or with ``own`` each set's own table."""
         if fold is not None:
             phi = _folded_table(fold.gather(union.roots(unit)), shifts, diagonal=own)
-            return [phi[:, n] for n in range(len(sets))] if own else phi
+            return [phi[:, n] for n in range(len(sizes))] if own else phi
         if own:
             mats = (union.rows(sl).matrix(unit) for sl in rows)
             return [_periodic_table(m, m, shifts) for m in mats]
@@ -648,7 +652,7 @@ def certify_family(sets, Z: int, Zc: int):
         set_certs.append(_zcz_certificate(union.rows(sl), Z, own))
     del extra, own  # no set table is held while the union table is scanned
     inter = {}
-    for a, b in itertools.combinations(range(len(sets)), 2):
+    for a, b in itertools.combinations(range(len(sizes)), 2):
         sa, sb = rows[a], rows[b]
         inter[a, b] = _inter_report(
             union, Zc, [phi[:, sa, sb] for phi in phis], [phi[:, sb, sa] for phi in phis]

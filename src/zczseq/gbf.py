@@ -147,9 +147,11 @@ class GeneralizedBooleanFunction:
 
 @dataclass(frozen=True, eq=False)
 class UnimodularSequence:
-    """Length-L sequence of q-th roots of unity, stored as its own read-only
-    exponents in the narrowest unsigned dtype that holds 2q - 1 (one byte for
-    q <= 128): a sum of two is exact, but widen before a difference or product."""
+    """Length-L sequence of q-th roots of unity, stored as read-only exponents
+    in the narrowest unsigned dtype that holds 2q - 1 (one byte for q <= 128):
+    a sum of two is exact, but widen before a difference or product.  An
+    array already read-only and narrow, such as a row of a family's union,
+    is kept as it is; any other is copied."""
 
     q: int
     exponents: np.ndarray
@@ -162,8 +164,10 @@ class UnimodularSequence:
             raise ValueError("exponents must be a nonempty 1-d vector")
         if exps.min() < 0 or exps.max() >= self.q:
             raise ValueError(f"exponents must lie in [0, {self.q})")
-        exps = exps.astype(np.min_scalar_type(2 * self.q - 1))  # astype copies: the sequence owns them
-        exps.setflags(write=False)
+        narrow = np.min_scalar_type(2 * self.q - 1)
+        if exps.flags.writeable or exps.dtype != narrow:
+            exps = exps.astype(narrow)  # astype copies: the sequence owns them
+            exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
 
     def __len__(self) -> int:

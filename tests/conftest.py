@@ -22,6 +22,7 @@ interference-witness search and the AWGN BPSK error rate.
 
 import cmath
 import csv
+import dataclasses
 import functools
 import itertools
 import math
@@ -35,6 +36,7 @@ from zczseq import (
     MultipleZczFamily,
     accf,
     build_seed_function,
+    correlation,
     psi,
     verify_inter_zccz,
     verify_zcz,
@@ -272,6 +274,20 @@ def _summed(q: int, m: int, terms) -> GeneralizedBooleanFunction:
     for idx, coeff in terms:
         f = f + GeneralizedBooleanFunction(q, m, {idx: coeff})
     return f
+
+
+def union_of(sets) -> tuple:
+    """``(union, sizes)`` of nested sequence sets: the read-only stack of
+    every sequence, set after set, and the set sizes, as a
+    ``MultipleZczFamily`` holds them and ``certify_family`` reads them."""
+    sets = [list(st) for st in sets]
+    return correlation._stack(z for st in sets for z in st), tuple(len(st) for st in sets)
+
+
+def with_sets(family, sets):
+    """``family`` with ``sets`` in place of its own sequences."""
+    union, sizes = union_of(sets)
+    return dataclasses.replace(family, union=union, sizes=sizes)
 
 
 def certify_family(family) -> tuple[bool, int]:

@@ -764,15 +764,17 @@ def test_simulate_names_a_set_too_short_for_its_cluster(tmp_path, capsys):
 
 
 def test_outputs_in_a_missing_directory_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
-    fam_dir = tmp_path / "fam"
+    fam_dir, cfg_path, file = tmp_path / "fam", tmp_path / "sim.json", tmp_path / "file"
     run_cli("construct", "--example1", "-o", str(fam_dir), "--no-certify")
-    (tmp_path / "file").write_text("")
+    cfg_path.write_text(json.dumps(SMALL_SIM))
+    file.write_text("")
     capsys.readouterr()
     with monkeypatch.context() as m:
         for module, name in ((construction, "load_family"), (correlation, "certify_family"),
-                             (correlation, "correlation_spectrum")):
-            m.setattr(module, name, lambda *a, **k: pytest.fail(f"{name} called"))
-        for parent in (tmp_path / "nodir", tmp_path / "file"):
+                             (correlation, "correlation_spectrum"),
+                             (construction, "build_multiple_zcz"), (qscdma, "simulate_ber")):
+            m.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+        for parent in (tmp_path / "nodir", file):
             for argv in (("spectrum", str(fam_dir), "-o", str(parent / "x.csv")),
                          ("verify", str(fam_dir), "--report", str(parent / "r.json"))):
                 assert run_cli(*argv) == EXIT_USAGE
@@ -780,7 +782,22 @@ def test_outputs_in_a_missing_directory_are_refused_before_any_work(tmp_path, ca
                 assert capsys.readouterr().err == (
                     f"error: cannot write {out}: {parent} is not a directory\n"
                 )
-    assert not (tmp_path / "nodir").exists()
+        # an output file that names a directory, the default report's
+        # included, and an output directory that is a file or lies below one
+        (fam_dir / "certificates.json").mkdir()
+        for argv, out in ((("spectrum", str(fam_dir), "-o", str(fam_dir)), fam_dir),
+                          (("verify", str(fam_dir), "--report", str(tmp_path)), tmp_path),
+                          (("verify", str(fam_dir)), fam_dir / "certificates.json")):
+            assert run_cli(*argv) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory\n"
+        for out in (file, file / "sub"):
+            for argv in (("construct", "--example1", "-o", str(out)),
+                         ("simulate", str(cfg_path), "-o", str(out))):
+                assert run_cli(*argv) == EXIT_USAGE
+                assert capsys.readouterr().err == (
+                    f"error: cannot write into {out}: {file} is not a directory\n"
+                )
+    assert not (tmp_path / "nodir").exists() and file.read_text() == ""
 
 
 def test_a_single_set_family_declares_its_own_zone_for_the_union(tmp_path, capsys):

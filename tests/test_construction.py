@@ -1,7 +1,9 @@
 """Family construction, seed identities, and the on-disk format."""
 
+import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +21,7 @@ from conftest import (
     oracle_multiple_zcz,
     quadratic_graph,
     random_valid_params,
+    with_sets,
 )
 from zczseq import (
     UnimodularSequence,
@@ -323,7 +326,7 @@ def test_chunk_decomposition_float_compare_fails_on_a_flipped_chip():
     exps = fam.sets[0][1].exponents.copy()
     exps[9] = (exps[9] + 1) % 8
     flipped = fam.sets[0][:1] + (UnimodularSequence(8, exps),) + fam.sets[0][2:]
-    bad = dataclasses.replace(fam, sets=(flipped, *fam.sets[1:]))
+    bad = with_sets(fam, (flipped, *fam.sets[1:]))
     for tau in range((1 << p.m) + 1):
         assert check_chunk_decomposition(fam, 0, 0, 1, 0, tau, codes=codes).passed
     rep = check_chunk_decomposition(bad, 0, 0, 1, 0, 1, codes=codes)
@@ -378,7 +381,7 @@ def test_chunk_decomposition_refuses_codes_of_unequal_row_counts():
 
 def test_chunk_decomposition_needs_params():
     fam = build_multiple_zcz(example1_params())
-    stripped = fam.__class__(params=None, sets=fam.sets, Z=fam.Z, Zc=fam.Zc)
+    stripped = fam.__class__(None, fam.union, fam.sizes, Z=fam.Z, Zc=fam.Zc)
     with pytest.raises(ValueError):
         check_chunk_decomposition(stripped, 0, 0, 0, 0, 0)
 
@@ -459,6 +462,11 @@ def test_built_and_loaded_sequences_hold_one_byte_per_chip(tmp_path):
     assert built < 1.5 * chips and read < 1.5 * chips
     for family in (fam, loaded):
         assert all(z.exponents.nbytes == len(z) == 16384 for st in family.sets for z in st)
+        # one store: every sequence is a view of its row of the union
+        assert all(np.shares_memory(z.exponents, family.union.exps) for st in family.sets for z in st)
+    # negative control: a writable union is copied row by row
+    copied = dataclasses.replace(fam, union=fam.union._replace(exps=fam.union.exps.copy()))
+    assert not any(np.shares_memory(z.exponents, copied.union.exps) for st in copied.sets for z in st)
 
 
 @pytest.mark.parametrize("q", [2, 8, 128, 130])
@@ -663,18 +671,53 @@ def test_declared_zones_are_certified_and_tight(q, m, k, s):
     def summary(cert):
         return cert.K, cert.Z, cert.L, cert.rho, cert.classification
 
-    set_certs, inter, union_cert = correlation.certify_family(fam.sets, Z, Zc)
+    set_certs, inter, union_cert = correlation.certify_family(fam.union, fam.sizes, Z, Zc)
     assert [summary(c) for c in set_certs] == [(K, Z, L, 1, "optimal")] * (1 << s)
     assert summary(union_cert) == union
     assert all(c.passed and c.formula == "binary" for c in (*set_certs, union_cert))
     assert len(inter) == (1 << s) * ((1 << s) - 1) // 2
     assert all(rep.passed for rep in inter.values())
 
-    set_certs, _, _ = correlation.certify_family(fam.sets, Z + 1, Zc)
+    set_certs, _, _ = correlation.certify_family(fam.union, fam.sizes, Z + 1, Zc)
     assert not all(c.passed for c in set_certs)
     assert {c.witness.shift for c in set_certs if not c.passed} == {Z + 1}
-    _, inter, union_cert = correlation.certify_family(fam.sets, Z, Zc + 1)
+    _, inter, union_cert = correlation.certify_family(fam.union, fam.sizes, Z, Zc + 1)
     assert not union_cert.passed and union_cert.witness.shift == Zc + 1
     if s:
         failed = [rep for rep in inter.values() if not rep.passed]
         assert failed and {abs(rep.witness.shift) for rep in failed} == {Zc + 1}
+
+
+def _seeds(k: int):
+    """Every seed for k, as (seed, admissible): the admissible ones, with
+    c_{k+1} = 1 and any cross terms, linear bits and constant, then the 2^k
+    with c_{k+1} = 0, which ``HCoeffs`` refuses and so are set past it."""
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    for c, used, e, e_prime in itertools.product(
+            itertools.product((0, 1), repeat=k), itertools.product((0, 1), repeat=len(pairs)),
+            itertools.product((0, 1), repeat=k + 2), (0, 1)):
+        d_pairs = tuple(p for p, b in zip(pairs, used) if b)
+        yield HCoeffs(c=c + (1,), d_pairs=d_pairs, e=e, e_prime=e_prime), True
+    for c in itertools.product((0, 1), repeat=k):
+        seed = HCoeffs.default(k)
+        object.__setattr__(seed, "c", c + (0,))
+        yield seed, False
+
+
+def test_certificates_pass_exactly_when_the_seed_cancels():
+    """Every seed for k <= 2 at six points: the family's certificates pass
+    exactly when ``check_seed_cancellation`` does.  Every admissible seed
+    passes both; the negative controls, every seed without the top coupling
+    c_{k+1}, fail both."""
+    outcomes = collections.Counter()
+    for q, m, k, s in ((2, 4, 2, 1), (4, 4, 2, 1), (8, 4, 2, 1), (2, 3, 1, 1), (2, 3, 1, 0),
+                       (2, 4, 0, 0)):
+        for seed, admissible in _seeds(k):
+            fam = build_multiple_zcz(default_params(q, m, k, s, h=seed))
+            set_certs, inter, union_cert = correlation.certify_family(
+                fam.union, fam.sizes, fam.Z, fam.Zc)
+            certified = all(c.passed for c in (*set_certs, *inter.values(), union_cert))
+            cancels = check_seed_cancellation(seed_polynomial(seed)).passed
+            assert certified == cancels, (q, m, k, s, seed)
+            outcomes[admissible, certified] += 1
+    assert outcomes == {(True, True): 840, (False, False): 17}

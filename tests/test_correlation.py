@@ -21,7 +21,9 @@ from conftest import (
     random_valid_params,
     spectrum_value,
     undecidable_q8_pair,
+    union_of,
     used_roots_real,
+    with_sets,
 )
 from zczseq import (
     GeneralizedBooleanFunction,
@@ -656,7 +658,7 @@ def test_the_binary_bound_follows_the_exponents_not_the_modulus(q):
     rng = np.random.default_rng(90 + q)
     signs = [UnimodularSequence(q, q // 2 * rng.integers(0, 2, 64)) for _ in range(2)]
     other = [UnimodularSequence(q, rng.integers(0, q, 64)) for _ in range(2)]
-    sets, _, union = certify_family([signs, other], 0, 0)
+    sets, _, union = certify_family(*union_of([signs, other]), 0, 0)
     mixed = "binary" if q == 2 else "general"
     assert [c.formula for c in (*sets, union)] == ["binary", mixed, mixed]
     # each set is rated by its own sequences, as the separate calls rate it
@@ -708,7 +710,7 @@ def test_certify_family_matches_separate_certificates(q, zones, covers):
         params = default_params(4, 4, 2, 2) if q == 4 else default_params(6, 3, 1, 1)
         sets, Z, Zc = _corrupted_sets(params, 1, 2, 9)
     Z, Zc = zones or (Z, Zc)
-    set_certs, inter, union_cert = certify_family(sets, Z, Zc)
+    set_certs, inter, union_cert = certify_family(*union_of(sets), Z, Zc)
     assert [_rounded(c) for c in set_certs] == [_rounded(verify_zcz(st, Z)) for st in sets]
     pairs = [(a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))]
     assert list(inter) == pairs
@@ -729,9 +731,9 @@ def test_certify_family_rejects_zones_like_the_separate_calls():
     fam = build_multiple_zcz(example1_params())
     sets = fam.sets
     with pytest.raises(ValueError, match=r"zone width 256 outside \[0, 256\)"):
-        certify_family(sets, 256, 7)
+        certify_family(*union_of(sets), 256, 7)
     with pytest.raises(ValueError, match=r"zone width -1 outside \[0, 256\)"):
-        certify_family(sets, 16, -1)
+        certify_family(*union_of(sets), 16, -1)
 
 
 def test_exact_blocks_are_single_precision_below_two_to_the_24():
@@ -823,13 +825,14 @@ def test_verify_zcz_memory_is_bounded_by_the_shift_block():
     assert peak < 24 * 2**20
 
 
-def _certify_family_peak(fam):
-    """tracemalloc's peak over one ``certify_family`` call, and its verdicts."""
-    sets = fam.sets
-    certify_family([st[:2] for st in sets], 3, 1)  # warm up lazy imports outside the trace
+def _certify_family_peak(fam, restack=False):
+    """tracemalloc's peak over one ``certify_family`` call, and its verdicts;
+    with ``restack``, the call first stacks the sets into a new union."""
+    certify_family(*union_of([st[:2] for st in fam.sets]), 3, 1)  # warm up lazy imports outside the trace
     tracemalloc.start()
     try:
-        set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+        store = union_of(fam.sets) if restack else (fam.union, fam.sizes)
+        set_certs, inter, union_cert = certify_family(*store, fam.Z, fam.Zc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -838,22 +841,24 @@ def _certify_family_peak(fam):
 
 def test_certify_family_memory_peaks_at_the_tables_plus_one_block(monkeypatch):
     """The tables stay in the kernel's dtype and every kernel's and
-    verdict's temporaries fit one ``_SHIFT_BLOCK_BYTES`` block, so the peak
-    is the uint8 exponent stack, the float32 union table (shifts 0..Zc), the
-    diagonal table (shifts Zc+1..Z of every set), one set's table with its
-    verdict, and one block.  Negative control: the former 4 MiB block
-    budget exceeds that bound."""
+    verdict's temporaries fit one ``_SHIFT_BLOCK_BYTES`` block, and the
+    family's union stack is read, not copied, so the peak is the float32
+    union table (shifts 0..Zc), the diagonal table (shifts Zc+1..Z of every
+    set), one set's table with its verdict, and one block.  Negative
+    controls: a union stacked again from the sets, and the former 4 MiB
+    block budget, each exceed that bound."""
     fam = build_multiple_zcz(default_params(2, 8, 4, 2))
     S, K = len(fam.sets), len(fam.sets[0])
     K_u = S * K
     assert (K_u, fam.Z, fam.Zc, fam.L) == (128, 256, 63, 16384)
-    stack = K_u * fam.L
     union = (fam.Zc + 1) * K_u * K_u * 4
     diagonal = (fam.Z - fam.Zc) * S * K * K * 4
     own_set = (fam.Z + 1) * K * K * (4 + 1)
-    bound = stack + union + diagonal + own_set + correlation._SHIFT_BLOCK_BYTES + 2**19
+    bound = union + diagonal + own_set + correlation._SHIFT_BLOCK_BYTES + 2**19
     peak, passed = _certify_family_peak(fam)
     assert passed and peak <= bound
+    peak, passed = _certify_family_peak(fam, restack=True)
+    assert passed and peak > bound
     monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 4 << 20)
     peak, passed = _certify_family_peak(fam)
     assert passed and peak > bound
@@ -904,8 +909,8 @@ def test_deep_checks_conjugate_each_sequence_once_per_unit(monkeypatch):
         made.append(self)
         init(self)
 
+    sets, seqs = range(len(fam.sets)), range(len(fam.sets[0]))  # the views, built before counting
     monkeypatch.setattr(UnimodularSequence, "__post_init__", counted)
-    sets, seqs = range(len(fam.sets)), range(len(fam.sets[0]))
     cells = list(itertools.product(sets, sets, seqs, seqs, range((1 << fam.params.m) + 1)))
     assert all(check_chunk_decomposition(fam, *cell, codes=codes).passed for cell in cells)
     assert correlation.conjugates(8) == (1, 3)
@@ -929,7 +934,7 @@ def test_one_zero_rule_flags_a_flipped_chip_in_scans_and_chunk_checks(q):
     exps = fam.sets[0][1].exponents.copy()
     exps[9] = (exps[9] + 1) % q
     flipped = fam.sets[0][:1] + (UnimodularSequence(q, exps),) + fam.sets[0][2:]
-    bad = dataclasses.replace(fam, sets=(flipped, *fam.sets[1:]))
+    bad = with_sets(fam, (flipped, *fam.sets[1:]))
     taus = range((1 << p.m) + 1)
     assert verify_zcz(fam.sets[0], fam.Z).passed
     assert all(check_chunk_decomposition(fam, 0, 0, 1, 0, t, codes=codes).passed for t in taus)
@@ -1067,7 +1072,7 @@ def test_unequal_column_classes_take_single_position_bins(q):
     assert np.array_equal(fold.order, np.arange(P)) and np.array_equal(fold.H, fold.Y)
     every = np.arange(stack.L)
     _assert_binned_fold_matches_union(stack, fold, every, every, stack.exact)
-    set_certs, inter, union_cert = certify_family(sets, 3, 1)
+    set_certs, inter, union_cert = certify_family(*union_of(sets), 3, 1)
     wants = [verify_zcz(st, 3) for st in sets] + [verify_zcz(sets[0] + sets[1], 1)]
     for got, want in zip([*set_certs, union_cert], wants):
         # q = 8 witness floats may move in their last bits with the summation order
@@ -1098,7 +1103,7 @@ def test_one_chip_corruption_takes_the_gemm_path(monkeypatch):
     union = correlation._stack(z for st in sets for z in st)
     assert correlation._split(union, [8, 8]) is None
     calls = _spy_kernels(monkeypatch)
-    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(*union_of(sets), fam.Z, fam.Zc)
     assert set(calls) == {"_periodic_table"}
     assert union_cert == verify_zcz(seqs + sets[1], fam.Zc) and not union_cert.passed
     assert set_certs[0] == verify_zcz(seqs, fam.Z) and not set_certs[0].passed
@@ -1118,11 +1123,11 @@ def test_separable_corruption_takes_the_folded_path(params, monkeypatch):
             exps[37] = (exps[37] + 1) % q
             sets[-1].append(UnimodularSequence(q, exps))
     calls = _spy_kernels(monkeypatch)
-    folded = certify_family(sets, fam.Z, fam.Zc)
+    folded = certify_family(*union_of(sets), fam.Z, fam.Zc)
     assert set(calls) == {"_folded_table"}
     monkeypatch.setattr(correlation, "_split", lambda union, sizes: None)
     calls.clear()
-    gemm = certify_family(sets, fam.Z, fam.Zc)
+    gemm = certify_family(*union_of(sets), fam.Z, fam.Zc)
     assert set(calls) == {"_periodic_table"}
     assert folded == gemm
     set_certs, inter, union_cert = folded
@@ -1161,7 +1166,7 @@ def test_constructions_split_fold_exactly_and_certify(params):
     _assert_fold_matches_gemm(
         sets, np.arange(fam.Zc + 1), np.arange(fam.Zc + 1, fam.Z + 1)
     )
-    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
 
 
@@ -1183,7 +1188,7 @@ def _complex_constructions(draw):
 def test_q6_q8_constructions_certify_like_the_separate_calls(params):
     fam = build_multiple_zcz(params)
     sets = fam.sets
-    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
     assert set_certs == [verify_zcz(st, fam.Z) for st in sets]
     assert inter == {
@@ -1219,7 +1224,7 @@ def test_verdicts_fail_a_nonzero_value_below_a_float_tolerance(monkeypatch):
     assert correlation.is_zero([alpha]) and not correlation.is_zero([alpha, conjugate])
 
     def verdicts():
-        set_certs, inter, union_cert = certify_family([[a], [b]], 0, 0)
+        set_certs, inter, union_cert = certify_family(*union_of([[a], [b]]), 0, 0)
         return [verify_zcz([a, b], 0), verify_inter_zccz([a], [b], 0), inter[0, 1], union_cert]
 
     reports = verdicts()
@@ -1257,7 +1262,7 @@ def test_code_and_chunk_verdicts_decide_where_a_float_tolerance_refused():
     p = random_valid_params(rng, 16, 4, 1, 0)
     fam, codes = build_multiple_zcz(p), build_ccc_family(p)
     assert fam.L == 128
-    set_certs, inter, union_cert = certify_family(fam.sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
     taus = range((1 << p.m) + 1)
     assert all(check_chunk_decomposition(fam, 0, 0, 0, 1, t, codes=codes).passed for t in taus)
@@ -1344,7 +1349,7 @@ def test_is_zero_on_chunk_checks_matches_the_cyclotomic_oracle(q, seed, flip):
         n = int(rng.integers(len(exps)))
         exps[n] = (exps[n] + int(rng.integers(1, q))) % q
         sets = ((UnimodularSequence(q, exps),) + fam.sets[0][1:],) + fam.sets[1:]
-        fam = dataclasses.replace(fam, sets=sets)
+        fam = with_sets(fam, sets)
     S, K = len(fam.sets), len(fam.sets[0])
     for _ in range(6):
         t1, t1b = (int(t) for t in rng.integers(0, S, 2))
@@ -1361,14 +1366,14 @@ def test_every_even_q_takes_the_fold_and_a_flipped_chip_the_gemm(q, monkeypatch)
     fam = build_multiple_zcz(p)
     sets = [list(st) for st in fam.sets]
     calls = _spy_kernels(monkeypatch)
-    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(*union_of(sets), fam.Z, fam.Zc)
     assert set(calls) == {"_folded_table"}
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
     exps = sets[0][1].exponents.copy()
     exps[9] = (exps[9] + 1) % q
     sets[0][1] = UnimodularSequence(q, exps)
     calls.clear()
-    set_certs, inter, union_cert = certify_family(sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(*union_of(sets), fam.Z, fam.Zc)
     assert set(calls) == {"_periodic_table"}
     want = verify_zcz(sets[0], fam.Z)
     assert not set_certs[0].passed and not want.passed
@@ -1381,7 +1386,7 @@ def test_q6_q8_families_up_to_length_512_still_certify(q):
     p = random_valid_params(np.random.default_rng(q), q, 5, 2, 1, randomize_structure=True)
     fam, codes = build_multiple_zcz(p), build_ccc_family(p)
     assert fam.L == 512
-    set_certs, inter, union_cert = certify_family(fam.sets, fam.Z, fam.Zc)
+    set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
     taus = range((1 << p.m) + 1)
     assert all(check_chunk_decomposition(fam, 0, 1, 2, 5, t, codes=codes).passed for t in taus)

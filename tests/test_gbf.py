@@ -205,6 +205,14 @@ def test_sequence_owns_a_read_only_copy_of_its_exponents():
     row = UnimodularSequence(2, table[0])
     table[:] = 0
     assert row.exponents.tolist() == [1, 0, 1]
+    assert not np.shares_memory(row.exponents, table)
+    # a read-only row already narrow, as a family's union rows are, is kept as it is
+    table.flags.writeable = False
+    assert UnimodularSequence(2, table[1]).exponents.base is table
+    # negative controls: a read-only row of a wider dtype is still copied
+    wide_table = table.astype(np.int64)
+    wide_table.flags.writeable = False
+    assert not np.shares_memory(UnimodularSequence(2, wide_table[1]).exponents, wide_table)
     # the narrowest unsigned dtype that holds 2q - 1, whatever the input's
     for stored, q in ((seq.exponents, 4), (row.exponents, 2)):
         assert stored.dtype == np.min_scalar_type(2 * q - 1) == np.uint8

@@ -1,6 +1,5 @@
 """Multi-cluster uplink simulation: exactness, baselines, reproducibility."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -16,6 +15,8 @@ from conftest import (
     oracle_simulation_errors,
     theoretical_bpsk_ber,
     two_proportion_z,
+    union_of,
+    with_sets,
 )
 from zczseq import (
     MultipleZczFamily,
@@ -52,7 +53,7 @@ def octal_family():
 def constant_family():
     """Four sets of eight all-ones q = 1 sequences: every user interferes."""
     seq = UnimodularSequence(1, np.zeros(256, dtype=np.int64))
-    return MultipleZczFamily(params=None, sets=((seq,) * 8,) * 4, Z=0, Zc=0)
+    return MultipleZczFamily(None, *union_of(((seq,) * 8,) * 4), Z=0, Zc=0)
 
 
 def test_assign_signatures_full_topology():
@@ -76,7 +77,7 @@ def test_assign_signatures_minimal_and_capacity():
 
 def test_assign_signatures_checks_every_set():
     fam = four_cluster_family()
-    short = dataclasses.replace(fam, sets=(*fam.sets[:3], fam.sets[3][:7]))
+    short = with_sets(fam, (*fam.sets[:3], fam.sets[3][:7]))
     with pytest.raises(ValueError, match="8 users per cluster requested but set 3 holds 7"):
         assign_signatures(short, 4, 8)
     assert [len(c) for c in assign_signatures(short, 3, 8)] == [8, 8, 8]
