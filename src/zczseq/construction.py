@@ -458,6 +458,11 @@ class MultipleZczFamily:
     Z: int
     Zc: int
 
+    def __post_init__(self):
+        if min(self.sizes, default=0) < 0 or sum(self.sizes) != self.union.K:
+            raise ValueError(f"set sizes {tuple(self.sizes)} are not nonnegative counts"
+                             f" that add up to the union's K = {self.union.K}")
+
     @functools.cached_property
     def sets(self) -> tuple[tuple[UnimodularSequence, ...], ...]:
         """``sets[t1][t2]`` is sequence t2 of set t1, a view of its union row."""

@@ -36,15 +36,15 @@ its tables in blocks along the leading axis; each sizes a block so that
 all of its temporaries, counted per shift, fit ``_SHIFT_BLOCK_BYTES``
 (512 KiB, a cache-sized block).  The tables themselves are not counted.
 
-For q in {1, 2, 4} every float product here, ``accf``'s included, is
-exact: entries and products are Gaussian integers with components in
-{-1, 0, 1}, and every partial sum is an integer of magnitude at most
-twice the row length N (the fold's at most 2L).  So exact matrices are
-float32/complex64 while 2N < 2**24 and float64/complex128 beyond, those
-of other moduli always float64/complex128, and each kernel returns its
-table in that dtype, real for real matrices.  ``accf`` and ``pccf``
-return Python complex numbers, with exact integer components for q in
-{1, 2, 4}.
+For q in {1, 2, 4} every float product here is exact: entries and
+products are Gaussian integers with components in {-1, 0, 1}, and every
+partial sum is an integer of magnitude at most twice the row length N
+(the fold's at most 2L).  So exact matrices are float32/complex64 while
+2N < 2**24 and float64/complex128 beyond, those of other moduli always
+float64/complex128, and each kernel returns its table in that dtype, real
+for real matrices.  ``accf`` and ``pccf`` return Python complex numbers,
+with exact integer components for q in {1, 2, 4}: for q <= 2 ``accf``
+counts sign bits in Python ints, exact for any L with no bound needed.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -85,20 +86,25 @@ DEFAULT_SPECTRUM_CELL_CAP = 1 << 24
 
 
 def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
-    """Aperiodic cross-correlation of a against b at shift u (|u| <= L).
-
-    One dot product of a slice of a's values with a slice of b's
-    conjugates, both read from the vectors each sequence keeps once built
-    (``UnimodularSequence._root_vectors``): nothing is gathered per call.
-    """
-    va, cb = a._root_vectors[0], b._root_vectors[1]
-    L = va.size
-    if cb.size != L:
-        raise ValueError(f"length mismatch: {L} vs {cb.size}")
+    """Aperiodic cross-correlation of a against b at shift u (|u| <= L),
+    read from what each sequence keeps (``UnimodularSequence._root_vectors``).
+    For q <= 2 that is its sign bits: the n = L - |u| overlapping chips
+    agree where the shifted bits' XOR is 0, so the sum is the exact integer
+    n - 2 * popcount.  Otherwise it is one dot product of a slice of a's
+    values with a slice of b's conjugates."""
+    L, Lb = a.exponents.size, b.exponents.size
+    if Lb != L:
+        raise ValueError(f"length mismatch: {L} vs {Lb}")
     if a.q != b.q:
         raise ValueError(f"modulus mismatch: q={a.q} vs q={b.q}")
     if not -L <= u <= L:
         raise ValueError(f"shift {u} outside [-{L}, {L}]")
+    if a.q <= 2:
+        u = operator.index(u)  # a numpy integer would overflow the shifts
+        sa, sb, n = a._root_vectors, b._root_vectors, L - abs(u)
+        x = sa ^ (sb >> u) if u >= 0 else (sa >> -u) ^ sb
+        return complex(n - 2 * (x & ((1 << n) - 1)).bit_count())
+    va, cb = a._root_vectors[0], b._root_vectors[1]
     if u >= 0:
         return complex(va[: L - u].dot(cb[u:]))
     return complex(va[-u:].dot(cb[: L + u]))

@@ -189,19 +189,16 @@ class UnimodularSequence:
         return roots_of_unity(self.q).take(self.exponents)
 
     @functools.cached_property
-    def _root_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, conjugates), read-only and kept once built, since the
-        sequence is immutable.  For q <= 2 every root is real, so one
-        float64 vector serves as both (8 B per chip); otherwise they are
-        two complex128 vectors (32 B per chip)."""
-        roots = roots_of_unity(self.q)
+    def _root_vectors(self) -> int | tuple[np.ndarray, np.ndarray]:
+        """Kept once built, since the sequence is immutable.  For q <= 2
+        every root is +-1, so one Python int with bit i set where chip i
+        is -1 (about 1 bit per chip); otherwise (values, conjugates), two
+        read-only complex128 vectors (32 B per chip)."""
         if self.q <= 2:
-            values = conj = roots.real.take(self.exponents)
-        else:
-            values = roots.take(self.exponents)
-            conj = values.conj()
-            conj.flags.writeable = False
-        values.flags.writeable = False
+            return int.from_bytes(np.packbits(self.exponents, bitorder="little"), "little")
+        values = roots_of_unity(self.q).take(self.exponents)
+        conj = values.conj()
+        values.flags.writeable = conj.flags.writeable = False
         return values, conj
 
 

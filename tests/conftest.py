@@ -34,7 +34,6 @@ from zczseq import (
     ConstructionParams,
     HCoeffs,
     MultipleZczFamily,
-    accf,
     build_seed_function,
     correlation,
     psi,
@@ -467,12 +466,22 @@ def quadratic_graph(f: GeneralizedBooleanFunction) -> QuadraticGraph:
     return QuadraticGraph(vertices=frozenset(range(f.m)), edges=edges)
 
 
+def dot_accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> np.complex128:
+    """``np.dot`` of a's ``values()`` with the conjugates of b's over the
+    chips that overlap at shift u: the aperiodic correlation without
+    ``accf``."""
+    va, vb = a.values(), b.values()
+    L = va.size
+    sa, sb = (slice(0, L - u), slice(u, L)) if u >= 0 else (slice(-u, L), slice(0, L + u))
+    return np.dot(va[sa], np.conj(vb[sb]))
+
+
 def code_accf(code1, code2, u: int) -> complex:
     """Row-wise sum of aperiodic cross-correlations between two codes,
-    each a sequence of rows."""
+    each a sequence of rows, by ``dot_accf``."""
     if len(code1) != len(code2):
         raise ValueError(f"row count mismatch: {len(code1)} vs {len(code2)}")
-    return sum((accf(r1, r2, u) for r1, r2 in zip(code1, code2)), 0j)
+    return sum((complex(dot_accf(r1, r2, u)) for r1, r2 in zip(code1, code2)), 0j)
 
 
 def spectrum_value(table, i: int, j: int, u: int) -> complex:

@@ -266,6 +266,23 @@ def test_verify_deep_reports_a_flipped_chip(tmp_path, capsys):
     assert chunk["mismatches"] == [[0, 0, 0, 1, tau] for tau in range(16)]
 
 
+def test_verify_deep_reports_a_flipped_last_chip(tmp_path, capsys):
+    # negative control at the top edge of a sign mask: chip L - 1 = 255
+    out = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(out), "--no-certify")
+    target = out / "0" / "1.seq"
+    lines = target.read_text().splitlines()
+    assert len(lines) == 4 + 256
+    lines[-1] = "1" if lines[-1] == "0" else "0"
+    target.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(out), "--deep") == EXIT_CERT_FAIL
+    assert "chunk-decomposition FAIL (4352 checks)" in capsys.readouterr().out
+    chunk = json.loads((out / "certificates.json").read_text())["deep"]["chunk_decomposition"]
+    assert not chunk["pass"] and chunk["checked"] == 4352
+    assert chunk["mismatches"] == [[0, 0, 0, 1, tau] for tau in range(16)]
+
+
 def test_verify_missing_directory(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "nope")) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err

@@ -180,6 +180,17 @@ def test_family_shapes_and_degree():
     assert (fam.Z, fam.Zc) == (16, 7)
 
 
+@pytest.mark.parametrize("sizes", [(3,), (1,), (3, -1), (1, 1, 1)])
+def test_a_family_refuses_sizes_that_do_not_count_its_union(sizes):
+    # (3,) once ended in "generator raised StopIteration" when sets was
+    # read, and (1,) silently dropped the second row
+    union = correlation._as_stack(np.zeros((2, 4), dtype=np.uint8), 2)
+    with pytest.raises(ValueError, match=rf"set sizes \({sizes[0]},.*K = 2"):
+        construction.MultipleZczFamily(None, union, sizes, Z=0, Zc=0)
+    fam = construction.MultipleZczFamily(None, union, (1, 1), Z=0, Zc=0)  # control
+    assert [len(st) for st in fam.sets] == [1, 1]
+
+
 def test_constructed_functions_stay_quadratic():
     rng = np.random.default_rng(10)
     for _ in range(10):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     code_accf,
     csv_module_spectrum,
+    dot_accf,
     exactly_zero,
     naive_circular,
     random_sequence,
@@ -101,13 +102,8 @@ def _accf_mismatches(a, b):
     """Shifts -L..L at which ``accf`` differs from np.dot(a, conj(b)) over
     the overlapping chips, both taken from ``values()``."""
     L = len(a)
-    va, vb = a.values(), b.values()
-    bad = []
-    for u in range(-L, L + 1):
-        sa, sb = (slice(0, L - u), slice(u, L)) if u >= 0 else (slice(-u, L), slice(0, L + u))
-        if not _same_value(accf(a, b, u), np.dot(va[sa], np.conj(vb[sb])), a.exact):
-            bad.append(u)
-    return bad
+    return [u for u in range(-L, L + 1)
+            if not _same_value(accf(a, b, u), dot_accf(a, b, u), a.exact)]
 
 
 def _pccf_mismatches(a, b):
@@ -136,6 +132,40 @@ def test_pccf_equals_two_dots_bit_for_bit(q):
     rng = np.random.default_rng(40 + q)
     a, b = random_sequence(rng, q, 37), random_sequence(rng, q, 37)
     assert _pccf_mismatches(a, b) == [] and _pccf_mismatches(b, a) == []
+
+
+@pytest.mark.parametrize("L", [1, 7, 8, 9, 63, 64, 65, 256])
+@pytest.mark.parametrize("q", [1, 2])
+def test_sign_bit_accf_and_pccf_equal_the_dot_oracle_at_byte_and_word_edges(q, L):
+    rng = np.random.default_rng(60 + L)
+    a, b = random_sequence(rng, q, L), random_sequence(rng, q, L)
+    if q == 2:  # a's first and last chips are -1: bits 0 and L - 1 are set
+        a = UnimodularSequence(2, np.r_[1, a.exponents[1:-1], 1][:L])
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _pccf_mismatches(x, y) == []
+        # every bit of the dot's real part, and a +0.0 imaginary part
+        assert all(_same_value(accf(x, y, u), complex(dot_accf(x, y, u).real), exact=False)
+                   for u in range(-L, L + 1))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_accf_takes_numpy_integer_shifts(q):
+    rng = np.random.default_rng(36)
+    a, b = random_sequence(rng, q, 200), random_sequence(rng, q, 200)
+    for u in (-200, -3, 0, 100, 200):
+        assert _same_value(accf(a, b, np.int64(u)), accf(a, b, u), exact=False)
+    with pytest.raises(TypeError):
+        accf(a, b, 3.0)
+
+
+@pytest.mark.parametrize("chip", [0, 7, 8, 63, 64])
+def test_the_dot_oracle_catches_one_flipped_bit_of_a_cached_sign_mask(chip):
+    # negative control: the mask accf reads, not the exponents, is what it sums
+    rng = np.random.default_rng(35)
+    a, b = random_sequence(rng, 2, 65), random_sequence(rng, 2, 65)
+    assert _accf_mismatches(a, b) == []
+    b.__dict__["_root_vectors"] = b._root_vectors ^ (1 << chip)
+    assert _accf_mismatches(a, b)
 
 
 def test_a_conjugated_q8_pair_correlates_bit_for_bit():
@@ -168,16 +198,18 @@ def test_the_dot_oracle_catches_an_accf_that_skips_the_conjugate():
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
 def test_a_sequence_keeps_read_only_root_vectors(q):
     seq = random_sequence(np.random.default_rng(50 + q), q, 29)
-    values, conj = vectors = seq._root_vectors
+    vectors = seq._root_vectors
     assert seq._root_vectors is vectors  # built once, kept
     want = seq.values()
-    if q <= 2:
-        assert values is conj and values.dtype == np.float64
-        assert np.array_equal(values, want.real) and not want.imag.any()
-    else:
-        assert values.dtype == conj.dtype == np.complex128
-        assert np.array_equal(values.view(np.int64), want.view(np.int64))
-        assert np.array_equal(conj.view(np.int64), np.conj(want).view(np.int64))
+    if q <= 2:  # one int, bit i set where chip i is -1
+        assert type(vectors) is int and not want.imag.any()
+        assert [vectors >> i & 1 for i in range(len(seq))] == (want.real < 0).tolist()
+        assert vectors >> len(seq) == 0
+        return
+    values, conj = vectors
+    assert values.dtype == conj.dtype == np.complex128
+    assert np.array_equal(values.view(np.int64), want.view(np.int64))
+    assert np.array_equal(conj.view(np.int64), np.conj(want).view(np.int64))
     for vector in (values, conj):
         with pytest.raises(ValueError):
             vector[0] = 0
