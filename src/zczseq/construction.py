@@ -551,8 +551,8 @@ def check_chunk_decomposition(
     (-1)^{h_c + h_{c+1}} sign pairs; chunk subscripts wrap mod 2^{k+2} and
     row subscripts mod 2^{k+1}.  Valid for 0 <= tau <= 2^m.
 
-    It passes when ``correlation.is_zero`` holds for lhs - rhs at every unit
-    of ``correlation.conjugates(q)``; lhs and rhs are the sigma_1 values.
+    It passes when ``correlation.is_zero`` holds for lhs - rhs (sigma_1
+    values) at 1 if every term is binary, else at each of ``conjugates(q)``.
     """
     params = family._params
     chunk_len = 1 << params.m
@@ -561,8 +561,10 @@ def check_chunk_decomposition(
     if codes is None:
         codes = build_ccc_family(params)
     terms = (family.sets[t1][i], family.sets[t1_other][j], codes[t1][i], codes[t1_other][j])
+    binary = params.q <= 2 or all(isinstance(z._root_vectors, int)
+                                  for z in (*terms[:2], *terms[2], *terms[3]))
     sides = []
-    for unit in correlation.conjugates(params.q):
+    for unit in (1,) if binary else correlation.conjugates(params.q):
         seq_a, seq_b, rows_a, rows_b = terms if unit == 1 else correlation._conjugate(terms, unit)
         lhs = correlation.pccf(seq_a, seq_b, tau)
         l, shift = len(rows_a), chunk_len - tau

@@ -19,8 +19,8 @@ q; witness values are the sigma_1 values.
 Whole sets go through one batch kernel, ``_periodic_table``: a family
 holds its union as one stack of exponents (``_Stack``), and any other set
 is stacked once; a stack is gathered per conjugate into one matrix from
-the roots of unity permuted by j, real unless an entry has a nonzero
-imaginary part; one GEMM per block of shifts.
+the roots of unity permuted by j; one GEMM per block of shifts.  Binary
+stacks (``gbf._is_binary``) compute as q = 2: real, at unit 1 alone.
 
 Path rule.  A family whose exponents split into the construction's two
 layers (``_split``, checked on every exponent for every q) takes the
@@ -36,15 +36,15 @@ its tables in blocks along the leading axis; each sizes a block so that
 all of its temporaries, counted per shift, fit ``_SHIFT_BLOCK_BYTES``
 (512 KiB, a cache-sized block).  The tables themselves are not counted.
 
-For q in {1, 2, 4} every float product here is exact: entries and
-products are Gaussian integers with components in {-1, 0, 1}, and every
-partial sum is an integer of magnitude at most twice the row length N
-(the fold's at most 2L).  So exact matrices are float32/complex64 while
-2N < 2**24 and float64/complex128 beyond, those of other moduli always
-float64/complex128, and each kernel returns its table in that dtype, real
-for real matrices.  ``accf`` and ``pccf`` return Python complex numbers,
-with exact integer components for q in {1, 2, 4}: for q <= 2 ``accf``
-counts sign bits in Python ints, exact for any L with no bound needed.
+Binary rows, and all rows for q = 4, make every float product here exact:
+entries and products are Gaussian integers with components in {-1, 0, 1},
+and every partial sum is an integer of magnitude at most twice the row
+length N (the fold's at most 2L).  So exact matrices are
+float32/complex64 while 2N < 2**24 and float64/complex128 beyond, others
+always float64/complex128, and each kernel returns its table in that
+dtype, real for real matrices.  ``accf`` and ``pccf`` return Python
+complex numbers, exact integers in those cases; for two binary sequences
+``accf`` counts sign bits.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gbf import UnimodularSequence, roots_of_unity
+from .gbf import UnimodularSequence, _is_binary, roots_of_unity
 
 __all__ = [
     "Violation",
@@ -88,10 +88,10 @@ DEFAULT_SPECTRUM_CELL_CAP = 1 << 24
 def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
     """Aperiodic cross-correlation of a against b at shift u (|u| <= L),
     read from what each sequence keeps (``UnimodularSequence._root_vectors``).
-    For q <= 2 that is its sign bits: the n = L - |u| overlapping chips
-    agree where the shifted bits' XOR is 0, so the sum is the exact integer
-    n - 2 * popcount.  Otherwise it is one dot product of a slice of a's
-    values with a slice of b's conjugates."""
+    When both are binary that is their sign bits: the n = L - |u| overlapping
+    chips agree where the shifted bits' XOR is 0, so the sum is the exact
+    integer n - 2 * popcount.  Otherwise, a mixed pair included, it is one
+    dot product of a slice of a's values with a slice of b's conjugates."""
     L, Lb = a.exponents.size, b.exponents.size
     if Lb != L:
         raise ValueError(f"length mismatch: {L} vs {Lb}")
@@ -99,12 +99,14 @@ def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
         raise ValueError(f"modulus mismatch: q={a.q} vs q={b.q}")
     if not -L <= u <= L:
         raise ValueError(f"shift {u} outside [-{L}, {L}]")
-    if a.q <= 2:
+    sa, sb = a._root_vectors, b._root_vectors
+    if isinstance(sa, int) and isinstance(sb, int):
         u = operator.index(u)  # a numpy integer would overflow the shifts
-        sa, sb, n = a._root_vectors, b._root_vectors, L - abs(u)
+        n = L - abs(u)
         x = sa ^ (sb >> u) if u >= 0 else (sa >> -u) ^ sb
         return complex(n - 2 * (x & ((1 << n) - 1)).bit_count())
-    va, cb = a._root_vectors[0], b._root_vectors[1]
+    va = a.values() if isinstance(sa, int) else sa[0]
+    cb = b.values().conj() if isinstance(sb, int) else sb[1]
     if u >= 0:
         return complex(va[: L - u].dot(cb[u:]))
     return complex(va[-u:].dot(cb[: L + u]))
@@ -137,7 +139,7 @@ def is_zero(values):
     of a nonzero alpha, the product of all its conjugates, is a nonzero
     integer, and sigma_{-j} = conj(sigma_j), so some listed conjugate is at
     least 1.  A zero value that sums N roots of unity computes to within
-    about N**2 * 2**-53 of zero (to 0 exactly for q in {1, 2, 4}).
+    about N**2 * 2**-53 of zero (to 0 exactly for exact tables).
 
     Arrays are decided in blocks along their leading axis, at most
     ``_SHIFT_BLOCK_BYTES`` of each at a time, into one bool array."""
@@ -196,8 +198,8 @@ def _kernel_dtype(is_complex, exact, N):
 
 class _Stack(NamedTuple):
     """K rows of q-th roots of unity, held as (K, L) exponents in the
-    sequences' dtype, which holds the sum of two; ``real`` when every root
-    they use is real (then so is every root of every conjugate)."""
+    sequences' dtype, which holds the sum of two; ``real`` when binary, as
+    ``_as_stack`` finds it.  Rows taken from it keep its path, not its label."""
 
     exps: np.ndarray
     q: int
@@ -205,9 +207,9 @@ class _Stack(NamedTuple):
 
     K = property(lambda self: self.exps.shape[0])
     L = property(lambda self: self.exps.shape[1])
-    exact = property(lambda self: self.q in (1, 2, 4))
-    # every entry omega^e is +-1: each exponent lies in {0, q/2}
-    binary = property(lambda self: self.q <= 2 or not (2 * self.exps % self.q).any())
+    exact = property(lambda self: self.real or self.q == 4)
+    units = property(lambda self: (1,) if self.real else conjugates(self.q))
+    binary = property(lambda self: self.real or _as_stack(self.exps, self.q).real)
 
     def rows(self, sl) -> "_Stack":
         return self._replace(exps=self.exps[sl])
@@ -226,11 +228,12 @@ class _Stack(NamedTuple):
 
 def _as_stack(exps: np.ndarray, q: int) -> _Stack:
     """(K, L) exponents as a stack, not copied but made read-only, so that
-    a ``UnimodularSequence`` of a row is a view of it."""
+    a ``UnimodularSequence`` of a row is a view of it; real when binary."""
     exps.flags.writeable = False
-    # the roots whose imaginary part in roots_of_unity(q) is exactly 0: all
-    # of them for q <= 2, the even exponents for q = 4, omega^0 alone otherwise
-    return _Stack(exps, q, q <= 2 or not (exps & 1 if q == 4 else exps).any())
+    # blocks of rows whose two temporaries fit _SHIFT_BLOCK_BYTES
+    step = max(1, _SHIFT_BLOCK_BYTES // max(1, 2 * exps[:1].nbytes))
+    blocks = (exps[lo : lo + step] for lo in range(0, len(exps), step))
+    return _Stack(exps, q, all(_is_binary(q, block) for block in blocks))
 
 
 def _stack(seqs) -> _Stack:
@@ -546,7 +549,7 @@ def verify_zcz(seqs, Z: int) -> ZczCertificate:
     stack = _stack(seqs)
     _check_zone(Z, stack.L)
     shifts = np.arange(Z + 1, dtype=np.int64)
-    mats = map(stack.matrix, conjugates(stack.q))
+    mats = map(stack.matrix, stack.units)
     return _zcz_certificate(stack, Z, [_periodic_table(m, m, shifts) for m in mats])
 
 
@@ -605,8 +608,10 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     if A.L != B.L or A.q != B.q:
         raise ValueError("sets must share length and modulus")
     _check_zone(Zc, A.L)
+    if A.real != B.real:  # one path for both: a binary set meets the other on the complex one
+        A, B = A._replace(real=False), B._replace(real=False)
     shifts = np.arange(Zc + 1, dtype=np.int64)
-    pairs = [(A.matrix(u), B.matrix(u)) for u in conjugates(A.q)]
+    pairs = [(A.matrix(u), B.matrix(u)) for u in A.units]
     forward = [_periodic_table(a, b, shifts) for a, b in pairs]
     return _inter_report(A, Zc, forward, [_periodic_table(b, a, shifts) for a, b in pairs])
 
@@ -628,7 +633,6 @@ def certify_family(union: _Stack, sizes, Z: int, Zc: int):
     """
     _check_zone(Z, union.L)
     _check_zone(Zc, union.L)
-    units = conjugates(union.q)
     bounds = np.cumsum([0, *sizes])
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     fold = _split(union, sizes)
@@ -647,9 +651,9 @@ def certify_family(union: _Stack, sizes, Z: int, Zc: int):
     # each set's shifts Zc+1..Z before the union table, so that the table
     # is never held while these calls run: this keeps the peak memory low
     high = np.arange(Zc + 1, Z + 1, dtype=np.int64)
-    extra = [table(u, high, own=True) for u in units] if Z > Zc else []
+    extra = [table(u, high, own=True) for u in union.units] if Z > Zc else []
     low = np.arange(Zc + 1, dtype=np.int64)
-    phis = [table(u, low) for u in units]
+    phis = [table(u, low) for u in union.units]
     set_certs = []
     for n, sl in enumerate(rows):
         own = [phi[: min(Z, Zc) + 1, sl, sl] for phi in phis]
@@ -711,7 +715,7 @@ def verify_ccc(codes) -> CccReport:
     shifts = np.arange(L, dtype=np.int64)
     dtype = _kernel_dtype(not rows.real, rows.exact, 2 * M * L)  # rows of length 2ML
     phis = []
-    for unit in conjugates(rows.q):
+    for unit in rows.units:
         padded = np.zeros((P * M, 2 * L), dtype=dtype)
         padded[:, :L] = rows.matrix(unit)
         padded = padded.reshape(P, 2 * M * L)
@@ -737,12 +741,11 @@ class SpectrumTable:
     """Dense periodic-correlation table phi[u, i, j] of one sequence set, as
     ``_periodic_table`` returns it: exact tables hold integers in floats."""
 
-    q: int
     phi: np.ndarray
+    exact: bool
 
     L = property(lambda self: self.phi.shape[0])
     K = property(lambda self: self.phi.shape[1])
-    exact = _Stack.exact
 
     def write_csv(self, path) -> None:
         """One row per (i, j, u), i slowest, CRLF-ended as the ``csv`` module
@@ -801,4 +804,4 @@ def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> Sp
     if cells > max_cells:
         raise SpectrumCapError(f"spectrum needs {cells} cells, cap is {max_cells}")
     mat = stack.matrix()
-    return SpectrumTable(stack.q, _periodic_table(mat, mat, np.arange(stack.L)))
+    return SpectrumTable(_periodic_table(mat, mat, np.arange(stack.L)), stack.exact)

@@ -178,11 +178,6 @@ class UnimodularSequence:
             return NotImplemented
         return self.q == other.q and np.array_equal(self.exponents, other.exponents)
 
-    @property
-    def exact(self) -> bool:
-        """True when entries are Gaussian integers (q divides 4)."""
-        return self.q in (1, 2, 4)
-
     def values(self) -> np.ndarray:
         """Complex entries, gathered from :func:`roots_of_unity` into a
         fresh array."""
@@ -190,16 +185,21 @@ class UnimodularSequence:
 
     @functools.cached_property
     def _root_vectors(self) -> int | tuple[np.ndarray, np.ndarray]:
-        """Kept once built, since the sequence is immutable.  For q <= 2
-        every root is +-1, so one Python int with bit i set where chip i
-        is -1 (about 1 bit per chip); otherwise (values, conjugates), two
-        read-only complex128 vectors (32 B per chip)."""
-        if self.q <= 2:
+        """Kept once built, as the sequence is immutable: if it is binary, one
+        int with bit i set where chip i is -1 (1 bit per chip); otherwise
+        (values, conjugates), read-only complex128 vectors (32 B per chip)."""
+        if _is_binary(self.q, self.exponents):
             return int.from_bytes(np.packbits(self.exponents, bitorder="little"), "little")
         values = roots_of_unity(self.q).take(self.exponents)
         conj = values.conj()
         values.flags.writeable = conj.flags.writeable = False
         return values, conj
+
+
+def _is_binary(q: int, exponents: np.ndarray) -> bool:
+    """The rule every path choice reads: each exponent is 0 or q/2 (doubled
+    in a dtype that holds 2q - 1), so each root and its conjugates are +-1."""
+    return q <= 2 or not (2 * exponents % q).any()
 
 
 @functools.lru_cache(maxsize=16)

@@ -130,15 +130,16 @@ def exactly_zero(counts) -> bool:
 
 
 def used_roots_real(seqs) -> bool:
-    """Whether a stack of ``seqs`` is real, by the rule ``_stack`` once
-    applied sequence by sequence: mark every exponent some sequence uses,
-    and the stack is real when no marked root of ``roots_of_unity(q)`` has
-    a nonzero imaginary part."""
+    """Whether a stack of ``seqs`` is real, sequence by sequence: mark every
+    exponent some sequence uses, and the stack is real when every marked
+    root of ``roots_of_unity(q)`` is real up to rounding, as omega^3 =
+    -1 + 1.2e-16j is for q = 6; no root of q <= 12 that is not real has an
+    imaginary part below 1/2."""
     q = seqs[0].q
     used = np.zeros(q, dtype=bool)
     for z in seqs:
         used[z.exponents] = True
-    return not roots_of_unity(q).imag[used].any()
+    return bool((abs(roots_of_unity(q).imag[used]) < 1e-9).all())
 
 
 def random_sequence(rng, q: int, L: int) -> UnimodularSequence:

@@ -283,6 +283,25 @@ def test_verify_deep_reports_a_flipped_last_chip(tmp_path, capsys):
     assert chunk["mismatches"] == [[0, 0, 0, 1, tau] for tau in range(16)]
 
 
+def test_verify_deep_reports_a_chip_moved_off_a_binary_q8_family(tmp_path, capsys):
+    # negative control for the binary path: chip 10 of sequence (0, 1) moves
+    # from 0 to 1; the checks that read it take the dot and both conjugates,
+    # and the cells listed are those listed when every check took them
+    out = tmp_path / "fam"
+    run_cli("construct", "-q", "8", "-m", "4", "-k", "2", "-s", "1", "-o", str(out), "--no-certify")
+    target = out / "0" / "1.seq"
+    lines = target.read_text().splitlines()
+    assert lines[4 + 10] == "0" and set(lines[4:]) == {"0", "4"}
+    lines[4 + 10] = "1"
+    target.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(out), "--deep") == EXIT_CERT_FAIL
+    assert "chunk-decomposition FAIL (4352 checks)" in capsys.readouterr().out
+    chunk = json.loads((out / "certificates.json").read_text())["deep"]["chunk_decomposition"]
+    assert not chunk["pass"] and chunk["checked"] == 4352
+    assert chunk["mismatches"] == [[0, 0, 0, 1, tau] for tau in range(16)]
+
+
 def test_verify_missing_directory(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "nope")) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -662,11 +681,21 @@ def test_q16_families_certify_beyond_length_128(tmp_path):
 
 
 def test_a_modulus_over_the_conjugate_budget_exits_one(tmp_path, capsys):
+    """The budget binds families that are not binary: an odd linear
+    coefficient in f needs the 9 conjugates of q = 38.  The default q = 38
+    family is binary, reads unit 1 alone and certifies."""
+    f_odd = tmp_path / "f.gbf"
+    f = construction.default_params(38, 3, 1, 1).f
+    f_odd.write_text(format_gbf_text(GeneralizedBooleanFunction(38, 3, {**f.terms, (0,): 1})))
+    args = ("construct", "-q", "38", "-m", "3", "-k", "1", "-s", "1", "-o")
     out = tmp_path / "fam"
-    assert run_cli("construct", "-q", "38", "-m", "3", "-k", "1", "-s", "1", "-o", str(out)) == EXIT_USAGE
+    assert run_cli(*args, str(out), "--f", str(f_odd)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: q=38 ") and "budget of 8" in err
     assert not out.exists()
+    assert run_cli(*args, str(out)) == EXIT_OK
+    assert "certificates: PASS" in capsys.readouterr().out
+    assert run_cli("verify", str(out), "--deep") == EXIT_OK
 
 
 def test_verify_deep_refuses_params_that_describe_other_files(tmp_path, capsys):

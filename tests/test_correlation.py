@@ -103,7 +103,7 @@ def _accf_mismatches(a, b):
     the overlapping chips, both taken from ``values()``."""
     L = len(a)
     return [u for u in range(-L, L + 1)
-            if not _same_value(accf(a, b, u), dot_accf(a, b, u), a.exact)]
+            if not _same_value(accf(a, b, u), dot_accf(a, b, u), a.q in (1, 2, 4))]
 
 
 def _pccf_mismatches(a, b):
@@ -115,7 +115,7 @@ def _pccf_mismatches(a, b):
     for u in range(L):
         fwd = np.dot(va[: L - u], np.conj(vb[u:]))
         bwd = np.dot(vb[: u], np.conj(va[L - u :]))
-        if not _same_value(pccf(a, b, u), complex(fwd) + complex(bwd).conjugate(), a.exact):
+        if not _same_value(pccf(a, b, u), complex(fwd) + complex(bwd).conjugate(), a.q in (1, 2, 4)):
             bad.append(u)
     return bad
 
@@ -500,7 +500,10 @@ def _complex_table(re, im):
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_spectrum_csv_bytes_match_the_csv_module(q, tmp_path):
-    fam = build_multiple_zcz(default_params(q, 3, 1, 1))
+    # for q = 6 and 8 odd linear coefficients in f make the family not
+    # binary, so that its table is not exact and takes the repr-float branch
+    f = path_gbf(q, 3, 1, 1, (), (0, 1)) + GeneralizedBooleanFunction(q, 3, {(0,): 1, (2,): 3})
+    fam = build_multiple_zcz(default_params(q, 3, 1, 1, f=f if q > 4 else None))
     table = correlation_spectrum(fam.sets[0])
     # the kernel's table, unconverted: single precision for exact sets
     assert table.phi.real.dtype == (np.float32 if q in (2, 4) else np.float64)
@@ -590,7 +593,7 @@ def _assert_table_matches_pccf(set_a, set_b, shifts):
     assert phi.dtype == np.result_type(A, B)
     assert (phi.dtype.kind == "f") == (A.dtype.kind == B.dtype.kind == "f")
     assert phi.shape == (len(shifts), len(set_a), len(set_b))
-    exact = set_a[0].exact
+    exact = set_a[0].q in (1, 2, 4)
     for n, u in enumerate(shifts):
         for i, a in enumerate(set_a):
             for j, b in enumerate(set_b):
@@ -701,6 +704,76 @@ def test_the_binary_bound_follows_the_exponents_not_the_modulus(q):
     assert [c.rho for c in sets] == [0, 0 if q == 2 else Fraction(1, 32)]
 
 
+def _without_q(report):
+    """A certificate's JSON dict without its ``q`` fields."""
+    if isinstance(report, dict):
+        return {k: _without_q(v) for k, v in report.items() if k != "q"}
+    return [_without_q(v) for v in report] if isinstance(report, list) else report
+
+
+@pytest.mark.parametrize("q", [4, 6, 8])
+def test_a_binary_family_certifies_as_its_q2_family(q, tmp_path):
+    """The default family for q = 4, 6 and 8 has every exponent in {0, q/2}:
+    it is the q = 2 family with every exponent times q/2, and it takes the
+    q = 2 path, so its certificates, at its zones and one past each, and
+    its spectrum CSV equal those of the q = 2 family but for q."""
+    fams = [build_multiple_zcz(default_params(p, 4, 2, 1)) for p in (2, q)]
+    assert np.array_equal(fams[0].union.exps * (q // 2), fams[1].union.exps)
+    assert fams[1].union.real and fams[1].union.exact
+    Z, Zc = fams[0].Z, fams[0].Zc
+    for zones in ((Z, Zc), (Z + 1, Zc), (Z, Zc + 1)):
+        reports = []
+        for fam in fams:
+            set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, *zones)
+            reports.append([c.to_json_dict() for c in (*set_certs, *inter.values(), union_cert)])
+        assert _without_q(reports[1]) == _without_q(reports[0]), zones
+        assert all(c["parameters"]["q"] == q for c in reports[1])
+    # an over-claim's witnesses are exact integers, as for q = 2
+    witnesses = [w for c in reports[1] for w in c["witnesses"]]
+    assert witnesses and all(type(w["re"]) is type(w["im"]) is int for w in witnesses)
+    for p, fam in zip((2, q), fams):
+        correlation_spectrum(fam.union).write_csv(tmp_path / f"{p}.csv")
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / f"{q}.csv").read_bytes()
+
+
+def test_a_binary_set_meets_a_non_binary_set_on_the_complex_path():
+    """A binary q = 8 set against one that is not: both sets compute on the
+    complex path, as a stack of the binary set marked complex does, bit for
+    bit, with inexact float witnesses.  Negative control: with each stack on
+    its own path, the binary one's exactness would truncate the witnesses to
+    int64."""
+    rng = np.random.default_rng(95)
+    signs = [UnimodularSequence(8, 4 * rng.integers(0, 2, 64)) for _ in range(3)]
+    other = [UnimodularSequence(8, rng.integers(0, 8, 64)) for _ in range(2)]
+    stack = correlation._stack(signs)
+    assert stack.real and not correlation._stack(other).real
+    complex_signs = stack._replace(real=False)
+    pairs = [((signs, other), (complex_signs, other)), ((other, signs), (other, complex_signs))]
+    for (a, b), (a_was, b_was) in pairs:
+        got, want = verify_inter_zccz(a, b, 5), verify_inter_zccz(a_was, b_was, 5)
+        assert got == want and not got.passed
+        values = [x for v in got.violations for x in (v.re, v.im)]
+        assert all(type(x) is float for x in values)
+        assert not all(x.is_integer() for x in values)
+
+
+def test_a_binary_sequence_meets_a_non_binary_one_on_the_dot():
+    """``accf`` and ``pccf`` of a binary q = 8 sequence against one that is
+    not binary equal the dot oracle bit for bit; two binary q = 8 sequences
+    correlate by sign bits as their q = 2 images do, in exact integers."""
+    rng = np.random.default_rng(96)
+    signs = [UnimodularSequence(8, 4 * rng.integers(0, 2, 37)) for _ in range(2)]
+    other = random_sequence(rng, 8, 37)
+    assert [type(z._root_vectors) for z in (*signs, other)] == [int, int, tuple]
+    for a, b in ((signs[0], other), (other, signs[0])):
+        assert _accf_mismatches(a, b) == [] and _pccf_mismatches(a, b) == []
+    images = [UnimodularSequence(2, z.exponents // 4) for z in signs]
+    for u in range(-37, 38):
+        assert _same_value(accf(*signs, u), accf(*images, u), exact=False)
+    for u in range(37):
+        assert _same_value(pccf(*signs, u), pccf(*images, u), exact=False)
+
+
 def _corrupted_sets(params, t1, t2, chip):
     """The family's sets with one chip of sequence (t1, t2) moved by q/2;
     returns (sets, Z, Zc)."""
@@ -776,10 +849,13 @@ def test_exact_blocks_are_single_precision_below_two_to_the_24():
         assert correlation._kernel_dtype(is_complex, True, limit - 1) == single
         assert correlation._kernel_dtype(is_complex, True, limit) == double
         assert correlation._kernel_dtype(is_complex, False, 8) == double
-    # blocks pick their precision from the rows' modulus and the roots they use
+    # binary rows (exponents in {0, q/2}) are real and exact for every q;
+    # other rows are complex, exact for q = 4 only
     for q, exps, dtype in ((1, [0, 0], np.float32), (2, [0, 1], np.float32),
                            (4, [0, 2], np.float32), (4, [0, 1], np.complex64),
-                           (6, [0, 3], np.complex128), (8, [0, 0], np.float64)):
+                           (6, [0, 3], np.float32), (6, [0, 1], np.complex128),
+                           (8, [0, 0], np.float32), (8, [0, 4], np.float32),
+                           (8, [0, 2], np.complex128)):
         seqs = [UnimodularSequence(q, exps), UnimodularSequence(q, exps[::-1])]
         assert correlation._stack(seqs).matrix().dtype == dtype, (q, exps)
 
@@ -805,17 +881,37 @@ def _real_rule_misses(rule):
 
 def test_stack_is_real_exactly_when_every_used_root_is():
     """``_stack`` decides ``real`` once from the stacked exponents; the
-    oracle marks the roots sequence by sequence.  Negative control: a rule
-    that also counts omega^3 = -1 + 1.2e-16j as real for q = 6 misses."""
+    oracle marks the roots sequence by sequence, and counts omega^(q/2) =
+    -1 + 1.2e-16j as real for every q.  Negative control: the per-q rule
+    that took only roots whose float imaginary part is exactly 0 as real
+    (all for q <= 2, even exponents for q = 4, omega^0 otherwise) misses
+    {0, q/2} for q = 6 and 8."""
     assert _real_rule_misses(lambda seqs: correlation._stack(seqs).real) == []
 
-    def half_is_real(seqs):
-        stack = correlation._stack(seqs)
-        if stack.q == 6:
-            return not np.isin(stack.exps, [0, 3], invert=True).any()
-        return stack.real
+    def per_q_rule(seqs):
+        exps, q = correlation._stack(seqs).exps, seqs[0].q
+        return q <= 2 or not (exps & 1 if q == 4 else exps).any()
 
-    assert (6, (0, 3)) in _real_rule_misses(half_is_real)
+    misses = _real_rule_misses(per_q_rule)
+    assert (6, (0, 3)) in misses and (8, (0, 4)) in misses
+
+
+def test_the_binary_rule_reads_a_stack_in_shift_blocks():
+    """``_as_stack`` decides ``real`` for q > 2 a block of rows at a time:
+    its temporaries stay within ``_SHIFT_BLOCK_BYTES``, not 2 x K x L bytes
+    (8 MiB here), and one exponent off {0, q/2} in the last row is found."""
+    exps = np.zeros((64, 1 << 16), dtype=np.uint8)
+    exps[::3, ::5] = 4
+    tracemalloc.start()
+    try:
+        stack = correlation._as_stack(exps, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.real and peak < 1.25 * correlation._SHIFT_BLOCK_BYTES
+    other = exps.copy()
+    other[-1, -1] = 2
+    assert not correlation._as_stack(other, 8).real
 
 
 def test_scan_block_exits_early_only_on_a_clean_table(monkeypatch):
@@ -929,24 +1025,33 @@ def test_is_zero_decides_a_table_in_blocks(monkeypatch):
 
 
 def test_deep_checks_conjugate_each_sequence_once_per_unit(monkeypatch):
-    """Over every chunk check of a q = 8 family, sigma_3 is built once per
-    family sequence and code row, not 2 + 2K times per check."""
-    fam = build_multiple_zcz(default_params(8, 3, 1, 1))
-    codes = build_ccc_family(fam.params)
-    n_rows = sum(len(code) for family_codes in codes for code in family_codes)
-    made = []
+    """Over every chunk check of a q = 8 family that is not binary (odd
+    linear coefficients in f), sigma_3 is built once per family sequence
+    and code row, not 2 + 2K times per check.  The default family is
+    binary: its checks read unit 1 alone and build no conjugate."""
+    f = path_gbf(8, 3, 1, 1, (), (0, 1)) + GeneralizedBooleanFunction(8, 3, {(0,): 1, (2,): 3})
     init = UnimodularSequence.__post_init__
+    for binary in (False, True):
+        fam = build_multiple_zcz(default_params(8, 3, 1, 1, f=None if binary else f))
+        assert fam.union.real == binary
+        codes = build_ccc_family(fam.params)
+        n_rows = sum(len(code) for family_codes in codes for code in family_codes)
+        made = []
 
-    def counted(self):
-        made.append(self)
-        init(self)
+        def counted(self):
+            made.append(self)
+            init(self)
 
-    sets, seqs = range(len(fam.sets)), range(len(fam.sets[0]))  # the views, built before counting
-    monkeypatch.setattr(UnimodularSequence, "__post_init__", counted)
-    cells = list(itertools.product(sets, sets, seqs, seqs, range((1 << fam.params.m) + 1)))
-    assert all(check_chunk_decomposition(fam, *cell, codes=codes).passed for cell in cells)
-    assert correlation.conjugates(8) == (1, 3)
-    assert len(made) == len(fam.sets) * len(fam.sets[0]) + n_rows == 8 + 32
+        sets, seqs = range(len(fam.sets)), range(len(fam.sets[0]))  # the views, built before counting
+        monkeypatch.setattr(UnimodularSequence, "__post_init__", counted)
+        cells = list(itertools.product(sets, sets, seqs, seqs, range((1 << fam.params.m) + 1)))
+        assert all(check_chunk_decomposition(fam, *cell, codes=codes).passed for cell in cells)
+        monkeypatch.setattr(UnimodularSequence, "__post_init__", init)
+        if binary:
+            assert made == []
+        else:
+            assert correlation.conjugates(8) == (1, 3)
+            assert len(made) == len(fam.sets) * len(fam.sets[0]) + n_rows == 8 + 32
     seq = fam.sets[1][2]
     assert correlation._conjugate(seq, 3) is correlation._conjugate(seq, 3)
     assert correlation._conjugate(seq, 3) == UnimodularSequence(8, seq.exponents * 3 % 8)

@@ -14,7 +14,7 @@ from zczseq import (
     psi,
     validate_restricted_path_form,
 )
-from zczseq.gbf import roots_of_unity
+from zczseq.gbf import _is_binary, roots_of_unity
 
 G = GeneralizedBooleanFunction
 
@@ -193,7 +193,7 @@ def test_text_format_malformed():
 def test_sequence_invariants():
     with pytest.raises(ValueError):
         UnimodularSequence(2, np.array([0, 2]))
-    assert not UnimodularSequence(6, np.array([0, 1])).exact
+    assert not _is_binary(6, UnimodularSequence(6, np.array([0, 1])).exponents)
 
 
 def test_sequence_owns_a_read_only_copy_of_its_exponents():
