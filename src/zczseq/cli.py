@@ -159,10 +159,10 @@ def _deep_checks(family: construction.MultipleZczFamily) -> dict:
     codes = construction.build_ccc_family(params)
     sets, seqs = range(len(family.sizes)), range(family.sizes[0])
     checked, mismatches = 0, []
-    for cell in itertools.product(sets, sets, seqs, seqs, range((1 << params.m) + 1)):
-        checked += 1
-        if not construction.check_chunk_decomposition(family, *cell, codes=codes).passed:
-            mismatches.append(list(cell))
+    for cell in itertools.product(sets, sets, seqs, seqs):
+        reports = construction.check_chunk_decomposition(family, *cell, codes=codes)
+        checked += len(reports)
+        mismatches += ([*cell, tau] for tau, rep in enumerate(reports) if not rep.passed)
     return {
         "pass": cancel.passed and not mismatches,
         "seed_cancellation": {"pass": cancel.passed, "failures": list(cancel.failures)},

@@ -540,41 +540,43 @@ def check_chunk_decomposition(
     t1_other: int,
     i: int,
     j: int,
-    tau: int,
     codes=None,
-) -> ChunkDecompositionReport:
-    """Recompute one periodic correlation of the family from code-row
-    correlations and seed-sign weights, and compare with the direct value.
+) -> tuple[ChunkDecompositionReport, ...]:
+    """Recompute the periodic correlation of sequence i of set t1 against
+    sequence j of set t1_other at each shift 0 <= tau <= 2^m from code-row
+    correlations and seed-sign weights; one report per shift, in tau order.
 
     The right-hand side sums row-aligned aperiodic terms at shift tau plus
     boundary terms at shift L_chunk - tau weighted by
     (-1)^{h_c + h_{c+1}} sign pairs; chunk subscripts wrap mod 2^{k+2} and
-    row subscripts mod 2^{k+1}.  Valid for 0 <= tau <= 2^m.
+    row subscripts mod 2^{k+1}.
 
-    It passes when ``correlation.is_zero`` holds for lhs - rhs (sigma_1
-    values) at 1 if every term is binary, else at each of ``conjugates(q)``.
+    A shift passes when ``correlation.is_zero`` holds for lhs - rhs, the
+    direct value less the assembled one (sigma_1 values), at 1 if every term
+    is binary, else at each of ``conjugates(q)``.
     """
     params = family._params
     chunk_len = 1 << params.m
-    if not 0 <= tau <= chunk_len:
-        raise ValueError(f"tau must lie in [0, {chunk_len}], got {tau}")
     if codes is None:
         codes = build_ccc_family(params)
     terms = (family.sets[t1][i], family.sets[t1_other][j], codes[t1][i], codes[t1_other][j])
-    binary = params.q <= 2 or all(isinstance(z._root_vectors, int)
-                                  for z in (*terms[:2], *terms[2], *terms[3]))
+    l = len(terms[2])
+    if len(terms[3]) != l:
+        raise ValueError(f"row count mismatch: {l} vs {len(terms[3])}")
+    binary = all(type(z._root_vectors[2]) is int for z in (*terms[:2], *terms[2], *terms[3]))
+    taus = range(chunk_len + 1)
     sides = []
     for unit in (1,) if binary else correlation.conjugates(params.q):
         seq_a, seq_b, rows_a, rows_b = terms if unit == 1 else correlation._conjugate(terms, unit)
-        lhs = correlation.pccf(seq_a, seq_b, tau)
-        l, shift = len(rows_a), chunk_len - tau
-        if len(rows_b) != l:
-            raise ValueError(f"row count mismatch: {l} vs {len(rows_b)}")
-        rhs = 2 * sum(map(correlation.accf, rows_a, rows_b, [tau] * l), 0j)
+        lhs = [correlation.pccf(seq_a, seq_b, tau) for tau in taus]
+        rhs = [2 * sum(map(correlation.accf, rows_a, rows_b, [tau] * l), 0j) for tau in taus]
         for nu, weight in params._boundary_weights:
-            rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
+            row_b, row_a = rows_b[(nu + 1) % l], rows_a[nu]
+            for tau in taus:  # each shift adds its boundary terms in nu order, after its rows
+                rhs[tau] += weight * correlation.accf(row_b, row_a, chunk_len - tau).conjugate()
         sides.append((lhs, rhs))
-    return ChunkDecompositionReport(*sides[0], correlation.is_zero([lhs - rhs for lhs, rhs in sides]))
+    passed = correlation.is_zero([np.subtract(lhs, rhs) for lhs, rhs in sides])
+    return tuple(map(ChunkDecompositionReport, *sides[0], passed.tolist()))
 
 
 # ---------------------------------------------------------------------------

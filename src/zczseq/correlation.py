@@ -12,9 +12,9 @@ Periodic correlation is assembled from two aperiodic terms:
 Zero rule.  A correlation value alpha lies in Z[omega_q], and its Galois
 conjugate sigma_j(alpha), j a unit mod q, is the same correlation with
 every exponent multiplied by j.  Every verdict, the zone scans and
-``check_chunk_decomposition`` alike, reads one value or table per unit in
-``conjugates(q)`` and decides zero by ``is_zero``, exactly for every even
-q; witness values are the sigma_1 values.
+``check_chunk_decomposition`` (one array over a cell's shifts) alike, reads
+one table per unit in ``conjugates(q)`` and decides zero by ``is_zero``,
+exactly for every even q; witness values are the sigma_1 values.
 
 Whole sets go through one batch kernel, ``_periodic_table``: a family
 holds its union as one stack of exponents (``_Stack``), and any other set
@@ -86,27 +86,26 @@ DEFAULT_SPECTRUM_CELL_CAP = 1 << 24
 
 
 def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
-    """Aperiodic cross-correlation of a against b at shift u (|u| <= L),
-    read from what each sequence keeps (``UnimodularSequence._root_vectors``).
-    When both are binary that is their sign bits: the n = L - |u| overlapping
-    chips agree where the shifted bits' XOR is 0, so the sum is the exact
-    integer n - 2 * popcount.  Otherwise, a mixed pair included, it is one
-    dot product of a slice of a's values with a slice of b's conjugates."""
-    L, Lb = a.exponents.size, b.exponents.size
+    """Aperiodic cross-correlation of a against b at shift u (|u| <= L), from the
+    record (L, q, roots) each sequence keeps (``UnimodularSequence._root_vectors``).
+    Binary roots are sign bits: the n = L - |u| overlapping chips agree where the
+    shifted bits' XOR is 0, so the sum is the exact integer n - 2 * popcount.  Any
+    other pair, a mixed one included, is one dot of a's values with b's conjugates."""
+    L, q, sa = a._root_vectors
+    Lb, qb, sb = b._root_vectors
     if Lb != L:
         raise ValueError(f"length mismatch: {L} vs {Lb}")
-    if a.q != b.q:
-        raise ValueError(f"modulus mismatch: q={a.q} vs q={b.q}")
+    if qb != q:
+        raise ValueError(f"modulus mismatch: q={q} vs q={qb}")
+    u = operator.index(u)  # a numpy integer would overflow the shifts
     if not -L <= u <= L:
         raise ValueError(f"shift {u} outside [-{L}, {L}]")
-    sa, sb = a._root_vectors, b._root_vectors
-    if isinstance(sa, int) and isinstance(sb, int):
-        u = operator.index(u)  # a numpy integer would overflow the shifts
+    if type(sa) is int and type(sb) is int:
         n = L - abs(u)
         x = sa ^ (sb >> u) if u >= 0 else (sa >> -u) ^ sb
-        return complex(n - 2 * (x & ((1 << n) - 1)).bit_count())
-    va = a.values() if isinstance(sa, int) else sa[0]
-    cb = b.values().conj() if isinstance(sb, int) else sb[1]
+        return n - 2 * (x & ((1 << n) - 1)).bit_count() + 0j  # complex(), one call less
+    va = a.values() if type(sa) is int else sa[0]
+    cb = b.values().conj() if type(sb) is int else sb[1]
     if u >= 0:
         return complex(va[: L - u].dot(cb[u:]))
     return complex(va[-u:].dot(cb[: L + u]))
@@ -115,7 +114,7 @@ def accf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
 def pccf(a: UnimodularSequence, b: UnimodularSequence, u: int) -> complex:
     """Periodic cross-correlation at shift u, 0 <= u < L, from two
     ``accf`` calls."""
-    L = a.exponents.size
+    L = a._root_vectors[0]
     if not 0 <= u < L:
         raise ValueError(f"periodic shift {u} outside [0, {L})")
     return accf(a, b, u) + accf(b, a, L - u).conjugate()
@@ -166,10 +165,9 @@ def _all_below_half(values):
 
 
 def _conjugate(seqs, unit: int):
-    """sigma_unit of a sequence, or of each in nested tuples: every
-    exponent multiplied by ``unit`` mod q.  A sequence is immutable, so it
-    keeps each conjugate once built: ``--deep`` reads the same sequences
-    and code rows at every shift."""
+    """sigma_unit of a sequence, or of each in nested tuples: every exponent
+    multiplied by ``unit`` mod q.  A sequence is immutable, so it keeps each
+    conjugate once built: ``--deep`` reads each sequence and code row in many cells."""
     if isinstance(seqs, UnimodularSequence):
         built = seqs.__dict__.setdefault("_conjugates", {})
         if unit not in built:

@@ -184,16 +184,16 @@ class UnimodularSequence:
         return roots_of_unity(self.q).take(self.exponents)
 
     @functools.cached_property
-    def _root_vectors(self) -> int | tuple[np.ndarray, np.ndarray]:
-        """Kept once built, as the sequence is immutable: if it is binary, one
-        int with bit i set where chip i is -1 (1 bit per chip); otherwise
-        (values, conjugates), read-only complex128 vectors (32 B per chip)."""
+    def _root_vectors(self) -> tuple[int, int, int | tuple[np.ndarray, np.ndarray]]:
+        """The one record ``accf`` reads, kept once built: (L, q, roots); roots is
+        one int with bit i set where chip i is -1 if the sequence is binary (1 bit
+        per chip), else read-only complex128 (values, conjugates), 32 B per chip."""
         if _is_binary(self.q, self.exponents):
-            return int.from_bytes(np.packbits(self.exponents, bitorder="little"), "little")
+            return len(self), self.q, int.from_bytes(np.packbits(self.exponents, bitorder="little"), "little")
         values = roots_of_unity(self.q).take(self.exponents)
         conj = values.conj()
         values.flags.writeable = conj.flags.writeable = False
-        return values, conj
+        return len(self), self.q, (values, conj)
 
 
 def _is_binary(q: int, exponents: np.ndarray) -> bool:

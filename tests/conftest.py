@@ -16,7 +16,8 @@ roots each sequence uses, where the library reads the stacked exponents
 once.  The last section holds oracles that no package code calls, moved
 out of the package as they were, methods turned into plain functions:
 pointwise GBF evaluation and degree, the quadratic graph, the row-summed
-code correlation, single spectrum values, noise-free statistics, the
+code correlation, the chunk decomposition at one shift, single spectrum
+values, noise-free statistics, the
 interference-witness search and the AWGN BPSK error rate.
 """
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from zczseq import (
+    ChunkDecompositionReport,
     ConstructionParams,
     HCoeffs,
     MultipleZczFamily,
@@ -483,6 +485,32 @@ def code_accf(code1, code2, u: int) -> complex:
     if len(code1) != len(code2):
         raise ValueError(f"row count mismatch: {len(code1)} vs {len(code2)}")
     return sum((complex(dot_accf(r1, r2, u)) for r1, r2 in zip(code1, code2)), 0j)
+
+
+def check_chunk_at_shift(family, t1: int, t1_other: int, i: int, j: int, tau: int,
+                         codes) -> ChunkDecompositionReport:
+    """One shift of ``check_chunk_decomposition``, as the package computed
+    it one call per shift: the reference its per-cell reports must equal
+    bit for bit.  Valid for 0 <= tau <= 2^m."""
+    params = family._params
+    chunk_len = 1 << params.m
+    if not 0 <= tau <= chunk_len:
+        raise ValueError(f"tau must lie in [0, {chunk_len}], got {tau}")
+    terms = (family.sets[t1][i], family.sets[t1_other][j], codes[t1][i], codes[t1_other][j])
+    binary = params.q <= 2 or all(type(z._root_vectors[2]) is int
+                                  for z in (*terms[:2], *terms[2], *terms[3]))
+    sides = []
+    for unit in (1,) if binary else correlation.conjugates(params.q):
+        seq_a, seq_b, rows_a, rows_b = terms if unit == 1 else correlation._conjugate(terms, unit)
+        lhs = correlation.pccf(seq_a, seq_b, tau)
+        l, shift = len(rows_a), chunk_len - tau
+        if len(rows_b) != l:
+            raise ValueError(f"row count mismatch: {l} vs {len(rows_b)}")
+        rhs = 2 * sum(map(correlation.accf, rows_a, rows_b, [tau] * l), 0j)
+        for nu, weight in params._boundary_weights:
+            rhs += weight * correlation.accf(rows_b[(nu + 1) % l], rows_a[nu], shift).conjugate()
+        sides.append((lhs, rhs))
+    return ChunkDecompositionReport(*sides[0], correlation.is_zero([lhs - rhs for lhs, rhs in sides]))
 
 
 def spectrum_value(table, i: int, j: int, u: int) -> complex:

@@ -176,10 +176,9 @@ def test_acceptance_chunk_decomposition():
         for t1b in range(2):
             for i in range(8):
                 for j in range(8):
-                    for tau in range(17):
-                        rep = check_chunk_decomposition(
-                            family, t1, t1b, i, j, tau, codes=codes
-                        )
+                    reports = check_chunk_decomposition(family, t1, t1b, i, j, codes=codes)
+                    assert len(reports) == 17
+                    for rep in reports:
                         assert rep.passed and rep.lhs == rep.rhs
                         checked += 1
     _report("chunk decomposition identity", f"{checked} checks, {time.monotonic() - t0:.1f}s")

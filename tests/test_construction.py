@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     certify_family,
+    check_chunk_at_shift,
     code_accf,
     degree,
     oracle_ccc_family,
@@ -273,17 +274,18 @@ def test_chunk_decomposition_peak_and_cross():
     p = example1_params()
     fam = build_multiple_zcz(p)
     codes = build_ccc_family(p)
-    rep = check_chunk_decomposition(fam, 0, 0, 0, 0, 0, codes=codes)
+    rep = check_chunk_decomposition(fam, 0, 0, 0, 0, codes=codes)[0]
     assert rep.passed and rep.lhs == rep.rhs == 256
     rng = np.random.default_rng(11)
     for _ in range(20):
         t1, t1b = int(rng.integers(2)), int(rng.integers(2))
         i, j = int(rng.integers(8)), int(rng.integers(8))
-        tau = int(rng.integers(0, 17))
-        rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
-        assert rep.passed
-        if t1 != t1b and tau <= 7:
-            assert rep.lhs == rep.rhs == 0
+        reports = check_chunk_decomposition(fam, t1, t1b, i, j, codes=codes)
+        assert len(reports) == 17
+        for tau, rep in enumerate(reports):
+            assert rep.passed
+            if t1 != t1b and tau <= 7:
+                assert rep.lhs == rep.rhs == 0
 
 
 def _rhs_by_value_arithmetic(params, codes, t1, t1b, i, j, tau, sign):
@@ -323,8 +325,8 @@ def test_nonzero_boundary_weights_enter_conjugated(params, monkeypatch):
         for t1b in range(len(fam.sets)):
             for i in range(min(K, 3)):
                 for j in range(min(K, 3)):
-                    for tau in range((1 << p.m) + 1):
-                        rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
+                    reports = check_chunk_decomposition(fam, t1, t1b, i, j, codes=codes)
+                    for tau, rep in enumerate(reports):
                         want = _rhs_by_value_arithmetic(p, codes, t1, t1b, i, j, tau, sign)
                         assert rep.rhs == want
 
@@ -338,9 +340,8 @@ def test_chunk_decomposition_float_compare_fails_on_a_flipped_chip():
     exps[9] = (exps[9] + 1) % 8
     flipped = fam.sets[0][:1] + (UnimodularSequence(8, exps),) + fam.sets[0][2:]
     bad = with_sets(fam, (flipped, *fam.sets[1:]))
-    for tau in range((1 << p.m) + 1):
-        assert check_chunk_decomposition(fam, 0, 0, 1, 0, tau, codes=codes).passed
-    rep = check_chunk_decomposition(bad, 0, 0, 1, 0, 1, codes=codes)
+    assert all(rep.passed for rep in check_chunk_decomposition(fam, 0, 0, 1, 0, codes=codes))
+    rep = check_chunk_decomposition(bad, 0, 0, 1, 0, codes=codes)[1]
     assert not rep.passed
     assert 0 < abs(rep.lhs - rep.rhs) < 1
 
@@ -351,8 +352,9 @@ def test_chunk_decomposition_float_compare_fails_on_a_flipped_chip():
     (lambda: _complex_params(8), True),
 ], ids=["example", "q4", "q8"])
 def test_one_check_calls_accf_once_per_term(params, weighted, monkeypatch):
-    """2 calls through pccf, one per code row and one per nonzero boundary
-    weight, every one through ``correlation.accf``, once per conjugate."""
+    """At each shift of a cell, 2 calls through pccf, one per code row and
+    one per nonzero boundary weight, every one through ``correlation.accf``,
+    once per conjugate: the count a tracer of ``correlation.accf`` sees."""
     p = params()
     if weighted:  # non-cancelling signs, as in the test above
         sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
@@ -367,19 +369,86 @@ def test_one_check_calls_accf_once_per_term(params, weighted, monkeypatch):
         calls.append(u)
         return inner(a, b, u)
 
+    periodic = []
+    inner_pccf = correlation.pccf
+
+    def pccf_spy(a, b, u):
+        periodic.append(u)
+        return inner_pccf(a, b, u)
+
     monkeypatch.setattr(correlation, "accf", spy)
-    for tau in (0, 1, 1 << p.m):
-        calls.clear()
-        check_chunk_decomposition(fam, 0, len(fam.sets) - 1, 1, 0, tau, codes=codes)
-        per_conjugate = 2 + (1 << (p.k + 1)) + n_weights
-        assert len(calls) == len(correlation.conjugates(p.q)) * per_conjugate
+    monkeypatch.setattr(correlation, "pccf", pccf_spy)
+    reports = check_chunk_decomposition(fam, 0, len(fam.sets) - 1, 1, 0, codes=codes)
+    per_conjugate = 2 + (1 << (p.k + 1)) + n_weights
+    n_conjugates = len(correlation.conjugates(p.q))
+    assert len(reports) == (1 << p.m) + 1
+    assert len(calls) == len(reports) * n_conjugates * per_conjugate
+    assert sorted(periodic) == sorted([*range(len(reports))] * n_conjugates)
+
+
+def _report_bits(rep):
+    """A report as exact data: every bit of lhs and rhs, and the verdict."""
+    assert type(rep.passed) is bool
+    return (*(x.hex() for z in (rep.lhs, rep.rhs) for x in (z.real, z.imag)), rep.passed)
+
+
+def _oracle_mismatches(fam, codes, check=check_chunk_decomposition, cells=None):
+    """The cells whose reports from ``check`` are not those of the
+    single-shift oracle at tau = 0..2^m, bit for bit."""
+    S, K = len(fam.sets), len(fam.sets[0])
+    taus = range((1 << fam.params.m) + 1)
+    bad = []
+    for cell in cells or itertools.product(range(S), range(S), range(K), range(K)):
+        got = [_report_bits(rep) for rep in check(fam, *cell, codes=codes)]
+        if got != [_report_bits(check_chunk_at_shift(fam, *cell, tau, codes)) for tau in taus]:
+            bad.append(cell)
+    return bad
+
+
+def _flipped(fam, chip):
+    """``fam`` with one chip of sequence (0, 0) moved by one root of unity."""
+    exps = fam.sets[0][0].exponents.astype(np.int64)
+    exps[chip] = (exps[chip] + 1) % fam.q
+    return with_sets(fam, ((UnimodularSequence(fam.q, exps), *fam.sets[0][1:]), *fam.sets[1:]))
+
+
+@pytest.mark.parametrize("q, weighted, chip", [
+    (2, False, None), (2, False, 5), (2, False, -1), (4, True, None), (8, True, None), (6, False, None),
+], ids=["example", "chip5", "last-chip", "q4-weighted", "q8-weighted", "q6-complex"])
+def test_per_cell_reports_equal_the_single_shift_oracle(q, weighted, chip, monkeypatch):
+    """Every cell's reports equal the single-shift check at each shift, bit
+    for bit: on the example, clean and with a flipped chip; on non-binary
+    q = 4 and q = 8 families whose non-cancelling seeds give boundary
+    weights of +-2; and on a non-binary q = 6 family."""
+    p = example1_params() if q == 2 else _complex_params(q)
+    if weighted:
+        sign = np.random.default_rng(2).choice([-1, 1], 1 << (p.k + 2))
+        monkeypatch.setattr(construction, "_seed_signs", lambda coeffs: sign)
+    assert {w for _, w in p._boundary_weights} == ({-2, 2} if weighted else set())
+    fam, codes = build_multiple_zcz(p), build_ccc_family(p)
+    assert fam.union.real == (q == 2)
+    if chip is not None:
+        fam = _flipped(fam, chip % fam.L)
+        taus = range((1 << p.m) + 1)
+        assert not all(check_chunk_at_shift(fam, 0, 0, 0, 0, tau, codes).passed for tau in taus)
+    assert _oracle_mismatches(fam, codes) == []
+    # negative controls: a loop that stops at tau = 2^m - 1, and a check
+    # that drops the boundary term, each differ from the oracle
+    stops_early = lambda *args, **kwargs: check_chunk_decomposition(*args, **kwargs)[:-1]
+    assert _oracle_mismatches(fam, codes, stops_early, cells=[(0, 0, 1, 0)]) == [(0, 0, 1, 0)]
+    if weighted:
+        no_boundary = dataclasses.replace(p)
+        no_boundary.__dict__["_boundary_weights"] = ()
+        drops_boundary = lambda fam, *cell, codes: check_chunk_decomposition(
+            dataclasses.replace(fam, params=no_boundary), *cell, codes=codes)
+        assert _oracle_mismatches(fam, codes, drops_boundary)
 
 
 def test_chunk_decomposition_refuses_params_of_another_shape():
     fam = dataclasses.replace(build_multiple_zcz(example1_params()), params=default_params(2, 4, 1, 1))
     with pytest.raises(ValueError, match=r"^params describe .* = \(\[4, 4\], 128, 2\), "
                                          r"but the family holds \(\[8, 8\], 256, 2\)$"):
-        check_chunk_decomposition(fam, 0, 1, 7, 7, 0)
+        check_chunk_decomposition(fam, 0, 1, 7, 7)
 
 
 def test_chunk_decomposition_refuses_codes_of_unequal_row_counts():
@@ -387,14 +456,14 @@ def test_chunk_decomposition_refuses_codes_of_unequal_row_counts():
     codes = [list(family) for family in build_ccc_family(p)]
     codes[1][7] = codes[1][7][:-1]
     with pytest.raises(ValueError, match=r"^row count mismatch: 8 vs 7$"):
-        check_chunk_decomposition(build_multiple_zcz(p), 0, 1, 7, 7, 0, codes=codes)
+        check_chunk_decomposition(build_multiple_zcz(p), 0, 1, 7, 7, codes=codes)
 
 
 def test_chunk_decomposition_needs_params():
     fam = build_multiple_zcz(example1_params())
     stripped = fam.__class__(None, fam.union, fam.sizes, Z=fam.Z, Zc=fam.Zc)
     with pytest.raises(ValueError):
-        check_chunk_decomposition(stripped, 0, 0, 0, 0, 0)
+        check_chunk_decomposition(stripped, 0, 0, 0, 0)
 
 
 def test_single_set_reduction():

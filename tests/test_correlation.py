@@ -81,11 +81,21 @@ def test_accf_peak_is_length_without_mask():
 
 
 def test_accf_errors():
-    a, b = binary(1, 1), binary(1, 1, 1)
-    with pytest.raises(ValueError):
-        accf(a, b, 0)
-    with pytest.raises(ValueError):
-        accf(a, a, 3)
+    # every check keeps its message, on sign-bit and on dot operands alike:
+    # q = 2, binary q = 8 (exponents 0 and 4) and complex q = 8
+    rng = np.random.default_rng(37)
+    for q, scale in ((2, 1), (8, 4), (8, 1)):
+        a, c, b = (UnimodularSequence(q, scale * rng.integers(0, q // scale, n)) for n in (5, 5, 6))
+        assert {type(z._root_vectors[2]) for z in (a, b, c)} == {int if scale * 2 == q else tuple}
+        same_roots = UnimodularSequence(2 * q, 2 * a.exponents)
+        for x, y, message in [(a, b, "length mismatch: 5 vs 6"), (b, a, "length mismatch: 6 vs 5"),
+                              (a, same_roots, f"modulus mismatch: q={q} vs q={2 * q}"),
+                              (same_roots, a, f"modulus mismatch: q={2 * q} vs q={q}")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                accf(x, y, 0)
+        for x, y, u in itertools.product((a, c), (a, c), (6, -6)):
+            with pytest.raises(ValueError, match=rf"^shift {u} outside \[-5, 5\]$"):
+                accf(x, y, u)
 
 
 def _same_value(got, want, exact):
@@ -164,7 +174,8 @@ def test_the_dot_oracle_catches_one_flipped_bit_of_a_cached_sign_mask(chip):
     rng = np.random.default_rng(35)
     a, b = random_sequence(rng, 2, 65), random_sequence(rng, 2, 65)
     assert _accf_mismatches(a, b) == []
-    b.__dict__["_root_vectors"] = b._root_vectors ^ (1 << chip)
+    L, q, signs = b._root_vectors
+    b.__dict__["_root_vectors"] = L, q, signs ^ (1 << chip)
     assert _accf_mismatches(a, b)
 
 
@@ -173,7 +184,7 @@ def test_a_conjugated_q8_pair_correlates_bit_for_bit():
     rng = np.random.default_rng(48)
     pair = random_sequence(rng, 8, 37), random_sequence(rng, 8, 37)
     a, b = correlation._conjugate(pair, 3)
-    assert a._root_vectors[0] is not pair[0]._root_vectors[0]
+    assert a._root_vectors[2][0] is not pair[0]._root_vectors[2][0]
     assert _accf_mismatches(a, b) == [] and _pccf_mismatches(a, b) == []
 
 
@@ -191,16 +202,18 @@ def test_the_dot_oracle_catches_an_accf_that_skips_the_conjugate():
     rng = np.random.default_rng(34)
     a, b = random_sequence(rng, 4, 37), random_sequence(rng, 4, 37)
     assert _accf_mismatches(a, b) == []
-    b.__dict__["_root_vectors"] = (b._root_vectors[0], b._root_vectors[0])
+    L, q, (values, _) = b._root_vectors
+    b.__dict__["_root_vectors"] = L, q, (values, values)
     assert _accf_mismatches(a, b)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8])
 def test_a_sequence_keeps_read_only_root_vectors(q):
     seq = random_sequence(np.random.default_rng(50 + q), q, 29)
-    vectors = seq._root_vectors
-    assert seq._root_vectors is vectors  # built once, kept
-    want = seq.values()
+    record = seq._root_vectors
+    assert seq._root_vectors is record  # built once, kept
+    assert record[:2] == (29, q) and type(record[0]) is int
+    vectors, want = record[2], seq.values()
     if q <= 2:  # one int, bit i set where chip i is -1
         assert type(vectors) is int and not want.imag.any()
         assert [vectors >> i & 1 for i in range(len(seq))] == (want.real < 0).tolist()
@@ -764,7 +777,7 @@ def test_a_binary_sequence_meets_a_non_binary_one_on_the_dot():
     rng = np.random.default_rng(96)
     signs = [UnimodularSequence(8, 4 * rng.integers(0, 2, 37)) for _ in range(2)]
     other = random_sequence(rng, 8, 37)
-    assert [type(z._root_vectors) for z in (*signs, other)] == [int, int, tuple]
+    assert [type(z._root_vectors[2]) for z in (*signs, other)] == [int, int, tuple]
     for a, b in ((signs[0], other), (other, signs[0])):
         assert _accf_mismatches(a, b) == [] and _pccf_mismatches(a, b) == []
     images = [UnimodularSequence(2, z.exponents // 4) for z in signs]
@@ -1044,8 +1057,9 @@ def test_deep_checks_conjugate_each_sequence_once_per_unit(monkeypatch):
 
         sets, seqs = range(len(fam.sets)), range(len(fam.sets[0]))  # the views, built before counting
         monkeypatch.setattr(UnimodularSequence, "__post_init__", counted)
-        cells = list(itertools.product(sets, sets, seqs, seqs, range((1 << fam.params.m) + 1)))
-        assert all(check_chunk_decomposition(fam, *cell, codes=codes).passed for cell in cells)
+        cells = list(itertools.product(sets, sets, seqs, seqs))
+        assert all(rep.passed for cell in cells
+                   for rep in check_chunk_decomposition(fam, *cell, codes=codes))
         monkeypatch.setattr(UnimodularSequence, "__post_init__", init)
         if binary:
             assert made == []
@@ -1072,12 +1086,11 @@ def test_one_zero_rule_flags_a_flipped_chip_in_scans_and_chunk_checks(q):
     exps[9] = (exps[9] + 1) % q
     flipped = fam.sets[0][:1] + (UnimodularSequence(q, exps),) + fam.sets[0][2:]
     bad = with_sets(fam, (flipped, *fam.sets[1:]))
-    taus = range((1 << p.m) + 1)
     assert verify_zcz(fam.sets[0], fam.Z).passed
-    assert all(check_chunk_decomposition(fam, 0, 0, 1, 0, t, codes=codes).passed for t in taus)
+    assert all(rep.passed for rep in check_chunk_decomposition(fam, 0, 0, 1, 0, codes=codes))
     cert = verify_zcz(flipped, fam.Z)
     assert not cert.passed
-    assert not all(check_chunk_decomposition(bad, 0, 0, 1, 0, t, codes=codes).passed for t in taus)
+    assert not all(rep.passed for rep in check_chunk_decomposition(bad, 0, 0, 1, 0, codes=codes))
     # witness values are Python ints when exact, floats otherwise
     kind = int if q in (2, 4) else float
     assert all(type(v.re) is kind and type(v.im) is kind for v in cert.violations)
@@ -1401,8 +1414,7 @@ def test_code_and_chunk_verdicts_decide_where_a_float_tolerance_refused():
     assert fam.L == 128
     set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
-    taus = range((1 << p.m) + 1)
-    assert all(check_chunk_decomposition(fam, 0, 0, 0, 1, t, codes=codes).passed for t in taus)
+    assert all(rep.passed for rep in check_chunk_decomposition(fam, 0, 0, 0, 1, codes=codes))
 
 
 def _periodic_counts(a, b, u, q):
@@ -1491,10 +1503,9 @@ def test_is_zero_on_chunk_checks_matches_the_cyclotomic_oracle(q, seed, flip):
     for _ in range(6):
         t1, t1b = (int(t) for t in rng.integers(0, S, 2))
         i, j = (int(t) for t in rng.integers(0, K, 2))
-        tau = int(rng.integers(0, (1 << p.m) + 1))
-        rep = check_chunk_decomposition(fam, t1, t1b, i, j, tau, codes=codes)
-        want = exactly_zero(_chunk_check_counts(p, fam, codes, t1, t1b, i, j, tau))
-        assert rep.passed == want, (t1, t1b, i, j, tau)
+        for tau, rep in enumerate(check_chunk_decomposition(fam, t1, t1b, i, j, codes=codes)):
+            want = exactly_zero(_chunk_check_counts(p, fam, codes, t1, t1b, i, j, tau))
+            assert rep.passed == want, (t1, t1b, i, j, tau)
 
 
 @pytest.mark.parametrize("q", [6, 8, 10, 12])
@@ -1525,5 +1536,4 @@ def test_q6_q8_families_up_to_length_512_still_certify(q):
     assert fam.L == 512
     set_certs, inter, union_cert = certify_family(fam.union, fam.sizes, fam.Z, fam.Zc)
     assert all(c.passed for c in (*set_certs, *inter.values(), union_cert))
-    taus = range((1 << p.m) + 1)
-    assert all(check_chunk_decomposition(fam, 0, 1, 2, 5, t, codes=codes).passed for t in taus)
+    assert all(rep.passed for rep in check_chunk_decomposition(fam, 0, 1, 2, 5, codes=codes))

@@ -2,10 +2,11 @@
 every name in it has a caller in the package."""
 
 import ast
+import functools
 from pathlib import Path
 
 import zczseq
-from zczseq import construction, correlation, gbf, qscdma
+from zczseq import cli, construction, correlation, gbf, qscdma
 
 MODULES = {"gbf": gbf, "correlation": correlation, "construction": construction, "qscdma": qscdma}
 
@@ -89,3 +90,44 @@ def test_uncalled_export_scanner_flags_a_public_def_until_it_has_a_caller():
     assert uncalled_exports({"lib": lib, "app": app}) == {"dead"}
     app += "\ndef other():\n    return lib.dead()\n"
     assert uncalled_exports({"lib": lib, "app": app}) == set()
+
+
+def traced_attributes(source: str) -> list[tuple[str, str]]:
+    """The (owner, attribute) pairs of the ``TRACED_FUNCTIONS`` and
+    ``TRACED_METHODS`` tables in a benchmark client's source, read without
+    importing it: owner is a dotted name such as ``correlation`` or
+    ``gbf.GeneralizedBooleanFunction``."""
+    pairs = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                and [getattr(t, "id", None) for t in node.targets] in (["TRACED_FUNCTIONS"],
+                                                                       ["TRACED_METHODS"])):
+            for row in node.value.elts:
+                owner, attr = row.elts[:2]
+                pairs.append((ast.unparse(owner), ast.literal_eval(attr)))
+    return pairs
+
+
+def missing_traced_attributes(source: str) -> list[str]:
+    """The ``owner.attribute`` names of ``traced_attributes(source)`` that
+    the package does not define as callables."""
+    namespace = {"cli": cli, **MODULES}
+    missing = []
+    for owner, attr in traced_attributes(source):
+        first, *rest = owner.split(".")
+        obj = functools.reduce(getattr, rest, namespace.get(first))
+        if not callable(getattr(obj, attr, None)):
+            missing.append(f"{owner}.{attr}")
+    return missing
+
+
+def test_every_attribute_the_benchmark_traces_exists():
+    # a rename fails here rather than only inside the traced benchmark run
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text()
+    pairs = traced_attributes(source)
+    assert ("construction", "check_chunk_decomposition") in pairs
+    assert ("gbf.GeneralizedBooleanFunction", "truth_table") in pairs
+    assert missing_traced_attributes(source) == []
+    # negative control: a table row naming a function that is gone
+    renamed = source.replace('"check_chunk_decomposition",', '"check_chunk_decompositions",', 1)
+    assert missing_traced_attributes(renamed) == ["construction.check_chunk_decompositions"]
