@@ -318,8 +318,9 @@ def cmd_spectrum(args) -> int:
     loaded = _load_matching_family(args.directory)
     if loaded is None:
         return EXIT_CERT_FAIL
+    family = loaded.family
     try:
-        table = correlation.correlation_spectrum(loaded.family.union, max_cells=args.max_cells)
+        table = correlation.correlation_spectrum(family.union, family.sizes, args.max_cells)
     except correlation.SpectrumCapError as exc:
         raise CliUsageError(f"{exc}; raise --max-cells to override") from None
     table.write_csv(args.out)

@@ -22,14 +22,15 @@ is stacked once; a stack is gathered per conjugate into one matrix from
 the roots of unity permuted by j; one GEMM per block of shifts.  Binary
 stacks (``gbf._is_binary``) compute as q = 2: real, at unit 1 alone.
 
-Path rule.  A family whose exponents split into the construction's two
-layers (``_split``, checked on every exponent for every q) takes the
-chunk fold, ``_folded_table``; any other family (a corrupted chip,
-unequal sets) takes the GEMM.  Both paths feed the same scans.  With S
-sets of K sequences of length L = C * P (C = 2K chunks of P chips), the
-GEMM costs S^2 K^2 L multiply-adds per shift and the fold S^2 L +
-S^2 K P + S^2 K^2 R, R = K bins of the Walsh characters in the fold
-(R = P when the positions do not bin evenly).
+Path rule.  ``_family_table`` alone picks the kernel of every table that
+``certify_family`` scans and ``spectrum`` writes: a family whose exponents
+split into the construction's two layers (``_split``, checked on every
+exponent for every q) takes the chunk fold, ``_folded_table``; any other
+(a corrupted chip, unequal sets, random sequences) takes the GEMM.  With
+S sets of K sequences of length L = C * P (C = 2K chunks of P chips), the
+GEMM costs S^2 K^2 L multiply-adds per shift and the fold S^2 L + S^2 K P
++ S^2 K^2 R, R = K bins of the Walsh characters in the fold (R = P when
+the positions do not bin evenly); inexact tables differ only by rounding.
 
 Budget rule.  Every kernel walks its shifts in blocks, and ``is_zero``
 its tables in blocks along the leading axis; each sizes a block so that
@@ -614,6 +615,29 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     return _inter_report(A, Zc, forward, [_periodic_table(b, a, shifts) for a, b in pairs])
 
 
+def _family_table(union: _Stack, sizes):
+    """``(table, rows)`` of the sets stacked in ``union``, ``sizes[n]`` rows in
+    set n: ``table(unit, shifts)`` is sigma_unit's union table (with ``own``,
+    each set's own), ``rows[n]`` slices set n; it alone applies the path rule."""
+    if min(sizes, default=0) < 1 or sum(sizes) != union.K:
+        raise ValueError(f"set sizes {tuple(sizes)} are not positive counts"
+                         f" that add up to the union's K = {union.K}")
+    rows = [slice(lo, lo + n) for lo, n in zip(np.cumsum([0, *sizes]), sizes)]
+    fold = _split(union, sizes)
+
+    def table(unit, shifts, own=False):
+        if fold is not None:
+            phi = _folded_table(fold.gather(union.roots(unit)), shifts, diagonal=own)
+            return [phi[:, n] for n in range(len(sizes))] if own else phi
+        if own:
+            mats = (union.rows(sl).matrix(unit) for sl in rows)
+            return [_periodic_table(m, m, shifts) for m in mats]
+        mat = union.matrix(unit)
+        return _periodic_table(mat, mat, shifts)
+
+    return table, rows
+
+
 def certify_family(union: _Stack, sizes, Z: int, Zc: int):
     """Every certificate of a multiple-ZCZ family from one union table.
 
@@ -631,21 +655,7 @@ def certify_family(union: _Stack, sizes, Z: int, Zc: int):
     """
     _check_zone(Z, union.L)
     _check_zone(Zc, union.L)
-    bounds = np.cumsum([0, *sizes])
-    rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    fold = _split(union, sizes)
-
-    def table(unit, shifts, own=False):
-        """sigma_unit's union table, or with ``own`` each set's own table."""
-        if fold is not None:
-            phi = _folded_table(fold.gather(union.roots(unit)), shifts, diagonal=own)
-            return [phi[:, n] for n in range(len(sizes))] if own else phi
-        if own:
-            mats = (union.rows(sl).matrix(unit) for sl in rows)
-            return [_periodic_table(m, m, shifts) for m in mats]
-        mat = union.matrix(unit)
-        return _periodic_table(mat, mat, shifts)
-
+    table, rows = _family_table(union, sizes)
     # each set's shifts Zc+1..Z before the union table, so that the table
     # is never held while these calls run: this keeps the peak memory low
     high = np.arange(Zc + 1, Z + 1, dtype=np.int64)
@@ -660,7 +670,7 @@ def certify_family(union: _Stack, sizes, Z: int, Zc: int):
         set_certs.append(_zcz_certificate(union.rows(sl), Z, own))
     del extra, own  # no set table is held while the union table is scanned
     inter = {}
-    for a, b in itertools.combinations(range(len(sizes)), 2):
+    for a, b in itertools.combinations(range(len(rows)), 2):
         sa, sb = rows[a], rows[b]
         inter[a, b] = _inter_report(
             union, Zc, [phi[:, sa, sb] for phi in phis], [phi[:, sb, sa] for phi in phis]
@@ -736,8 +746,8 @@ class SpectrumCapError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Dense periodic-correlation table phi[u, i, j] of one sequence set, as
-    ``_periodic_table`` returns it: exact tables hold integers in floats."""
+    """Dense periodic-correlation table phi[u, i, j] of a sequence family, as
+    its kernel returns it: exact tables hold integers in floats."""
 
     phi: np.ndarray
     exact: bool
@@ -792,14 +802,13 @@ def _csv_texts(values: np.ndarray, exact: bool, end: bytes):
     return np.dtype(f"S{24 + len(end)}"), texts
 
 
-def correlation_spectrum(seqs, max_cells: int = DEFAULT_SPECTRUM_CELL_CAP) -> SpectrumTable:
-    """All-pairs, all-shifts periodic correlation table, the kernel's own.
-
-    Refuses to allocate more than ``max_cells`` table entries (K * K * L).
-    """
+def correlation_spectrum(seqs, sizes=None, max_cells=DEFAULT_SPECTRUM_CELL_CAP) -> SpectrumTable:
+    """All-pairs, all-shifts periodic correlation table of ``seqs`` (a stack or
+    sequences) in sets of ``sizes`` (one set by default), as ``certify_family``
+    computes it.  Refuses to allocate more than ``max_cells`` entries (K * K * L)."""
     stack = _stack(seqs)
     cells = stack.K * stack.K * stack.L
     if cells > max_cells:
         raise SpectrumCapError(f"spectrum needs {cells} cells, cap is {max_cells}")
-    mat = stack.matrix()
-    return SpectrumTable(_periodic_table(mat, mat, np.arange(stack.L)), stack.exact)
+    table, _ = _family_table(stack, (stack.K,) if sizes is None else sizes)
+    return SpectrumTable(table(1, np.arange(stack.L)), stack.exact)

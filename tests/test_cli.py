@@ -358,6 +358,26 @@ def test_spectrum_outputs_and_cap(tmp_path, capsys):
     assert "max_cells" not in err  # the library argument is not the CLI's to name
 
 
+# SHA-256 of each default family's spectrum CSV, recorded from the GEMM
+# path before the fold served spectra; q = 4 and 8 default families are
+# binary, so (4,5,2,1) writes the bytes of (2,5,2,1)
+SPECTRUM_CSV_DIGESTS = {
+    (2, 5, 2, 1): "332a7099467b88a26979c1dd2b2b89c6bb72b74afb70c8178cf2db510bb4c3b6",
+    (4, 5, 2, 1): "332a7099467b88a26979c1dd2b2b89c6bb72b74afb70c8178cf2db510bb4c3b6",
+    (8, 5, 2, 2): "93d82695d2728d9d7ed4cd7c7cb47f294e93e0224d511e1e2a9dcb559a6249fe",
+}
+
+
+@pytest.mark.parametrize("point", list(SPECTRUM_CSV_DIGESTS))
+def test_spectrum_csv_bytes_are_pinned(point, tmp_path):
+    fam_dir, csv_path = tmp_path / "fam", tmp_path / "spec.csv"
+    q, m, k, s = map(str, point)
+    assert run_cli("construct", "-q", q, "-m", m, "-k", k, "-s", s, "-o", str(fam_dir),
+                   "--no-certify") == EXIT_OK
+    assert run_cli("spectrum", str(fam_dir), "-o", str(csv_path)) == EXIT_OK
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SPECTRUM_CSV_DIGESTS[point]
+
+
 def test_simulate_round_trip_and_determinism(tmp_path):
     cfg = {
         "construction": {"q": 2, "m": 4, "k": 2, "s": 2},

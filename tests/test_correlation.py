@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -448,33 +449,49 @@ def test_spectrum_cap():
         correlation_spectrum(seqs, max_cells=100)
 
 
-def _spectrum_and_peak(monkeypatch, q, seed):
-    """``correlation_spectrum`` of 32 sequences of 1,024 chips and its
+def _spectrum_and_peak(monkeypatch, seqs, sizes=None):
+    """``correlation_spectrum`` of ``seqs`` in sets of ``sizes`` and its
     tracemalloc peak, with 64 KiB shift blocks."""
     monkeypatch.setattr(correlation, "_SHIFT_BLOCK_BYTES", 1 << 16)
-    rng = np.random.default_rng(seed)
-    seqs = [random_sequence(rng, q, 1024) for _ in range(32)]
-    correlation_spectrum(seqs[:2])  # warm up lazy imports outside the trace
+    correlation_spectrum(seqs, sizes)  # warm up lazy imports outside the trace
     tracemalloc.start()
     try:
-        table = correlation_spectrum(seqs)
+        table = correlation_spectrum(seqs, sizes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return table, peak
 
 
+def _random_sequences(q, seed):
+    """32 random sequences of 1,024 chips: no split, so the GEMM path."""
+    rng = np.random.default_rng(seed)
+    return [random_sequence(rng, q, 1024) for _ in range(32)]
+
+
 def test_real_spectrum_allocates_no_second_table(monkeypatch):
     # the table is the kernel's float32 one; the stack, its matrix, the
     # extended rows and one shift block's temporaries add about 0.17 x its size
-    table, peak = _spectrum_and_peak(monkeypatch, 2, 50)
+    table, peak = _spectrum_and_peak(monkeypatch, _random_sequences(2, 50))
     assert table.phi.dtype == np.float32 and table.exact
     # a K x K x L int64 copy would bring the peak to 3 x phi.nbytes
     assert peak < 1.25 * table.phi.nbytes
 
 
+def test_split_spectrum_allocates_no_second_table(monkeypatch):
+    # the fold path at the same shape, 32 sequences of 1,024 chips: the
+    # split's factors, their roots and one shift block's temporaries
+    fam = build_multiple_zcz(default_params(2, 6, 2, 2))
+    assert (fam.union.K, fam.L) == (32, 1024)
+    calls = _spy_kernels(monkeypatch)
+    table, peak = _spectrum_and_peak(monkeypatch, fam.union, fam.sizes)
+    assert set(calls) == {"_folded_table"}
+    assert table.phi.dtype == np.float32 and table.exact
+    assert peak < 1.25 * table.phi.nbytes
+
+
 def test_complex_spectrum_allocates_no_second_table(monkeypatch):
-    table, peak = _spectrum_and_peak(monkeypatch, 4, 51)
+    table, peak = _spectrum_and_peak(monkeypatch, _random_sequences(4, 51))
     assert table.phi.dtype == np.complex64 and table.exact
     # int64 copies of re and im would bring the peak to 3 x phi.nbytes
     assert peak < 1.25 * table.phi.nbytes
@@ -852,6 +869,19 @@ def test_certify_family_rejects_zones_like_the_separate_calls():
         certify_family(*union_of(sets), 256, 7)
     with pytest.raises(ValueError, match=r"zone width -1 outside \[0, 256\)"):
         certify_family(*union_of(sets), 16, -1)
+
+
+@pytest.mark.parametrize("sizes", [(8,), (8, 8, 8), (), (16, 0), (17, -1)])
+def test_certify_family_refuses_sizes_that_do_not_describe_the_union(sizes):
+    # each once failed inside the kernels, with numpy's reshape error, an
+    # IndexError or a ZeroDivisionError from the GEMM's block size
+    union = build_multiple_zcz(example1_params()).union
+    message = (rf"^set sizes {re.escape(str(sizes))} are not positive counts"
+               r" that add up to the union's K = 16$")
+    with pytest.raises(ValueError, match=message):
+        certify_family(union, sizes, 16, 7)
+    with pytest.raises(ValueError, match=message):
+        correlation_spectrum(union, sizes)
 
 
 def test_exact_blocks_are_single_precision_below_two_to_the_24():
@@ -1257,6 +1287,75 @@ def test_one_chip_corruption_takes_the_gemm_path(monkeypatch):
     assert set(calls) == {"_periodic_table"}
     assert union_cert == verify_zcz(seqs + sets[1], fam.Zc) and not union_cert.passed
     assert set_certs[0] == verify_zcz(seqs, fam.Z) and not set_certs[0].passed
+
+
+def _gemm_spectrum(union):
+    """The all-shift union table as the GEMM computes it: the oracle of the
+    fold-served spectrum."""
+    mat = union.matrix()
+    return correlation._periodic_table(mat, mat, np.arange(union.L))
+
+
+def _odd_linear_params(q, m, k, s):
+    """The default family but for odd linear terms in f: not binary."""
+    J, pi = tuple(range(k - s)), tuple(range(m - k))
+    f = path_gbf(q, m, k, s, J, pi) + GeneralizedBooleanFunction(q, m, {(0,): 1, (2,): 3})
+    return default_params(q, m, k, s, J, pi, f=f)
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(example1_params, id="example"),
+    pytest.param(lambda: default_params(4, 5, 2, 1), id="q4-binary"),
+    pytest.param(lambda: default_params(8, 5, 2, 2), id="q8-binary"),
+    pytest.param(lambda: default_params(2, 4, 1, 0), id="s=0"),
+    pytest.param(lambda: _odd_linear_params(4, 4, 2, 1), id="q4-odd-linear"),
+])
+def test_split_spectrum_equals_the_gemm_table(params, monkeypatch):
+    """Exact tables: the fold-served spectrum is the GEMM's table, bit for
+    bit and in its dtype, and the GEMM is never reached."""
+    fam = build_multiple_zcz(params())
+    assert fam.union.exact
+    want = _gemm_spectrum(fam.union)
+    calls = _spy_kernels(monkeypatch)
+    table = correlation_spectrum(fam.union, fam.sizes)
+    assert calls == ["_folded_table"]
+    assert table.phi.dtype == want.dtype and np.array_equal(table.phi, want)
+
+
+@pytest.mark.parametrize("q", [6, 8])
+def test_inexact_split_spectrum_agrees_with_the_gemm_to_rounding(q, monkeypatch):
+    """Non-binary q = 6 and 8 tables are float64 sums of L products of
+    roots in another order on each path.  Each sum is within about
+    L**2 * 2**-53 of the true value (``is_zero``), so the two agree within
+    twice that: 1.5e-11 at L = 256, where at most 1.7e-13 is measured."""
+    fam = build_multiple_zcz(_odd_linear_params(q, 4, 2, 1))
+    assert not fam.union.exact and fam.L == 256
+    want = _gemm_spectrum(fam.union)
+    calls = _spy_kernels(monkeypatch)
+    table = correlation_spectrum(fam.union, fam.sizes)
+    assert calls == ["_folded_table"]
+    assert table.phi.dtype == want.dtype == np.complex128
+    assert np.abs(table.phi - want).max() <= 2 * fam.L**2 * 2**-53
+
+
+def test_a_split_spectrum_never_reaches_the_gemm(monkeypatch):
+    """With ``_periodic_table`` made to fail, a split family's spectrum
+    still equals the GEMM's table.  Negative control: a flipped chip breaks
+    the split, so that family's spectrum reaches the GEMM, and with the GEMM
+    back it matches the GEMM's table."""
+    fam, seqs = _flipped_example_set()
+    flipped, sizes = union_of([seqs, fam.sets[1]])
+    wants = [_gemm_spectrum(u) for u in (fam.union, flipped)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the GEMM was reached")
+
+    monkeypatch.setattr(correlation, "_periodic_table", refuse)
+    assert np.array_equal(correlation_spectrum(fam.union, fam.sizes).phi, wants[0])
+    with pytest.raises(AssertionError, match="the GEMM was reached"):
+        correlation_spectrum(flipped, sizes)
+    monkeypatch.undo()
+    assert np.array_equal(correlation_spectrum(flipped, sizes).phi, wants[1])
 
 
 @pytest.mark.parametrize("params", [example1_params, _complex_q4_params])
