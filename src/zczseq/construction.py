@@ -11,9 +11,12 @@ The machinery has three layers:
   mutually orthogonal collections whose cross-family code correlations
   vanish inside a zone;
 * a seed function ``h`` over k+2 extra variables that welds the code rows
-  into 2^s sequence sets of length 2^{m+k+2}: sequence (t1, t2) is built
-  from f + h + (q/2) * (coupling terms), and its chunk c of length 2^m
-  equals row (c mod 2^{k+1}) of code (t1, t2) phased by omega^{h_c}.
+  into 2^s sequence sets of length 2^{m+k+2}: sequence (t1, t2) is psi of
+  f + h + (q/2) * (coupling terms), and its chunk c of length 2^m equals
+  row (c mod 2^{k+1}) of code (t1, t2) phased by omega^{(q/2) h_c}.  That
+  identity is how :func:`build_multiple_zcz` builds the family: it copies
+  the code table of :func:`_code_table` into every chunk and adds q/2
+  where the seed's truth table is 1.
 
 Sequence/row orderings are pinned: t2 = sum b_beta 2^beta over the code
 bits, t1 over the family bits, and row nu = d * 2^k + sum d_beta 2^beta.
@@ -43,7 +46,6 @@ from .gbf import (
 __all__ = [
     "HCoeffs",
     "seed_polynomial",
-    "build_seed_function",
     "CancellationReport",
     "check_seed_cancellation",
     "ConstructionParams",
@@ -170,16 +172,6 @@ def _half_shift_sums(sign: np.ndarray) -> tuple[tuple[int, int], ...]:
     pair = sign * np.roll(sign, -1)
     l = len(sign) // 2
     return tuple((nu, int(w)) for nu, w in enumerate(pair[:l] + pair[l:]) if w)
-
-
-def build_seed_function(coeffs: HCoeffs, m: int, q: int) -> GeneralizedBooleanFunction:
-    """Seed function lifted onto variables x_m .. x_{m+k+1} of the full
-    m+k+2 variable space, scaled by q/2 so its values act as sign flips."""
-    k = coeffs.k
-    half = q // 2
-    low = seed_polynomial(coeffs)
-    terms = {tuple(i + m for i in idx): half * coeff for idx, coeff in low.terms.items()}
-    return GeneralizedBooleanFunction(q, m + k + 2, terms)
 
 
 @dataclass(frozen=True)
@@ -413,11 +405,10 @@ def _parity_offsets(base: np.ndarray, masks, flips, q: int) -> np.ndarray:
     return np.minimum(out, out - q)  # for 0 <= x < 2q, x - q wraps unless x >= q
 
 
-def build_ccc_family(params: ConstructionParams):
-    """All 2^s code families; family t1 holds 2^{k+1} codes of 2^{k+1}
-    rows of length 2^m, as nested tuples: ``codes[t1][t2][nu]`` is row nu
-    of code (t1, t2).  Row nu encodes d = bit k of nu and d_beta = bit beta
-    of nu.
+def _code_table(params: ConstructionParams) -> np.ndarray:
+    """Layer 1 as one read-only (2^s, 2^{k+1}, 2^{k+1}, 2^m) exponent table:
+    ``table[t1, t2, nu]`` is row nu of code (t1, t2).  Row nu encodes d =
+    bit k of nu and d_beta = bit beta of nu.
 
     Row nu of code (t1, t2) is psi of
 
@@ -441,8 +432,14 @@ def build_ccc_family(params: ConstructionParams):
     flips = np.broadcast_to(flips[:, None, :], masks.shape)
     table = _parity_offsets(base, masks.ravel(), flips.ravel(), q)
     table.flags.writeable = False  # so that every row is a view, not a copy
-    codes = table.reshape(n_families, n_codes, n_codes, -1)
-    return tuple(tuple(tuple(UnimodularSequence(q, row) for row in c) for c in fam) for fam in codes)
+    return table.reshape(n_families, n_codes, n_codes, -1)
+
+
+def build_ccc_family(params: ConstructionParams):
+    """All 2^s code families as nested tuples of views of
+    :func:`_code_table`: ``codes[t1][t2][nu]`` is row nu of code (t1, t2)."""
+    codes = _code_table(params)
+    return tuple(tuple(tuple(UnimodularSequence(params.q, row) for row in c) for c in fam) for fam in codes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,9 +456,7 @@ class MultipleZczFamily:
     Zc: int
 
     def __post_init__(self):
-        if min(self.sizes, default=0) < 0 or sum(self.sizes) != self.union.K:
-            raise ValueError(f"set sizes {tuple(self.sizes)} are not nonnegative counts"
-                             f" that add up to the union's K = {self.union.K}")
+        correlation._check_sizes(self.sizes, self.union.K)
 
     @functools.cached_property
     def sets(self) -> tuple[tuple[UnimodularSequence, ...], ...]:
@@ -489,41 +484,22 @@ class MultipleZczFamily:
 
 def build_multiple_zcz(params: ConstructionParams) -> MultipleZczFamily:
     """Assemble the full family of 2^s sets of 2^{k+1} sequences of
-    length 2^{m+k+2}.
-
-    Sequence (t1, t2) is psi of
-
-        f + h + (q/2) * ( sum_beta x_{m+beta} x_{j_beta}
-                          + sum_{beta=k-s}^{k-1} x_{m+beta} b_{s+1+beta}
-                          + sum_beta b_beta x_{j_beta}
-                          + x_{m+k} x_{gamma1} + b_k x_{gamma2} )
-
-    where b are the bits of (t2, t1) and j runs over J then the isolated
-    vertices.  Only the linear terms depend on (t1, t2), and all carry q/2,
-    so every sequence is psi of the rest plus q/2 times a parity of its
-    index bits.
+    length 2^{m+k+2} by welding the code rows of :func:`_code_table` with
+    the seed: chunk c of sequence (t1, t2) is row (c mod 2^{k+1}) of code
+    (t1, t2) plus (q/2) * h_c, reduced mod q.  Union row t1 * 2^{k+1} + t2
+    is sequence (t1, t2).
     """
-    q, m, k, s = params.q, params.m, params.k, params.s
-    half = q // 2
-    n = params.n_vars
-
-    static_terms: dict[tuple[int, ...], int] = {}
-    for beta in range(k):
-        static_terms[tuple(sorted((m + beta, params.j_order[beta])))] = half
-    static_terms[tuple(sorted((m + k, params.gamma1)))] = half
-    static = (
-        params.f.with_variables(n)
-        + build_seed_function(params.h, m, q)
-        + GeneralizedBooleanFunction(q, n, static_terms)
-    )
-
-    base = psi(static).exponents
-    # bits of the union index t1 * 2^(k+1) + t2: those of t2, then of t1
-    variables = params.j_order + (params.gamma2,) + tuple(range(m + k - s, m + k))
-    table = _parity_offsets(base, _masks(variables, params.union_size), 0, q)
+    q, codes = params.q, _code_table(params)
+    n_families, n_codes, _, chunk_len = codes.shape
+    welded = np.empty((n_families, n_codes, 2 * n_codes, chunk_len), codes.dtype)
+    welded[:, :, :n_codes] = welded[:, :, n_codes:] = codes
+    for c in np.flatnonzero(seed_polynomial(params.h).truth_table()):
+        chunk = welded[:, :, c]
+        chunk += q // 2
+        np.minimum(chunk, chunk - q, out=chunk)  # for 0 <= x < 2q, x - q wraps unless x >= q
     sizes = (params.set_size,) * params.num_sets
-    return MultipleZczFamily(params, correlation._as_stack(table, q), sizes,
-                             Z=params.zcz_width, Zc=params.inter_zccz_width)
+    return MultipleZczFamily(params, correlation._as_stack(welded.reshape(params.union_size, -1), q),
+                             sizes, Z=params.zcz_width, Zc=params.inter_zccz_width)
 
 
 class ChunkDecompositionReport(NamedTuple):

@@ -615,13 +615,19 @@ def verify_inter_zccz(set_a, set_b, Zc: int) -> InterSetReport:
     return _inter_report(A, Zc, forward, [_periodic_table(b, a, shifts) for a, b in pairs])
 
 
+def _check_sizes(sizes, K: int) -> None:
+    """The one rule for the set sizes of a union of K rows: positive counts
+    that add up to K."""
+    if min(sizes, default=0) < 1 or sum(sizes) != K:
+        raise ValueError(f"set sizes {tuple(sizes)} are not positive counts"
+                         f" that add up to the union's K = {K}")
+
+
 def _family_table(union: _Stack, sizes):
     """``(table, rows)`` of the sets stacked in ``union``, ``sizes[n]`` rows in
     set n: ``table(unit, shifts)`` is sigma_unit's union table (with ``own``,
     each set's own), ``rows[n]`` slices set n; it alone applies the path rule."""
-    if min(sizes, default=0) < 1 or sum(sizes) != union.K:
-        raise ValueError(f"set sizes {tuple(sizes)} are not positive counts"
-                         f" that add up to the union's K = {union.K}")
+    _check_sizes(sizes, union.K)
     rows = [slice(lo, lo + n) for lo, n in zip(np.cumsum([0, *sizes]), sizes)]
     fold = _split(union, sizes)
 

@@ -4,9 +4,10 @@ The correlation oracles here are deliberately primitive pure-Python
 double loops over independently converted complex entries, so they never
 share code paths with the library's vectorized implementations.  The
 construction oracles build one generalized Boolean function and one truth
-table per sequence and per code row, where the library offsets one shared
-truth table by q/2-weighted parities.  The uplink oracle simulates every
-chip, where the library draws the matched-filter statistics directly; the
+table per sequence and per code row (the seed lifted onto the sequence's
+variables by ``build_seed_function``), where the library offsets one
+shared truth table by q/2-weighted parities and welds the code rows with
+the seed's truth table.  The uplink oracle simulates every chip, where the library draws the matched-filter statistics directly; the
 loop oracle draws those statistics from int64 bits in one product per
 iteration, where the library reads raw bit words in blocks.  The
 exact-zero oracle decides a sum of q-th roots of unity by integer
@@ -36,9 +37,9 @@ from zczseq import (
     ConstructionParams,
     HCoeffs,
     MultipleZczFamily,
-    build_seed_function,
     correlation,
     psi,
+    seed_polynomial,
     verify_inter_zccz,
     verify_zcz,
 )
@@ -207,6 +208,15 @@ def random_valid_params(
 
 def _bits(value: int, count: int) -> tuple[int, ...]:
     return tuple((value >> b) & 1 for b in range(count))
+
+
+def build_seed_function(coeffs: HCoeffs, m: int, q: int) -> GeneralizedBooleanFunction:
+    """Seed function lifted onto variables x_m .. x_{m+k+1} of the full
+    m+k+2 variable space, scaled by q/2 so its values act as sign flips."""
+    half = q // 2
+    low = seed_polynomial(coeffs)
+    terms = {tuple(i + m for i in idx): half * coeff for idx, coeff in low.terms.items()}
+    return GeneralizedBooleanFunction(q, m + coeffs.k + 2, terms)
 
 
 def oracle_multiple_zcz(params: ConstructionParams) -> list[list[UnimodularSequence]]:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -691,6 +692,47 @@ def test_a_simulate_config_that_is_not_json_is_named(tmp_path, capsys):
     assert run_cli("simulate", str(cfg_path), "-o", str(tmp_path / "o")) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not valid JSON (")
     assert not (tmp_path / "o").exists()
+
+
+def _drop_sets(root):
+    for sub in ("0", "1"):
+        shutil.rmtree(root / sub)
+
+
+def _empty_set_one(root):
+    for path in (root / "1").glob("*.seq"):
+        path.unlink()
+
+
+def _other_zone_in_one_header(root):
+    path = root / "1" / "3.seq"
+    path.write_bytes(path.read_bytes().replace(b"\nZ=16\n", b"\nZ=15\n", 1))
+
+
+def _files_as_a_list(root):
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["files"] = sorted(manifest["files"])
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_sets, "{root} holds no sequence-set subdirectories"),
+    (_empty_set_one, "{root}/1 holds no .seq files"),
+    (_other_zone_in_one_header, "{root}/1/3.seq: header disagrees with the rest of the family"),
+    (_files_as_a_list, "manifest.json: 'files' must map sequence files to SHA-256 digests"),
+], ids=["no-sets", "empty-set", "header", "files-not-a-mapping"])
+def test_an_inconsistent_family_directory_is_refused(tmp_path, capsys, edit, message):
+    root = tmp_path / "fam"
+    run_cli("construct", "--example1", "-o", str(root), "--no-certify")
+    assert construction.load_family(root).digest_report()["pass"]  # control
+    edit(root)
+    message = message.format(root=root)
+    with pytest.raises(ValueError) as info:
+        construction.load_family(root).digest_report()
+    assert str(info.value) == message
+    capsys.readouterr()
+    assert run_cli("verify", str(root)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_q16_families_certify_beyond_length_128(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    build_seed_function,
     certify_family,
     check_chunk_at_shift,
     code_accf,
@@ -32,7 +33,6 @@ from zczseq import (
     HCoeffs,
     build_ccc_family,
     build_multiple_zcz,
-    build_seed_function,
     check_chunk_decomposition,
     check_seed_cancellation,
     default_params,
@@ -181,10 +181,12 @@ def test_family_shapes_and_degree():
     assert (fam.Z, fam.Zc) == (16, 7)
 
 
-@pytest.mark.parametrize("sizes", [(3,), (1,), (3, -1), (1, 1, 1)])
+@pytest.mark.parametrize("sizes", [(3,), (1,), (3, -1), (1, 1, 1), (2, 0)])
 def test_a_family_refuses_sizes_that_do_not_count_its_union(sizes):
     # (3,) once ended in "generator raised StopIteration" when sets was
-    # read, and (1,) silently dropped the second row
+    # read, and (1,) silently dropped the second row; (2, 0) was accepted,
+    # and export_family then wrote an empty set directory that load_family
+    # refuses
     union = correlation._as_stack(np.zeros((2, 4), dtype=np.uint8), 2)
     with pytest.raises(ValueError, match=rf"set sizes \({sizes[0]},.*K = 2"):
         construction.MultipleZczFamily(None, union, sizes, Z=0, Zc=0)
@@ -220,11 +222,24 @@ def _random_structures(draw):
     return random_valid_params(rng, q, m, k, s, randomize_structure=True)
 
 
+def _odd_linear(q, m, k, s, **kw):
+    """default_params with f given odd linear terms and an odd constant, so
+    that its sequences are not binary."""
+    f = path_gbf(q, m, k, s, tuple(range(k - s)), tuple(range(m - k)))
+    return default_params(q, m, k, s, f=f + G(q, m, {(0,): 1, (m - 1,): 3, (): q - 1}), **kw)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_random_structures())
 @example(example1_params())
+# a seed with every term: all c bits, every d-pair, every e bit and e' = 1
+@example(default_params(4, 5, 3, 1, h=HCoeffs(c=(1, 1, 1, 1), d_pairs=((1, 2), (1, 3), (2, 3)),
+                                             e=(1,) * 5, e_prime=1)))
+@example(_odd_linear(16, 5, 2, 1, h=HCoeffs(c=(0, 1, 1), e=(0, 1, 0, 1))))
+@example(_odd_linear(130, 4, 1, 0))  # exponents in uint16
 def test_builders_equal_the_per_sequence_oracles(params):
     fam = build_multiple_zcz(params)
+    assert fam.union.exps.dtype == np.min_scalar_type(2 * params.q - 1)
     assert [list(zs) for zs in fam.sets] == oracle_multiple_zcz(params)
     codes = build_ccc_family(params)
     assert [[list(code) for code in fam_codes] for fam_codes in codes] == (
@@ -234,7 +249,9 @@ def test_builders_equal_the_per_sequence_oracles(params):
 
 @pytest.mark.parametrize("build", [build_multiple_zcz, build_ccc_family])
 def test_builders_evaluate_one_truth_table(build, monkeypatch):
-    """One truth table per build, however many sequences or rows."""
+    """One truth table per function of a layer, however many sequences or
+    rows: f over m variables for the code table, and the seed over k + 2
+    for the weld; no table spans the m + k + 2 variables of a sequence."""
     calls = []
     truth_table = GeneralizedBooleanFunction.truth_table
 
@@ -243,13 +260,11 @@ def test_builders_evaluate_one_truth_table(build, monkeypatch):
         return truth_table(self)
 
     monkeypatch.setattr(GeneralizedBooleanFunction, "truth_table", counted)
-    counts = []
-    for point in [(2, 6, 3, 2), (2, 8, 4, 2)]:
-        params = default_params(*point)
+    for q, m, k, s in [(2, 6, 3, 2), (2, 8, 4, 2)]:
         calls.clear()
-        build(params)
-        counts.append(len(calls))
-    assert counts == [1, 1]
+        build(default_params(q, m, k, s))
+        expected = [m, k + 2] if build is build_multiple_zcz else [m]
+        assert sorted(calls) == sorted(expected)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -1,16 +1,20 @@
 """Function representation, evaluation, restriction, and graph checks."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from conftest import binvec, evaluate, quadratic_graph, random_gbf
+from conftest import binvec, build_seed_function, evaluate, quadratic_graph, random_gbf
 from zczseq import (
     GeneralizedBooleanFunction,
     UnimodularSequence,
-    build_seed_function,
+    default_params,
     example1_params,
     format_gbf_text,
     parse_gbf_text,
+    path_gbf,
     psi,
     validate_restricted_path_form,
 )
@@ -158,6 +162,25 @@ def test_path_form_two_vertex_path_checks_both_restrictions():
     rep_bad = validate_restricted_path_form(f + G(2, 4, {(1, 2, 3): 1}), 2, 0, (0, 1), (0, 1))
     assert not rep_bad.passed
     assert all(e[1] == 1 for e, _ in rep_bad.violations)
+
+
+@pytest.mark.parametrize("extra, reason", [
+    ({(2, 3, 4): 1}, "degree-3 term (2, 3, 4) survives restriction"),
+    ({(2, 4): 2}, "quadratic term (2, 4) is not a path edge"),
+    ({(2, 3): 1}, "path edge (2, 3) has coefficient 3, expected 2"),
+])
+def test_path_form_reports_each_defect_of_f(extra, reason):
+    # m=5, k=2, s=0: J={0,1}, the path 2-3-4 on the free vertices, q = 4
+    J, pi = (0, 1), (0, 1, 2)
+    f = path_gbf(4, 5, 2, 0, J, pi)
+    assert validate_restricted_path_form(f, 2, 0, J, pi).passed  # control
+    rep = validate_restricted_path_form(f + G(4, 5, extra), 2, 0, J, pi)
+    assert not rep.passed
+    # the defect avoids the J variables, so every restriction keeps it
+    assert [e for e, r in rep.violations if r == reason] == list(itertools.product((0, 1), repeat=2))
+    message = rf"^f does not restrict to the required path form: at e=\(0, 0\): {re.escape(reason)}$"
+    with pytest.raises(ValueError, match=message):
+        default_params(4, 5, 2, 0, f=f + G(4, 5, extra))
 
 
 def test_path_form_structural_misuse_raises():

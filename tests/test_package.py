@@ -29,6 +29,7 @@ MOVED_NAMES = {
     "quadratic_graph",
     "QuadraticGraph",
     "code_accf",
+    "build_seed_function",
 }
 MOVED_METHODS = {
     (gbf.GeneralizedBooleanFunction, "evaluate"),
